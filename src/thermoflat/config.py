@@ -10,10 +10,6 @@ STATIONARITY_TOL = 1e-10
 # Fenchel-Young equality detection.
 FENCHEL_YOUNG_TOL = 1e-9
 
-# Power iteration (transfer operator and stationary distributions).
-POWER_TOL = 1e-13
-POWER_MAX_ITER = 100_000
-
 # Interval subdifferentials: singleton detection width.
 SINGLETON_TOL = 1e-12
 
@@ -60,13 +56,3 @@ class RunConfig:
             "radius_plus": self.radius_plus,
             "radius_minus": self.radius_minus,
         }
-
-
-def worker_count():
-    """Worker cap from THERMOFLAT_THREADS (default 1 = sequential)."""
-    import os
-
-    try:
-        return max(1, int(os.environ.get("THERMOFLAT_THREADS", "1")))
-    except ValueError:
-        return 1

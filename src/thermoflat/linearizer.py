@@ -10,15 +10,14 @@ residuals x_pm in subdiff(g_pm, tau_pm(mu)).
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .config import RunConfig, worker_count
+from .config import RunConfig
 from .convex import INFINITY, DualPoint, growth_radius
 from .measures import CylinderPotential, entropy_rate, expectation
-from .ruelle import build_transfer, linear_pressure, rpf_solve
+from .ruelle import _log_sum_exp, _log_transfer, build_transfer, perron, rpf_solve
 
 
 class ModelSpec:
@@ -71,7 +70,7 @@ class ModelSpec:
         return math.sqrt(sum(p.sup_norm**2 for p in self.minus_potentials))
 
     def _fast_data(self):
-        """Cached stacked tables and transfer index maps for tilt sweeps."""
+        """Cached log weights and stacked padded tables for tilt sweeps."""
         if self._fast is not None:
             return self._fast
         k = self.alphabet.k
@@ -86,21 +85,13 @@ class ModelSpec:
                 return np.zeros((0, size))
             return np.stack([p.padded(memory).table.ravel() for p in pots])
 
-        fast = {
+        self._fast = {
             "memory": memory,
             "log_w": np.log(self.alphabet.weights),
             "plus": stack(self.plus_potentials),
             "minus": stack(self.minus_potentials),
         }
-        if memory >= 2:
-            dim = k ** (memory - 1)
-            a_idx, b_idx = np.divmod(np.arange(size), dim)
-            fast["dim"] = dim
-            fast["rows"] = b_idx
-            fast["cols"] = a_idx * (k ** (memory - 2)) + b_idx // k
-            fast["a_idx"] = a_idx
-        self._fast = fast
-        return fast
+        return self._fast
 
     def linear_pressure_tilted(self, y_plus, y_minus):
         """P_L(Theta) without building potential objects."""
@@ -111,18 +102,14 @@ class ModelSpec:
         if len(y_minus):
             tbl = tbl - y_minus @ fast["minus"]
         if fast["memory"] == 1:
-            work = fast["log_w"] + tbl
-            peak = work.max()
-            return float(peak + np.log(np.exp(work - peak).sum()))
-        dim = fast["dim"]
-        mat = np.full((dim, dim), -np.inf)
-        # each (row, col) pair comes from exactly one word, no aggregation
-        mat[fast["rows"], fast["cols"]] = fast["log_w"][fast["a_idx"]] + tbl
-        from . import kernels
-        from .config import POWER_MAX_ITER, POWER_TOL
-
-        log_lam, _ = kernels.power_iteration_log(mat, POWER_TOL, POWER_MAX_ITER)
-        return float(log_lam)
+            return _log_sum_exp(fast["log_w"] + tbl)
+        try:
+            return perron(_log_transfer(fast["log_w"], tbl, fast["memory"]))[0]
+        except ArithmeticError as exc:
+            raise ArithmeticError(
+                f"linear_pressure_tilted at y+ = {np.asarray(y_plus).tolist()}, "
+                f"y- = {np.asarray(y_minus).tolist()}: {exc}"
+            ) from exc
 
     def direct_pressure_of(self, mu):
         """P(mu) = entropy - g_minus(tau_minus) + g_plus(tau_plus)."""
@@ -320,14 +307,6 @@ def p_flat_of(model, y_plus, radius=None, config=None):
     return value, [DualPoint(p) for p in kept]
 
 
-def _parallel_map(fn, items):
-    workers = worker_count()
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _multistart_max(f, radius, dim, grid_points, cap):
     """Multistart maximization of f over [-radius, radius]^dim.
 
@@ -356,7 +335,7 @@ def _multistart_max(f, radius, dim, grid_points, cap):
         x = np.clip(res.x, -radius, radius)
         return x, -neg(x)
 
-    results = _parallel_map(refine, list(starts))
+    results = [refine(start) for start in starts]
     points = np.array([r[0] for r in results])
     values = np.array([r[1] for r in results])
     return points, values

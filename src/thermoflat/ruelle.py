@@ -1,20 +1,118 @@
 """Transfer operators, Ruelle-Perron-Frobenius data and linear pressure.
 
 The operator of a memory-m potential is realized on functions of the
-leading m-1 coordinates; entries are kept as logs throughout so potentials
-with |f| up to a few hundred do not overflow.
+leading m-1 coordinates as a dense matrix of entrywise logs, so large
+potentials do not overflow.  `perron` is the one eigen-solve.  It certifies
+its answer with the Collatz-Wielandt bounds: for a nonnegative matrix M and
+any positive vector h,
+
+    min_i (M h)_i / h_i  <=  lambda  <=  max_i (M h)_i / h_i
+
+so once that bracket on log lambda is narrower than PERRON_TOL, the returned
+Perron root is correct to PERRON_TOL / 2 (up to rounding in the log-domain
+sums).  A matrix it cannot certify raises ArithmeticError; no estimate is
+returned unchecked.  The tests certify random memory-4 tables with entries
+uniform in [-50, 50] (k = 3 and 4) and in [-300, 300] (k = 3); wider
+tables can fail, as do about 4 in 30 of the k = 4 tables in [-300, 300].
 """
 
 import dataclasses
+import functools
 
 import numpy as np
-from scipy.special import logsumexp
+import scipy.linalg
 
-from . import kernels
-from .config import POWER_MAX_ITER, POWER_TOL
-from .measures import CylinderPotential, MarkovMeasure, stationary_distribution
+from .measures import CylinderPotential, MarkovMeasure
 
-NEG_INF = -np.inf
+# Width, in log units, below which the Collatz-Wielandt bracket certifies
+# log lambda; log-domain power steps per dense eigen-solve; eigen-solves.
+PERRON_TOL = 1e-11
+PERRON_STEPS = 16
+PERRON_ROUNDS = 3
+
+
+def _log_sum_exp(a, rows=False):
+    """log(sum(exp(a))) shifted by the max: a float over all of `a`, or with
+    rows=True one value per row of a matrix, -inf for a row of -inf."""
+    if not rows:
+        peak = a.max()
+        return float(peak + np.log(np.exp(a - peak).sum()))
+    peak = a.max(axis=1)
+    peak[~np.isfinite(peak)] = 0.0
+    return peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
+
+
+def perron(log_matrix):
+    """Perron root and right vector of a nonnegative matrix given by its logs.
+
+    log_matrix: (D, D) entrywise logs, -inf for zero entries; acts on
+    vectors as (M h)_i = sum_j M[i, j] h_j.  Returns (log_lambda, log_vec)
+    with log_vec normalized to max 0.
+
+    The top eigenvector of a dense `eig` is polished by log-domain power
+    steps until the Collatz-Wielandt bracket [min, max] of
+    log(M h) - log h is narrower than PERRON_TOL; the midpoint is returned.
+    Each further round re-runs `eig` on M balanced by the current vector,
+    diag(h)^-1 M diag(h), whose Perron vector is near all ones, so that
+    components many orders of magnitude below the largest come out
+    accurate.  Raises ArithmeticError with the last bracket width when no
+    round certifies, for example when the Perron vector has a zero entry.
+    """
+    log_matrix = np.asarray(log_matrix, dtype=float)
+    log_vec = np.zeros(log_matrix.shape[0])
+    width = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(PERRON_ROUNDS):
+            balanced = log_matrix - log_vec[:, None] + log_vec[None, :]
+            peak = balanced.max()
+            if not np.isfinite(peak):
+                break
+            vals, vecs = scipy.linalg.eig(
+                np.exp(balanced - peak), check_finite=False, overwrite_a=True
+            )
+            log_vec = log_vec + np.log(np.abs(vecs[:, np.argmax(vals.real)]))
+            for _ in range(PERRON_STEPS):
+                log_mv = _log_sum_exp(log_matrix + log_vec, rows=True)
+                ratio = log_mv - log_vec
+                lo, hi = ratio.min(), ratio.max()
+                width = hi - lo
+                if width < PERRON_TOL:
+                    return float(0.5 * (lo + hi)), log_vec - log_vec.max()
+                log_vec = log_mv - log_mv.max()
+            if not np.isfinite(log_vec).all():
+                break
+    raise ArithmeticError(
+        f"perron: Collatz-Wielandt bracket width {width:.3g} on a "
+        f"{len(log_vec)}-state matrix, above {PERRON_TOL:g}"
+    )
+
+
+@functools.cache
+def _word_maps(k, memory):
+    """Transfer-matrix cell [trail, lead] of every memory-word, in index order.
+
+    A word w = (a, b), a its first symbol, has trailing (memory-1)-word
+    trail = b = w mod k**(memory-1) and leading one lead = w // k; no two
+    words share a cell.
+    """
+    words = np.arange(k**memory)
+    trail, lead = words % k ** (memory - 1), words // k
+    trail.flags.writeable = lead.flags.writeable = False
+    return trail, lead
+
+
+def _log_transfer(log_weights, table, memory):
+    """Log transfer matrix of a flat word table: [trail, lead] of each word
+    holds log m_a + f(w), so (L v)(b) = sum_a m_a exp(f(a ^ b)) v(lead).
+    Memory 1 reduces to the 1x1 matrix log sum_a m_a exp(f(a))."""
+    if memory == 1:
+        return np.array([[_log_sum_exp(log_weights + table)]])
+    k = len(log_weights)
+    dim = k ** (memory - 1)
+    trail, lead = _word_maps(k, memory)
+    log_b = np.full((dim, dim), -np.inf)
+    log_b[trail, lead] = np.repeat(log_weights, dim) + table
+    return log_b
 
 
 class TransferMatrix:
@@ -30,28 +128,10 @@ class TransferMatrix:
         self.phi = phi
         self.alphabet = phi.alphabet
         self.memory = phi.memory
-        k = self.alphabet.k
-        log_m = np.log(self.alphabet.weights)
-        if self.memory == 1:
-            self.dim = 1
-            self.log_entries = np.array(
-                [[logsumexp(log_m + phi.table)]]
-            )
-            return
-        m = self.memory
-        self.dim = k ** (m - 1)
-        log_b = np.full((self.dim, self.dim), NEG_INF)
-        table = phi.table.reshape(k, self.dim)  # word (a, b) -> f, b a (m-1)-word
-        for b in range(self.dim):
-            head = b // k  # leading m-2 symbols of b
-            for a in range(k):
-                b_new = a * (k ** (m - 2)) + head
-                log_b[b, b_new] = log_m[a] + table[a, b]
-        self.log_entries = log_b
-
-    @property
-    def word_states(self):
-        return max(1, self.memory - 1)
+        self.log_entries = _log_transfer(
+            np.log(self.alphabet.weights), phi.table.ravel(), phi.memory
+        )
+        self.dim = self.log_entries.shape[0]
 
 
 @dataclasses.dataclass
@@ -69,23 +149,33 @@ def build_transfer(phi):
     return TransferMatrix(phi)
 
 
-def rpf_solve(transfer):
-    """Power-iterate the transfer matrix and assemble the Gibbs chain.
+def _potential_error(layer, phi, exc):
+    return ArithmeticError(
+        f"{layer}: memory-{phi.memory} potential with sup-norm "
+        f"{phi.sup_norm:.6g}: {exc}"
+    )
 
-    The forward chain is derived from the backward (prepend) kernel of the
-    cohomologous normalized potential; its invariance properties are checked
-    by the test suite rather than trusted.
+
+def rpf_solve(transfer):
+    """Perron pair of the transfer matrix and the Gibbs chain it induces.
+
+    With h and nu the right and left Perron vectors, the Gibbs measure of an
+    m-word w with first symbol a is
+        P(w) = m_a exp(f(w)) h(lead) nu(trail) / lambda
+    (normalized).  Both of its (m-1)-word marginals equal h nu, so the chain
+    with rows P(w) / pi(lead) over the words of each lead is stationary
+    under pi, the lead marginal.  The normalized potential is
+    f + ln h(lead) - ln h(trail) - ln lambda.
     """
     phi = transfer.phi
-    k = transfer.alphabet.k
-    log_m = np.log(transfer.alphabet.weights)
+    alphabet = transfer.alphabet
     m = transfer.memory
 
     if m == 1:
         log_lam = float(transfer.log_entries[0, 0])
-        log_p = log_m + phi.table - log_lam
-        gibbs = MarkovMeasure.product(transfer.alphabet, np.exp(log_p))
-        fbar = CylinderPotential(transfer.alphabet, phi.table - log_lam)
+        log_p = np.log(alphabet.weights) + phi.table - log_lam
+        gibbs = MarkovMeasure.product(alphabet, np.exp(log_p))
+        fbar = CylinderPotential(alphabet, phi.table - log_lam)
         return RPFData(
             log_lambda=log_lam,
             h=np.ones(1),
@@ -95,67 +185,30 @@ def rpf_solve(transfer):
         )
 
     log_b = transfer.log_entries
-    log_lam, log_h = kernels.power_iteration_log(log_b, POWER_TOL, POWER_MAX_ITER)
-    _, log_nu = kernels.power_iteration_log(
-        np.ascontiguousarray(log_b.T), POWER_TOL, POWER_MAX_ITER
-    )
-    nu = np.exp(log_nu - logsumexp(log_nu))
-    h = np.exp(log_h)  # already normalized to max 1 in log domain
+    try:
+        log_lam, log_h = perron(log_b)
+        _, log_nu = perron(log_b.T)
+    except ArithmeticError as exc:
+        raise _potential_error("rpf_solve", phi, exc) from exc
 
-    # Normalized potential: f + ln h(leading m-1) - ln h(trailing m-1) - ln lam.
-    dim = transfer.dim
-    shape = (k,) * m
-    fbar_table = np.empty(shape)
-    for idx in np.ndindex(shape):
-        word_index = 0
-        for s in idx:
-            word_index = word_index * k + s
-        lead = word_index // k  # first m-1 symbols
-        trail = word_index % dim  # last m-1 symbols
-        fbar_table[idx] = (
-            phi.table[idx] + log_h[lead] - log_h[trail] - log_lam
-        )
-    fbar = CylinderPotential(transfer.alphabet, fbar_table)
-
-    # Backward kernel p(a | b) = m_a exp(fbar(a ^ b)); rows over b sum to 1.
-    flat = fbar_table.reshape(k, dim)
-    backward = np.zeros((dim, dim))
-    for b in range(dim):
-        head = b // k
-        for a in range(k):
-            b_new = a * (k ** (m - 2)) + head
-            backward[b, b_new] += transfer.alphabet.weights[a] * np.exp(flat[a, b])
-    # rows are stochastic only up to the eigensolve error; renormalize so the
-    # stationary solve is exact for the kernel actually used
-    backward /= backward.sum(axis=1, keepdims=True)
-    pi = stationary_distribution(backward)
-
-    # Forward order-(m-1) chain: Q[s, s'] = P(s ^ a) / pi(s) with s' = shift(s, a).
+    k, dim = alphabet.k, transfer.dim
+    trail, lead = _word_maps(k, m)
+    # words grouped by lead: row s of the reshape holds the words s ^ c
+    log_p = log_b[trail, lead] + log_h[lead] + log_nu[trail]
+    log_pi = _log_sum_exp(log_p.reshape(dim, k), rows=True)
     forward = np.zeros((dim, dim))
-    for s in range(dim):
-        if pi[s] <= 0:
-            continue
-        for a in range(k):
-            s_next = (s * k + a) % dim
-            w_first = s // (k ** (m - 2))  # leading symbol of the m-word s^a
-            b_future = s_next
-            p_word = (
-                transfer.alphabet.weights[w_first]
-                * np.exp(flat[w_first, b_future])
-                * pi[b_future]
-            )
-            forward[s, s_next] += p_word / pi[s]
-    forward /= forward.sum(axis=1, keepdims=True)
-    # re-derive pi from the normalized forward rows so invariance is exact
-    pi = stationary_distribution(forward)
-    gibbs = MarkovMeasure(transfer.alphabet, m - 1, pi, forward)
+    forward[lead, trail] = np.exp(log_p - log_pi[lead])
+    pi = np.exp(log_pi - _log_sum_exp(log_pi))
+    fbar_table = phi.table.ravel() + log_h[lead] - log_h[trail] - log_lam
 
     return RPFData(
-        log_lambda=float(log_lam),
-        h=h,
-        nu=nu,
-        gibbs=gibbs,
-        normalized_potential=fbar,
+        log_lambda=log_lam,
+        h=np.exp(log_h),
+        nu=np.exp(log_nu - _log_sum_exp(log_nu)),
+        gibbs=MarkovMeasure(alphabet, m - 1, pi, forward),
+        normalized_potential=CylinderPotential(
+            alphabet, fbar_table.reshape(phi.table.shape)
+        ),
     )
 
 
@@ -163,12 +216,11 @@ def linear_pressure(phi):
     """Topological pressure log lambda_phi of a cylinder potential."""
     if phi.memory == 1:
         # scalar fast path, exact closed form
-        return float(logsumexp(np.log(phi.alphabet.weights) + phi.table))
-    transfer = build_transfer(phi)
-    log_lam, _ = kernels.power_iteration_log(
-        transfer.log_entries, POWER_TOL, POWER_MAX_ITER
-    )
-    return float(log_lam)
+        return _log_sum_exp(np.log(phi.alphabet.weights) + phi.table)
+    try:
+        return perron(build_transfer(phi).log_entries)[0]
+    except ArithmeticError as exc:
+        raise _potential_error("linear_pressure", phi, exc) from exc
 
 
 def entropy_of_gibbs(rpf, phi):

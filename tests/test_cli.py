@@ -8,7 +8,8 @@ import pytest
 
 from thermoflat import cli, modelio
 from thermoflat.convex import LinearShift, Quadratic
-from thermoflat.measures import AprioriAlphabet
+from thermoflat.linearizer import ModelSpec
+from thermoflat.measures import AprioriAlphabet, CylinderPotential
 
 CW2 = {
     "schema": "thermoflat/1",
@@ -117,6 +118,24 @@ class TestExitCodes:
         path = write_model(tmp_path, doc)
         assert run_cli(["solve", path]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_uncertified_perron_solve_is_solver_error(self, tmp_path, capsys):
+        # at y+ = -1e306 the tilted table is -inf on every word ending in
+        # symbol 1, so state 1 gets no weight and its Perron entry vanishes
+        doc = {
+            "schema": "thermoflat/1",
+            "alphabet": {"k": 2, "m": [0.5, 0.5]},
+            "plus": {
+                "potentials": [{"memory": 2, "table": [[0.0, 250.0], [0.0, 250.0]]}],
+                "g": {"kind": "quadratic", "beta": 1.0, "dim": 1},
+            },
+        }
+        path = write_model(tmp_path, doc)
+        assert run_cli(["solve", path, "--radius-plus", "1e306"]) == 3
+        err = capsys.readouterr().err
+        assert "solver error: linear_pressure_tilted at y+ = [-1e+306]" in err
+        assert "perron: Collatz-Wielandt bracket width" in err
+
 
 class TestDeterminism:
     def test_solve_byte_identical(self, tmp_path):
@@ -222,6 +241,17 @@ class TestSubcommands:
         assert json.loads(capsys.readouterr().out)["config"]["grid"] == 33
         assert run_cli(["solve", path, "--grid", "17"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["grid"] == 17
+
+    def test_oracle_on_three_symbol_memory2_model(self, tmp_path, capsys):
+        # the bkl search reaches tilts where some states of the Gibbs chain
+        # carry almost no mass; the chain must stay a valid ergodic chain
+        a3 = AprioriAlphabet(3)
+        table = np.random.default_rng(3).standard_normal((3, 3))
+        model = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
+        path = write_model(tmp_path, modelio.serialize_model(model))
+        assert run_cli(["oracle", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["bkl"] == pytest.approx(out["p_flat"], abs=1e-8)
 
 
 class TestEntryPoint:

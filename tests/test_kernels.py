@@ -1,107 +1,15 @@
 import numpy as np
-import pytest
 
-from thermoflat.kernels import BACKEND, get_backend
-
-PY = get_backend("python")
-try:
-    CY = get_backend("cython")
-    HAVE_CY = True
-except Exception:  # extension not built in this environment
-    CY = None
-    HAVE_CY = False
-
-needs_cython = pytest.mark.skipif(not HAVE_CY, reason="compiled backend absent")
+from thermoflat.kernels import sample_state_paths
 
 
-def _random_cums(rng, nstates):
-    start = rng.dirichlet(np.ones(nstates)).cumsum()
-    rows = rng.dirichlet(np.ones(nstates), size=nstates).cumsum(axis=1)
-    return start, rows
-
-
-class TestBackendDispatch:
-    def test_active_backend_named(self):
-        assert BACKEND in ("python", "cython")
-
-    def test_get_backend_unknown(self):
-        with pytest.raises(ValueError):
-            get_backend("fortran")
-
-
-@needs_cython
-class TestBackendEquivalence:
-    def test_sample_paths_bitwise_identical(self):
-        rng = np.random.default_rng(0)
-        start, rows = _random_cums(rng, 3)
-        u = rng.random((500, 64))
-        a = PY.sample_state_paths(start, rows, u)
-        b = CY.sample_state_paths(start, rows, u)
-        np.testing.assert_array_equal(a, b)
-
+class TestSamplePaths:
     def test_sample_paths_boundary_uniforms(self):
-        # u exactly on a cumulative boundary must pick the same index
+        # the rule is "first index whose cumulative weight exceeds u": a u
+        # exactly on a cumulative boundary selects the next index
         start = np.array([0.5, 1.0])
         rows = np.array([[0.5, 1.0], [0.5, 1.0]])
         u = np.array([[0.5, 0.0, 0.4999999, 1.0 - 1e-16]])
-        a = PY.sample_state_paths(start, rows, u)
-        b = CY.sample_state_paths(start, rows, u)
-        np.testing.assert_array_equal(a, b)
-
-    def test_birkhoff_averages_close(self):
-        rng = np.random.default_rng(1)
-        symbols = rng.integers(0, 2, size=(300, 40)).astype(np.int64)
-        table = rng.normal(size=4)
-        a = PY.birkhoff_averages(symbols, table, 2, 2)
-        b = CY.birkhoff_averages(symbols, table, 2, 2)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_power_iteration_agree(self):
-        rng = np.random.default_rng(2)
-        for dim in (1, 2, 4, 8):
-            m = rng.normal(size=(dim, dim))
-            la, va = PY.power_iteration_log(m, 1e-13, 100000)
-            lb, vb = CY.power_iteration_log(m, 1e-13, 100000)
-            assert la == pytest.approx(lb, abs=1e-11)
-            np.testing.assert_allclose(va, vb, atol=1e-9)
-
-
-class TestPowerIteration:
-    def test_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(4)
-        for _ in range(25):
-            dim = rng.integers(2, 9)
-            logm = rng.normal(size=(dim, dim))
-            lam, vec = PY.power_iteration_log(logm, 1e-13, 100000)
-            dense = np.exp(logm)
-            ref = np.abs(np.linalg.eigvals(dense)).max()
-            assert lam == pytest.approx(np.log(ref), abs=1e-10)
-            # eigen relation in linear domain
-            h = np.exp(vec)
-            np.testing.assert_allclose(
-                dense @ h, np.exp(lam) * h, rtol=1e-7, atol=1e-9
-            )
-
-    def test_structural_zeros(self):
-        # primitive but not positive: 3-state cycle with one loop
-        logm = np.full((3, 3), -np.inf)
-        logm[0, 1] = logm[1, 2] = logm[2, 0] = 0.0
-        logm[0, 0] = 0.0
-        lam, _ = PY.power_iteration_log(logm, 1e-13, 100000)
-        ref = np.abs(
-            np.linalg.eigvals(np.exp(np.nan_to_num(logm, neginf=-1e30)))
-        ).max()
-        assert lam == pytest.approx(np.log(ref), abs=1e-9)
-
-    def test_near_antiperiodic_matrix_converges(self):
-        # subdominant eigenvalue close to -lambda: the iteration must not
-        # stall in a rounding-level two-cycle
-        logm = np.array([[-4.9, 0.69], [0.69, -5.8]])
-        lam, _ = PY.power_iteration_log(logm, 1e-13, 100000)
-        ref = np.abs(np.linalg.eigvals(np.exp(logm))).max()
-        assert lam == pytest.approx(np.log(ref), abs=1e-10)
-
-    def test_scalar_case(self):
-        lam, vec = PY.power_iteration_log(np.array([[1.7]]), 1e-13, 100)
-        assert lam == pytest.approx(1.7)
-        assert vec[0] == 0.0
+        np.testing.assert_array_equal(
+            sample_state_paths(start, rows, u), [[1, 0, 0, 1]]
+        )

@@ -165,6 +165,34 @@ class TestPFlatOf:
         assert v == pytest.approx(p_nl(cw_model(2.0), [0.5], []))
 
 
+class TestPerronLayer:
+    def test_k3_memory3_model_admits_equilibria(self):
+        # at every tilt y <= -9.6, inside the certified radius 16,
+        # |lambda2 / lambda1| >= 0.9994: a Perron solve that waits on the
+        # spectral gap stalls there
+        a3 = AprioriAlphabet(3)
+        table = np.random.default_rng(2).standard_normal((3, 3, 3))
+        model = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(3.0))
+        cfg = RunConfig()
+        sol = solve_flat(model, cfg)
+        assert sol.equilibria
+        for e in sol.equilibria:
+            assert e.residual_plus <= cfg.sc_tol
+            assert e.p_value == pytest.approx(sol.p_flat, abs=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_uncertified_tilt_is_named(self):
+        # y+ = -1e10 sends every word ending in symbol 1 to weight 0, so
+        # state 1 of the transfer matrix has an all -inf row
+        phi = CylinderPotential(A2, [[0.0, 1e300], [0.0, 1e300]])
+        model = ModelSpec(A2, [phi], g_plus=Quadratic(1.0))
+        with pytest.raises(ArithmeticError) as info:
+            model.linear_pressure_tilted(np.array([-1e10]), np.zeros(0))
+        assert str(info.value).startswith(
+            "linear_pressure_tilted at y+ = [-10000000000.0], y- = []: perron:"
+        )
+
+
 class TestMeanField:
     def test_converges_to_self_consistent_point(self):
         m = cw_model(2.0)

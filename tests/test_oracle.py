@@ -101,3 +101,16 @@ class TestBKLPressure:
         sol = solve_flat(m)
         v, _ = bkl_pressure(m)
         assert v == pytest.approx(sol.p_flat, abs=1e-6)
+
+
+class TestThreeSymbolMemory2:
+    def test_bkl_matches_solver(self):
+        # the bkl search reaches tilts where some states of the Gibbs chain
+        # carry almost no mass; the chain must stay a valid ergodic chain
+        a3 = AprioriAlphabet(3)
+        table = np.random.default_rng(3).standard_normal((3, 3))
+        m = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
+        sol = solve_flat(m)
+        assert sol.p_flat == pytest.approx(2.0254008866, abs=1e-10)
+        v, _ = bkl_pressure(m)
+        assert v == pytest.approx(sol.p_flat, abs=1e-8)

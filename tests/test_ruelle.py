@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from thermoflat.measures import (
     AprioriAlphabet,
@@ -15,11 +16,97 @@ from thermoflat.ruelle import (
     entropy_of_gibbs,
     linear_pressure,
     normalization_residual,
+    perron,
     rpf_solve,
 )
 
 A2 = AprioriAlphabet(2)
 SPIN = CylinderPotential(A2, [1.0, -1.0], name="spin")
+
+
+def memory4_log_transfer(k, table):
+    return build_transfer(CylinderPotential(AprioriAlphabet(k), table)).log_entries
+
+
+def dense_log_perron_root(log_matrix):
+    return math.log(np.abs(np.linalg.eigvals(np.exp(log_matrix))).max())
+
+
+class TestPerron:
+    def test_matches_dense_eigensolver(self):
+        rng = np.random.default_rng(4)
+        for _ in range(25):
+            dim = rng.integers(2, 9)
+            logm = rng.normal(size=(dim, dim))
+            lam, vec = perron(logm)
+            dense = np.exp(logm)
+            ref = np.abs(np.linalg.eigvals(dense)).max()
+            assert lam == pytest.approx(np.log(ref), abs=1e-10)
+            # eigen relation in linear domain
+            h = np.exp(vec)
+            np.testing.assert_allclose(
+                dense @ h, np.exp(lam) * h, rtol=1e-7, atol=1e-9
+            )
+
+    def test_structural_zeros(self):
+        # primitive but not positive: 3-state cycle with one loop
+        logm = np.full((3, 3), -np.inf)
+        logm[0, 1] = logm[1, 2] = logm[2, 0] = 0.0
+        logm[0, 0] = 0.0
+        lam, _ = perron(logm)
+        ref = np.abs(
+            np.linalg.eigvals(np.exp(np.nan_to_num(logm, neginf=-1e30)))
+        ).max()
+        assert lam == pytest.approx(np.log(ref), abs=1e-9)
+
+    def test_near_antiperiodic_matrix_converges(self):
+        # subdominant eigenvalue close to -lambda
+        logm = np.array([[-4.9, 0.69], [0.69, -5.8]])
+        lam, _ = perron(logm)
+        ref = np.abs(np.linalg.eigvals(np.exp(logm))).max()
+        assert lam == pytest.approx(np.log(ref), abs=1e-10)
+
+    def test_scalar_case(self):
+        lam, vec = perron(np.array([[1.7]]))
+        assert lam == pytest.approx(1.7)
+        assert vec[0] == 0.0
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_wide_memory4_tables(self, k):
+        # default_rng(0) tables: the log-domain power iteration perron
+        # replaced gave up ("failed to converge") on both of them
+        table = np.random.default_rng(0).uniform(-50.0, 50.0, (k,) * 4)
+        logm = memory4_log_transfer(k, table)
+        assert perron(logm)[0] == pytest.approx(
+            dense_log_perron_root(logm), abs=1e-9
+        )
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_certifies_random_memory4_tables_up_to_50(self, k):
+        rng = np.random.default_rng(50)
+        for _ in range(30):
+            logm = memory4_log_transfer(k, rng.uniform(-50.0, 50.0, (k,) * 4))
+            assert perron(logm)[0] == pytest.approx(
+                dense_log_perron_root(logm), abs=1e-9
+            )
+
+    def test_certificate_holds_up_to_300(self):
+        # no dense reference is trustworthy here, so recompute the
+        # Collatz-Wielandt bracket of the returned vector independently
+        rng = np.random.default_rng(300)
+        for _ in range(30):
+            logm = memory4_log_transfer(3, rng.uniform(-300.0, 300.0, (3,) * 4))
+            lam, vec = perron(logm)
+            ratio = logsumexp(logm + vec[None, :], axis=1) - vec
+            assert ratio.min() <= lam <= ratio.max()
+            assert ratio.max() - ratio.min() < 1e-10
+
+    def test_non_primitive_matrix_raises(self):
+        # state 1 reaches no state, so h(1) = 0 and no positive vector
+        # brackets the Perron root
+        logm = np.array([[0.0, 0.0], [-np.inf, -np.inf]])
+        with pytest.raises(ArithmeticError, match="perron: Collatz-Wielandt"):
+            perron(logm)
 
 
 class TestLinearPressure:
@@ -130,6 +217,17 @@ class TestRPF:
         attained = entropy_rate(rpf.gibbs) + expectation(rpf.gibbs, phi)
         assert p == pytest.approx(attained, abs=1e-9)
 
+    @pytest.mark.parametrize("k, memory", [(3, 3), (2, 4)])
+    def test_gibbs_chain_attains_pressure_at_higher_memory(self, k, memory):
+        # the equilibrium state is the only invariant measure with
+        # h(mu) + mu(f) = P_L(f), so this pins down the whole chain
+        rng = np.random.default_rng(17)
+        phi = CylinderPotential(AprioriAlphabet(k), rng.normal(size=(k,) * memory))
+        rpf = rpf_solve(build_transfer(phi))
+        attained = entropy_rate(rpf.gibbs) + expectation(rpf.gibbs, phi)
+        assert rpf.log_lambda == pytest.approx(attained, abs=1e-9)
+        assert normalization_residual(rpf) < 1e-9
+
     def test_cohomology_invariance(self):
         # adding a coboundary-like constant shifts pressure by the constant
         rng = np.random.default_rng(15)
@@ -139,6 +237,18 @@ class TestRPF:
         assert linear_pressure(shifted) == pytest.approx(
             linear_pressure(phi) + c, abs=1e-10
         )
+
+    def test_uncertified_left_vector_names_the_potential(self):
+        # a -inf column: no state enters state 1, so the left Perron vector
+        # vanishes there and the transposed solve cannot be certified
+        phi = CylinderPotential(A2, [[0.3, -0.2], [1.5, 0.4]])
+        tm = build_transfer(phi)
+        tm.log_entries[:, 1] = -np.inf
+        with pytest.raises(ArithmeticError) as info:
+            rpf_solve(tm)
+        message = str(info.value)
+        assert message.startswith("rpf_solve: memory-2 potential with sup-norm 1.5")
+        assert "perron: Collatz-Wielandt bracket width" in message
 
     def test_gibbs_measure_invariant_under_potential_normalization(self):
         rng = np.random.default_rng(16)
