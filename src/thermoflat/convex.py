@@ -3,10 +3,14 @@
 Four function kinds are supported: quadratic b*|x|^2/2, the l1 norm, grid
 samples of a convex function (up to two axes), and a linear shift of any of
 these.  Conjugates may be +infinity outside their domain; the INFINITY
-sentinel below is always produced deliberately, never by overflow.
+sentinel below is always produced deliberately, never by overflow.  Every
+kind but the grid has a conjugate that is smooth on a box domain, and gives
+its gradient there (`conjugate_gradient`, `conjugate_box`); a grid conjugate
+is piecewise linear.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +109,16 @@ class ConvexSpec:
     def subdiff(self, x):
         raise NotImplementedError
 
+    # True when conjugate_gradient is defined on all of conjugate_box.
+    has_conjugate_gradient = False
+
+    def conjugate_gradient(self, y):
+        raise NotImplementedError
+
+    def conjugate_box(self):
+        """(lower, upper) corners of the box outside which g* is +infinity."""
+        return np.full(self.dim, -np.inf), np.full(self.dim, np.inf)
+
     def _check_dim(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
@@ -144,6 +158,11 @@ class Quadratic(ConvexSpec):
     def gradient(self, x):
         return self.beta * self._check_dim(x)
 
+    has_conjugate_gradient = True
+
+    def conjugate_gradient(self, y):
+        return self._check_dim(y) / self.beta
+
 
 class AbsSum(ConvexSpec):
     """g(x) = sum_i |x_i|; conjugate is the indicator of the sup-norm ball."""
@@ -171,6 +190,14 @@ class AbsSum(ConvexSpec):
         lo = np.where(x > SINGLETON_TOL, 1.0, -1.0)
         hi = np.where(x < -SINGLETON_TOL, -1.0, 1.0)
         return SubdiffSet(lo, hi)
+
+    has_conjugate_gradient = True
+
+    def conjugate_gradient(self, y):
+        return np.zeros_like(self._check_dim(y))
+
+    def conjugate_box(self):
+        return np.full(self.dim, -1.0), np.full(self.dim, 1.0)
 
 
 class GridSampled(ConvexSpec):
@@ -305,6 +332,17 @@ class LinearShift(ConvexSpec):
     def gradient(self, x):
         return self.base.gradient(x) + self.slope
 
+    @property
+    def has_conjugate_gradient(self):
+        return self.base.has_conjugate_gradient
+
+    def conjugate_gradient(self, y):
+        return self.base.conjugate_gradient(self._check_dim(y) - self.slope)
+
+    def conjugate_box(self):
+        lo, hi = self.base.conjugate_box()
+        return lo + self.slope, hi + self.slope
+
 
 def conjugate(g, y):
     """g*(y) = sup_x {y.x - g(x)}; +infinity outside the conjugate domain."""
@@ -345,14 +383,23 @@ def subdiff(g, x):
 
 
 def _shell_sup(g, lam, lo, hi, dim, n_radii=33, n_angles=32):
-    """sup of lam*|y| - g*(y) over the shell lo <= |y| <= hi (sampled)."""
+    """sup of lam*|y| - g*(y) over the shell lo <= |y| <= hi (sampled).
+
+    Directions: +-1 in one dimension, n_angles on the circle in two, and
+    from three on the 2*dim axis directions +-e_i plus the 2**dim
+    normalized sign diagonals.
+    """
     radii = np.linspace(lo, hi, n_radii)
     best = -INFINITY
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
-    else:
+    elif dim == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        diagonals = np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
+        eye = np.eye(dim)
+        dirs = np.vstack([eye, -eye, diagonals / math.sqrt(dim)])
     for d in dirs:
         for r in radii:
             c = g.conjugate(r * d)

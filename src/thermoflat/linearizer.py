@@ -1,23 +1,45 @@
 """Max-min solver for the linearized nonlinear pressure and its game.
 
 The nonlinear pressure sup over measures of entropy - g_minus(tau_minus) +
-g_plus(tau_plus) is computed as a max-min over tilt coefficients: the outer
-sup runs over y_plus via multistart + local refinement, the inner inf over
-y_minus is convex and handled by golden-section / coordinate descent.
-Optimizers are tied back to Gibbs measures through the self-consistency
-residuals x_pm in subdiff(g_pm, tau_pm(mu)).
+g_plus(tau_plus) is computed as a max-min over tilt coefficients,
+
+    P_flat = sup_{y+} inf_{y-} P_NL(y+, y-),
+    P_NL = P_L(y+ . phi+ - y- . phi-) + g-*(y-) - g+*(y+).
+
+The gradient of P_L in (y+, y-) is (tau+, -tau-), the Gibbs averages of the
+tilted equilibrium, and by Danskin's theorem the gradient of P_flat(y+) is
+tau+ at the inner minimizer minus grad g+*(y+).  When every conjugate has a
+gradient on its domain box (quadratic, l1 norm and their linear shifts),
+both levels run L-BFGS-B on these gradients under box bounds: the convex
+inner inf from y- = 0, the outer sup from a grid of starts.  A grid-sampled
+conjugate is piecewise linear with its optima on the kinks, so such a model
+keeps golden-section / coordinate descent for the inner inf and Nelder-Mead
+for the outer sup.  The min-max side (solve_sharp) runs the same multistart
+for its inner sup over y+; its outer inf over y- is kinked exactly where a
+duality gap opens and stays derivative-free.  Optimizers are tied back to
+Gibbs measures through the self-consistency residuals x_pm in
+subdiff(g_pm, tau_pm(mu)).
 """
 
 import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import LbfgsInvHessProduct, minimize
 
 from .config import RunConfig
 from .convex import INFINITY, DualPoint, growth_radius
 from .measures import CylinderPotential, entropy_rate, expectation
-from .ruelle import _log_sum_exp, _log_transfer, build_transfer, perron, rpf_solve
+from .ruelle import _log_sum_exp, _log_transfer, _word_law, build_transfer, rpf_solve
+
+# Projected-gradient targets of the inner inf and the outer sup.  The inner
+# one sits below SINGLETON_TOL: an l1 coupling admits a minimizer on its kink
+# only when |tau-| there is within SINGLETON_TOL of 0.  Then the L-BFGS-B
+# options, and the number of gradient-only polish steps after it.
+INNER_GTOL = 1e-13
+OUTER_GTOL = 1e-9
+LBFGSB_OPTIONS = {"ftol": 1e-12, "maxiter": 200, "maxls": 10}
+POLISH_STEPS = 4
 
 
 class ModelSpec:
@@ -94,22 +116,38 @@ class ModelSpec:
         return self._fast
 
     def linear_pressure_tilted(self, y_plus, y_minus):
-        """P_L(Theta) without building potential objects."""
+        """(P_L(Theta), tau+, tau-) without building potential objects.
+
+        tau+ and tau- are the averages of the plus and minus potentials
+        under the Gibbs measure of Theta, so (tau+, -tau-) is the gradient
+        of P_L in (y+, y-).  Memory 1: the measure is the product of the
+        softmax weights of the tilted table; memory >= 2: its law on words
+        comes from the Perron pair (ruelle._word_law).
+        """
         fast = self._fast_data()
+        memory = fast["memory"]
         tbl = np.zeros(fast["plus"].shape[1] or fast["minus"].shape[1])
         if len(y_plus):
             tbl = tbl + y_plus @ fast["plus"]
         if len(y_minus):
             tbl = tbl - y_minus @ fast["minus"]
-        if fast["memory"] == 1:
-            return _log_sum_exp(fast["log_w"] + tbl)
-        try:
-            return perron(_log_transfer(fast["log_w"], tbl, fast["memory"]))[0]
-        except ArithmeticError as exc:
-            raise ArithmeticError(
-                f"linear_pressure_tilted at y+ = {np.asarray(y_plus).tolist()}, "
-                f"y- = {np.asarray(y_minus).tolist()}: {exc}"
-            ) from exc
+        if memory == 1:
+            log_p = fast["log_w"] + tbl
+            value = _log_sum_exp(log_p)
+            log_p -= value
+        else:
+            try:
+                value, _, _, log_p = _word_law(
+                    _log_transfer(fast["log_w"], tbl, memory), self.alphabet.k, memory
+                )
+            except ArithmeticError as exc:
+                raise ArithmeticError(
+                    f"linear_pressure_tilted at y+ = {np.asarray(y_plus).tolist()}, "
+                    f"y- = {np.asarray(y_minus).tolist()}: {exc}"
+                ) from exc
+            log_p -= _log_sum_exp(log_p)
+        weights = np.exp(log_p)
+        return value, fast["plus"] @ weights, fast["minus"] @ weights
 
     def direct_pressure_of(self, mu):
         """P(mu) = entropy - g_minus(tau_minus) + g_plus(tau_plus)."""
@@ -166,21 +204,104 @@ def approximating_potential(model, y_plus, y_minus):
     return theta
 
 
-def p_nl(model, y_plus, y_minus):
-    """P_NL = P_L(Theta) + g-*(y-) - g+*(y+); +inf outside dom(g-*)."""
+def p_nl(model, y_plus, y_minus, grad=False):
+    """P_NL = P_L(Theta) + g-*(y-) - g+*(y+); +inf outside dom(g-*).
+
+    With grad=True returns (value, grad_plus, grad_minus), the gradient
+    (tau+ - grad g+*(y+), -tau- + grad g-*(y-)); every coupling must then
+    have a conjugate gradient.  Outside dom(g-*) the gradient holds the
+    P_L terms alone.
+    """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
     y_minus = np.atleast_1d(np.asarray(y_minus, dtype=float))
     if len(y_plus) != model.n_plus or len(y_minus) != model.n_minus:
         raise ValueError("tilt coefficient dimension mismatch")
-    value = model.linear_pressure_tilted(y_plus, y_minus)
+    value, grad_plus, grad_minus = model.linear_pressure_tilted(y_plus, y_minus)
+    grad_minus = -grad_minus
     if model.g_minus is not None:
         c = model.g_minus.conjugate(y_minus)
         if c == INFINITY:
-            return INFINITY
+            return (INFINITY, grad_plus, grad_minus) if grad else INFINITY
         value += c
+        if grad:
+            grad_minus += model.g_minus.conjugate_gradient(y_minus)
     if model.g_plus is not None:
         value -= model.g_plus.conjugate(y_plus)
-    return value
+        if grad:
+            grad_plus -= model.g_plus.conjugate_gradient(y_plus)
+    return (value, grad_plus, grad_minus) if grad else value
+
+
+def _has_gradients(model):
+    """Whether every coupling of the model has a conjugate gradient: the
+    search then runs on gradients at both levels."""
+    return all(
+        g is None or g.has_conjugate_gradient for g in (model.g_plus, model.g_minus)
+    )
+
+
+def _box(g, radius):
+    """Search box: [-radius, radius]^dim cut to the domain box of g*."""
+    lo, hi = g.conjugate_box()
+    return np.maximum(lo, -radius), np.minimum(hi, radius)
+
+
+def _projected(x, gradient, lo, hi):
+    """The gradient without the components that push x out of the box."""
+    out = ((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0))
+    return np.where(out, 0.0, gradient)
+
+
+def _lbfgsb(fun, x0, lo, hi, gtol):
+    """Minimize fun over the box [lo, hi] from x0.
+
+    fun(x) returns (value, gradient, *extra).  L-BFGS-B runs until the
+    projected gradient is below gtol or its value differences sink into
+    rounding, which happens about sqrt(eps) from a minimizer, while the
+    gradient there keeps its relative precision.  So up to POLISH_STEPS
+    quasi-Newton steps on the L-BFGS curvature pairs follow, each kept only
+    when it shrinks the projected gradient without raising the value beyond
+    rounding.  Returns (x, fun(x), scipy result).
+    """
+    seen = {}
+
+    def wrapped(x):
+        out = fun(x)
+        seen[x.tobytes()] = out
+        return out[0], out[1]
+
+    res = minimize(
+        wrapped,
+        np.clip(x0, lo, hi),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=list(zip(lo, hi)),
+        options=dict(LBFGSB_OPTIONS, gtol=gtol),
+    )
+    x = res.x
+    out = seen.get(x.tobytes()) or fun(x)
+    pg = _projected(x, out[1], lo, hi)
+    sk, yk = list(res.hess_inv.sk), list(res.hess_inv.yk)
+    for _ in range(POLISH_STEPS):
+        if np.abs(pg).max(initial=0.0) <= gtol:
+            break
+        inv_hess = LbfgsInvHessProduct(
+            np.reshape(sk, (-1, len(x))), np.reshape(yk, (-1, len(x)))
+        )
+        trial = np.clip(x - inv_hess.matvec(pg), lo, hi)
+        new = fun(trial)
+        step, change = trial - x, new[1] - out[1]
+        curvature = step @ change
+        if curvature > 0:
+            sk.append(step)
+            yk.append(change)
+        new_pg = _projected(trial, new[1], lo, hi)
+        slack = 1e-12 * max(1.0, abs(out[0]))
+        if np.abs(new_pg).max() < np.abs(pg).max() and new[0] <= out[0] + slack:
+            x, out, pg = trial, new, new_pg
+        elif curvature <= 0:
+            break
+    return x, out, res
 
 
 def _golden_min(f, a, b, tol=1e-11):
@@ -287,14 +408,40 @@ def plus_radius(model, config=None):
     return cert.safe_radius, cert
 
 
-def p_flat_of(model, y_plus, radius=None, config=None):
-    """P_flat(y+) = inf over y- of P_NL(y+, y-), with the minimizer set."""
+def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
+    """P_flat(y+) = inf over y- of P_NL(y+, y-), with the minimizer set.
+
+    When every coupling has a conjugate gradient, L-BFGS-B finds the root
+    of the gradient -tau- + grad g-*(y-) over the box [-radius, radius]
+    cut to dom(g-*), from y- = 0 moved into the box (see _lbfgsb), and
+    reports that one minimizer.  With grad=True it also returns the
+    Danskin gradient tau+ - grad g+*(y+) at the minimizer, the gradient of
+    P_flat.  Otherwise the value-only _minimize_convex_box runs, which
+    reports flat stretches as several minimizers and gives no gradient.
+    """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
     if model.g_minus is None:
+        if grad:
+            value, grad_plus, _ = p_nl(model, y_plus, np.zeros(0), grad=True)
+            return value, [], grad_plus
         return p_nl(model, y_plus, np.zeros(0)), []
     if radius is None:
         radius, _ = minus_radius(model, config)
     cfg = config or RunConfig()
+    if _has_gradients(model):
+
+        def inner(y_minus):
+            value, grad_plus, grad_minus = p_nl(model, y_plus, y_minus, grad=True)
+            return value, grad_minus, grad_plus
+
+        lo, hi = _box(model.g_minus, radius)
+        x, (value, _, grad_plus), _ = _lbfgsb(
+            inner, np.zeros(model.n_minus), lo, hi, INNER_GTOL
+        )
+        minimizers = [DualPoint(x)]
+        return (value, minimizers, grad_plus) if grad else (value, minimizers)
+    if grad:
+        raise ValueError("no P_flat gradient for a grid-sampled coupling")
 
     def objective(y_minus):
         return p_nl(model, y_plus, y_minus)
@@ -307,38 +454,55 @@ def p_flat_of(model, y_plus, radius=None, config=None):
     return value, [DualPoint(p) for p in kept]
 
 
-def _multistart_max(f, radius, dim, grid_points, cap):
-    """Multistart maximization of f over [-radius, radius]^dim.
+def _multistart_max(f, lo, hi, grid_points, cap, jac):
+    """Multistart maximization of f over the box [lo, hi].
 
-    Uniform grid of starts (capped), Nelder-Mead refinement clipped to the
-    box; returns (points, values) arrays of all refined local optima.
+    The starts are a uniform grid of grid_points per axis, thinned evenly to
+    at most cap.  With jac=True, f returns (value, gradient) and each start
+    runs L-BFGS-B under the box bounds (_lbfgsb); otherwise each runs
+    Nelder-Mead on values, clipped to the box.  Returns (points, values,
+    stats): every refined local optimum, its value, and the starts, total
+    iterations and unconverged starts with their sorted messages.
     """
-    axes = [np.linspace(-radius, radius, grid_points)] * dim
+    axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=1)
     if len(starts) > cap:
         idx = np.linspace(0, len(starts) - 1, cap).astype(int)
         starts = starts[idx]
 
+    def neg_pair(y):
+        value, gradient = f(y)
+        return -value, -gradient
+
     def neg(y):
-        y = np.clip(y, -radius, radius)
-        v = f(y)
+        v = f(np.clip(y, lo, hi))
         return INFINITY if v == -INFINITY else -v
 
     def refine(start):
+        if jac:
+            x, out, res = _lbfgsb(neg_pair, start, lo, hi, OUTER_GTOL)
+            return x, -out[0], res
         res = minimize(
             neg,
             start,
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
         )
-        x = np.clip(res.x, -radius, radius)
-        return x, -neg(x)
+        x = np.clip(res.x, lo, hi)
+        return x, -neg(x), res
 
     results = [refine(start) for start in starts]
     points = np.array([r[0] for r in results])
     values = np.array([r[1] for r in results])
-    return points, values
+    failed = [r[2] for r in results if not r[2].success]
+    stats = {
+        "starts": len(starts),
+        "iterations": sum(int(r[2].nit) for r in results),
+        "unconverged": len(failed),
+        "unconverged_messages": sorted(str(r.message) for r in failed),
+    }
+    return points, values, stats
 
 
 def solve_flat(model, config=None, warm_starts=()):
@@ -365,16 +529,24 @@ def solve_flat(model, config=None, warm_starts=()):
     diag["growth_plus"] = dataclasses.asdict(cert_plus)
     sol.growth_radii = (r_plus, r_minus)
 
+    jac = _has_gradients(model)
+
     def outer(y_plus):
+        if jac:
+            value, _, gradient = p_flat_of(
+                model, y_plus, radius=r_minus, config=cfg, grad=True
+            )
+            return value, gradient
         return p_flat_of(model, y_plus, radius=r_minus, config=cfg)[0]
 
-    points, values = _multistart_max(
-        outer, r_plus, model.n_plus, cfg.grid, cfg.multistart_cap
+    lo, hi = _box(model.g_plus, r_plus)
+    points, values, diag["search"] = _multistart_max(
+        outer, lo, hi, cfg.grid, cfg.multistart_cap, jac
     )
     for w in warm_starts:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         points = np.vstack([points, w[None, :]])
-        values = np.append(values, outer(w))
+        values = np.append(values, p_flat_of(model, w, radius=r_minus, config=cfg)[0])
     sol.p_flat = float(values.max())
     maximizers = _cluster(points, values, cfg.cluster_radius, cfg.value_window)
     sol.m_flat = [DualPoint(p) for p in maximizers]
@@ -451,15 +623,25 @@ def solve_sharp(model, config=None):
         flat.diagnostics["sharp_note"] = "one-sided model: P_sharp := P_flat"
         return flat
 
+    if model.n_minus > 2:
+        raise ValueError("solve_sharp: the min-max side supports n_minus <= 2")
     r_minus, _ = minus_radius(model, cfg)
     r_plus, _ = plus_radius(model, cfg)
     sol.growth_radii = (r_plus, r_minus)
+    jac = _has_gradients(model)
+    lo, hi = _box(model.g_plus, r_plus)
 
     def inner_sup(y_minus):
+        if model.g_minus.conjugate(y_minus) == INFINITY:
+            return INFINITY, []
+
         def f(y_plus):
+            if jac:
+                value, grad_plus, _ = p_nl(model, y_plus, y_minus, grad=True)
+                return value, grad_plus
             return p_nl(model, y_plus, y_minus)
 
-        points, values = _multistart_max(f, r_plus, model.n_plus, 9, 81)
+        points, values, _ = _multistart_max(f, lo, hi, 9, 81, jac)
         best = float(values.max())
         argmax = _cluster(points, values, cfg.cluster_radius, cfg.value_window)
         return best, argmax

@@ -176,10 +176,10 @@ class MarkovMeasure:
         Q = np.clip(Q, 0.0, None)
         # Word-overlap support: state (w1..wr) may only reach (w2..wr, a).
         r = self.order
-        for s in range(n_states):
-            for t in range(n_states):
-                if Q[s, t] > 0 and r > 1 and t // k != s % (k ** (r - 1)):
-                    raise ValueError("transition support violates word overlap")
+        if r > 1:
+            s, t = np.nonzero(Q > 0)
+            if np.any(t // k != s % (k ** (r - 1))):
+                raise ValueError("transition support violates word overlap")
         if np.abs(self.stationary @ Q - self.stationary).max() > STATIONARITY_TOL:
             raise ValueError("stationary vector is not invariant under Q")
         self.transitions = Q

@@ -115,6 +115,21 @@ def _log_transfer(log_weights, table, memory):
     return log_b
 
 
+def _word_law(log_b, k, memory):
+    """Perron data of a memory >= 2 log transfer matrix and the law of its
+    Gibbs measure on memory-words.
+
+    Returns (log_lambda, log_h, log_nu, log_p): the Perron root, the right
+    and left Perron vectors (each with max 0) and, for each word w in index
+    order, log P(w) = log b[trail, lead] + log h(lead) + log nu(trail),
+    unnormalized.  The Gibbs measure gives w the probability P(w) / sum P.
+    """
+    log_lam, log_h = perron(log_b)
+    _, log_nu = perron(log_b.T)
+    trail, lead = _word_maps(k, memory)
+    return log_lam, log_h, log_nu, log_b[trail, lead] + log_h[lead] + log_nu[trail]
+
+
 class TransferMatrix:
     """Log-domain matrix realization of the weighted prepend-and-sum operator.
 
@@ -184,17 +199,14 @@ def rpf_solve(transfer):
             normalized_potential=fbar,
         )
 
-    log_b = transfer.log_entries
+    k, dim = alphabet.k, transfer.dim
     try:
-        log_lam, log_h = perron(log_b)
-        _, log_nu = perron(log_b.T)
+        log_lam, log_h, log_nu, log_p = _word_law(transfer.log_entries, k, m)
     except ArithmeticError as exc:
         raise _potential_error("rpf_solve", phi, exc) from exc
 
-    k, dim = alphabet.k, transfer.dim
     trail, lead = _word_maps(k, m)
     # words grouped by lead: row s of the reshape holds the words s ^ c
-    log_p = log_b[trail, lead] + log_h[lead] + log_nu[trail]
     log_pi = _log_sum_exp(log_p.reshape(dim, k), rows=True)
     forward = np.zeros((dim, dim))
     forward[lead, trail] = np.exp(log_p - log_pi[lead])

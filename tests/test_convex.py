@@ -186,12 +186,55 @@ class TestGrowth:
         cert = growth_radius(AbsSum(dim=1), 0.5)
         assert cert.safe_radius <= 4.0
 
+    def test_three_dimensional_quadratic(self):
+        # |y|^2 / 2 against sqrt(3) |y|: the margin holds from radius 4 on
+        cert = growth_radius(Quadratic(1.0, dim=3), math.sqrt(3.0))
+        assert cert.safe_radius == 4.0
+
     def test_linear_conjugate_lacks_growth(self):
         # g = indicator-like grid with linear conjugate growth along slope
         grid = np.array([-1.0, 0.0, 1.0])
         g = GridSampled([grid], np.abs(grid))  # conjugate flat on [-1, 1]
         with pytest.raises(ArithmeticError, match="linear growth"):
             growth_radius(g, 2.0)
+
+
+class TestConjugateGradient:
+    def test_quadratic(self):
+        g = Quadratic(2.5, dim=2)
+        y = np.array([1.0, -3.0])
+        np.testing.assert_allclose(g.conjugate_gradient(y), y / 2.5)
+        assert g.has_conjugate_gradient
+
+    def test_abs_sum_is_flat_on_its_box(self):
+        g = AbsSum(dim=2)
+        np.testing.assert_array_equal(g.conjugate_gradient(np.array([0.3, -0.9])), 0.0)
+        lo, hi = g.conjugate_box()
+        np.testing.assert_array_equal(lo, [-1.0, -1.0])
+        np.testing.assert_array_equal(hi, [1.0, 1.0])
+
+    def test_linear_shift_moves_gradient_and_box(self):
+        slope = np.array([0.5])
+        g = LinearShift(slope, Quadratic(2.0))
+        np.testing.assert_allclose(g.conjugate_gradient(np.array([1.5])), [0.5])
+        shifted = LinearShift(slope, AbsSum(1))
+        lo, hi = shifted.conjugate_box()
+        np.testing.assert_allclose([lo[0], hi[0]], [-0.5, 1.5])
+        assert shifted.has_conjugate_gradient
+
+    def test_matches_finite_differences(self):
+        g = LinearShift(np.array([0.2, -0.4]), Quadratic(1.7, dim=2))
+        y, h = np.array([0.6, 1.1]), 1e-6
+        fd = [
+            (g.conjugate(y + h * e) - g.conjugate(y - h * e)) / (2 * h)
+            for e in np.eye(2)
+        ]
+        np.testing.assert_allclose(g.conjugate_gradient(y), fd, atol=1e-8)
+
+    def test_grid_has_none(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        assert not GridSampled([grid], grid**2).has_conjugate_gradient
+        assert not LinearShift(np.array([0.1]), GridSampled([grid], grid**2)).has_conjugate_gradient
 
 
 class TestSubdiffSet:

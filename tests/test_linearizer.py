@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from thermoflat.config import RunConfig
-from thermoflat.convex import INFINITY, AbsSum, Quadratic
+from thermoflat.convex import INFINITY, AbsSum, LinearShift, Quadratic
 from thermoflat.linearizer import (
     ModelSpec,
     approximating_potential,
@@ -143,6 +143,11 @@ class TestGame:
         sol = solve_game(m)
         assert sol.p_sharp == pytest.approx(sol.p_flat, abs=1e-8)
 
+    def test_sharp_side_rejects_three_minus_potentials(self):
+        m = ModelSpec(A2, [SPIN], [SPIN] * 3, Quadratic(5.0), Quadratic(1.0, dim=3))
+        with pytest.raises(ValueError, match="n_minus <= 2"):
+            solve_sharp(m)
+
     def test_one_sided_sharp_convention(self):
         sol = solve_sharp(cw_model(2.0))
         assert sol.p_sharp == sol.p_flat
@@ -191,6 +196,86 @@ class TestPerronLayer:
         assert str(info.value).startswith(
             "linear_pressure_tilted at y+ = [-10000000000.0], y- = []: perron:"
         )
+
+
+class TestGradientSearch:
+    def test_p_nl_gradient_matches_finite_differences(self):
+        # memory 3 on a weighted alphabet: the gradient comes from the word
+        # law of the Gibbs measure, the conjugate terms from each coupling
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        rng = np.random.default_rng(4)
+        model = ModelSpec(
+            a3,
+            [
+                CylinderPotential(a3, rng.standard_normal((3, 3, 3))),
+                CylinderPotential(a3, rng.standard_normal(3)),
+            ],
+            [CylinderPotential(a3, rng.standard_normal((3, 3)))],
+            Quadratic(2.0, dim=2),
+            LinearShift(np.array([0.3]), Quadratic(1.5)),
+        )
+        y_plus, y_minus, h = np.array([0.4, -0.7]), np.array([0.2]), 1e-6
+        value, grad_plus, grad_minus = p_nl(model, y_plus, y_minus, grad=True)
+        assert value == p_nl(model, y_plus, y_minus)
+        fd_plus = [
+            (p_nl(model, y_plus + h * e, y_minus) - p_nl(model, y_plus - h * e, y_minus))
+            / (2 * h)
+            for e in np.eye(2)
+        ]
+        fd_minus = (
+            p_nl(model, y_plus, y_minus + h) - p_nl(model, y_plus, y_minus - h)
+        ) / (2 * h)
+        np.testing.assert_allclose(grad_plus, fd_plus, atol=1e-8)
+        np.testing.assert_allclose(grad_minus, [fd_minus], atol=1e-8)
+
+    def test_abs_sum_minimizer_sits_on_the_kink(self):
+        # P_NL = log cosh(y+ - y-) - y+^2/6 with |y-| <= 1: P_flat = 0 at
+        # y+ = y- = 0, admitted only if tau- there is within SINGLETON_TOL of 0
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), AbsSum(1))
+        cfg = RunConfig()
+        sol = solve_flat(m, cfg)
+        assert sol.p_flat == pytest.approx(0.0, abs=1e-8)
+        assert sol.equilibria
+        for e in sol.equilibria:
+            assert e.residual_plus <= cfg.sc_tol
+            assert e.residual_minus <= cfg.sc_tol
+
+    def test_three_minus_potentials_match_one(self):
+        # the inf of |y-|^2/2 under sum y- = s is s^2/6, the conjugate of
+        # Quadratic(3.0); the plus coupling makes the model supercritical
+        three = ModelSpec(A2, [SPIN], [SPIN] * 3, Quadratic(5.0), Quadratic(1.0, dim=3))
+        one = ModelSpec(A2, [SPIN], [SPIN], Quadratic(5.0), Quadratic(3.0))
+        sol3, sol1 = solve_flat(three), solve_flat(one)
+        assert sol1.p_flat > 0.1
+        assert sol3.p_flat == pytest.approx(sol1.p_flat, abs=1e-10)
+        xs3 = sorted(x.coords[0] for x in sol3.m_flat)
+        xs1 = sorted(x.coords[0] for x in sol1.m_flat)
+        np.testing.assert_allclose(xs3, xs1, atol=1e-6)
+        for e in sol3.equilibria:
+            # the three minus coordinates share the one-potential optimum
+            np.testing.assert_allclose(e.x_minus, [e.x_minus[0]] * 3, atol=1e-8)
+
+    def test_two_minus_potentials_on_three_symbols(self):
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(5)
+        plus, *minus = [CylinderPotential(a3, rng.standard_normal(3)) for _ in range(3)]
+        model = ModelSpec(a3, [plus], minus, Quadratic(3.0), Quadratic(1.0, dim=2))
+        cfg = RunConfig()
+        sol = solve_flat(model, cfg)
+        assert sol.equilibria
+        for e in sol.equilibria:
+            assert e.residual_plus <= cfg.sc_tol
+            assert e.residual_minus <= cfg.sc_tol
+            assert e.p_value == pytest.approx(sol.p_flat, abs=1e-6)
+
+    def test_search_diagnostics_are_deterministic(self):
+        cfg = RunConfig(grid=9)
+        first = solve_flat(cw_model(2.0), cfg).diagnostics["search"]
+        assert first == solve_flat(cw_model(2.0), cfg).diagnostics["search"]
+        assert first["starts"] == 9
+        assert first["iterations"] > 0
+        assert first["unconverged"] == len(first["unconverged_messages"])
+        assert first["unconverged_messages"] == sorted(first["unconverged_messages"])
 
 
 class TestMeanField:

@@ -138,6 +138,17 @@ class TestMarkovMeasure:
         with pytest.raises(ValueError):
             MarkovMeasure.from_transitions(A2, bad, order=2)
 
+    def test_single_non_overlapping_transition_raises(self):
+        # order-3 chain on k=2: state abc may only reach bcd
+        n = 8
+        q = np.zeros((n, n))
+        for s in range(n):
+            q[s, (s % 4) * 2 : (s % 4) * 2 + 2] = 0.5
+        MarkovMeasure(A2, 3, np.full(n, 1.0 / n), q)
+        q[5, 2], q[5, 6] = 0.0, 0.5  # 101 -> 110 drops the overlap 01
+        with pytest.raises(ValueError, match="word overlap"):
+            MarkovMeasure(A2, 3, np.full(n, 1.0 / n), q)
+
     def test_explicit_ergodic_flag_validated(self):
         q = np.eye(2)
         with pytest.raises(ValueError):
