@@ -5,8 +5,10 @@ samples of a convex function (up to two axes), and a linear shift of any of
 these.  Conjugates may be +infinity outside their domain; the INFINITY
 sentinel below is always produced deliberately, never by overflow.  Every
 kind but the grid has a conjugate that is smooth on a box domain, and gives
-its gradient there (`conjugate_gradient`, `conjugate_box`); a grid conjugate
-is piecewise linear.
+its gradient there (`conjugate_gradient`, `conjugate_box`).  A grid stands
+for the lower convex envelope of its samples, so its conjugate is a max of
+affine functions, linear on finitely many cells; `conjugate_vertices` lists
+the vertices of those cells cut to a box.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .config import (
     CONVEXITY_TOL,
@@ -106,8 +109,17 @@ class ConvexSpec:
     def conjugate(self, y):
         raise NotImplementedError
 
+    def conjugate_many(self, ys):
+        """g* at each row of ys."""
+        raise NotImplementedError
+
     def subdiff(self, x):
         raise NotImplementedError
+
+    def conjugate_vertices(self, lo, hi):
+        """Vertices of the linearity cells of a piecewise-linear g* cut to the
+        box [lo, hi], as rows; None when g* is not piecewise linear."""
+        return None
 
     # True when conjugate_gradient is defined on all of conjugate_box.
     has_conjugate_gradient = False
@@ -150,6 +162,10 @@ class Quadratic(ConvexSpec):
         y = self._check_dim(y)
         return float(y @ y) / (2.0 * self.beta)
 
+    def conjugate_many(self, ys):
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        return (ys * ys).sum(axis=1) / (2.0 * self.beta)
+
     def subdiff(self, x):
         x = self._check_dim(x)
         g = self.beta * x
@@ -185,6 +201,10 @@ class AbsSum(ConvexSpec):
             return INFINITY
         return 0.0
 
+    def conjugate_many(self, ys):
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        return np.where(np.abs(ys).max(axis=1) > 1.0 + SINGLETON_TOL, INFINITY, 0.0)
+
     def subdiff(self, x):
         x = self._check_dim(x)
         lo = np.where(x > SINGLETON_TOL, 1.0, -1.0)
@@ -201,7 +221,13 @@ class AbsSum(ConvexSpec):
 
 
 class GridSampled(ConvexSpec):
-    """Convex function given by samples on a rectangular grid (1 or 2 axes)."""
+    """Convex function given by samples on a rectangular grid (1 or 2 axes).
+
+    The function is the lower convex envelope of the samples on the grid's
+    rectangle: the max of the planes of the lower facets of the lifted
+    samples (x, value), computed once at construction.  Its conjugate is
+    the max over the nodes of y.x - value.
+    """
 
     def __init__(self, grids, values, label=""):
         if isinstance(grids, np.ndarray) and grids.ndim == 1:
@@ -225,6 +251,7 @@ class GridSampled(ConvexSpec):
         mesh = np.meshgrid(*self.grids, indexing="ij")
         self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
         self._flat = self.values.ravel()
+        self._slopes, self._intercepts = self._lower_hull()
 
     def _check_convexity(self):
         for axis in range(self.dim):
@@ -234,70 +261,86 @@ class GridSampled(ConvexSpec):
             if np.any(np.diff(slopes, axis=0) < -CONVEXITY_TOL):
                 raise ValueError("samples do not define a convex function on the grid")
 
+    def _lower_hull(self):
+        """(slopes, intercepts) of the facet planes of the convex envelope.
+
+        One axis: the convexity check makes every segment a facet.  Two
+        axes: the facets of the lifted samples' hull whose outward normal
+        points down.  An apex above the samples keeps that hull full-
+        dimensional when the samples are coplanar, and adds no lower facet.
+        """
+        if self.dim == 1:
+            x, v = self.grids[0], self.values
+            slopes = np.diff(v) / np.diff(x)
+            return slopes[:, None], v[:-1] - slopes * x[:-1]
+        lifted = np.column_stack([self._nodes, self._flat])
+        high = self._flat.max()
+        apex = np.append(
+            self._nodes.mean(axis=0), high + 1.0 + abs(high) + np.ptp(self._flat)
+        )
+        eq = ConvexHull(np.vstack([lifted, apex])).equations
+        # unit outward normals; the vertical side facets have a zero third
+        # component up to rounding
+        eq = eq[eq[:, 2] < -1e-9]
+        return -eq[:, :2] / eq[:, 2:3], -eq[:, 3] / eq[:, 2]
+
+    def _planes(self, xs):
+        return xs @ self._slopes.T + self._intercepts
+
     def value(self, x):
         x = self._check_dim(x)
         for axis, g in enumerate(self.grids):
             if x[axis] < g[0] - SINGLETON_TOL or x[axis] > g[-1] + SINGLETON_TOL:
                 raise ValueError("point outside the sampled grid")
-        if self.dim == 1:
-            return float(np.interp(x[0], self.grids[0], self.values))
-        return float(self._bilinear(np.array([x]))[0])
+        return float(self._planes(x).max())
 
     def value_many(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.dim == 1:
-            return np.interp(xs[:, 0], self.grids[0], self.values)
-        return self._bilinear(xs)
-
-    def _bilinear(self, xs):
-        gx, gy = self.grids
-        i = np.clip(np.searchsorted(gx, xs[:, 0]) - 1, 0, len(gx) - 2)
-        j = np.clip(np.searchsorted(gy, xs[:, 1]) - 1, 0, len(gy) - 2)
-        tx = (xs[:, 0] - gx[i]) / (gx[i + 1] - gx[i])
-        ty = (xs[:, 1] - gy[j]) / (gy[j + 1] - gy[j])
-        v = self.values
-        return (
-            v[i, j] * (1 - tx) * (1 - ty)
-            + v[i + 1, j] * tx * (1 - ty)
-            + v[i, j + 1] * (1 - tx) * ty
-            + v[i + 1, j + 1] * tx * ty
-        )
+        return self._planes(xs).max(axis=1)
 
     def conjugate(self, y):
         y = self._check_dim(y)
         return float(np.max(self._nodes @ y - self._flat))
 
+    def conjugate_many(self, ys):
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        return np.max(ys @ self._nodes.T - self._flat, axis=1)
+
     def subdiff(self, x):
+        """Interval hull of the slopes of the facets active at x."""
         x = self._check_dim(x)
-        lo, hi = [], []
-        for axis in range(self.dim):
-            g = self.grids[axis]
+        for axis, g in enumerate(self.grids):
             if x[axis] <= g[0] + SINGLETON_TOL or x[axis] >= g[-1] - SINGLETON_TOL:
                 raise ValueError("boundary subdifferential unavailable")
-            line = self._axis_restriction(x, axis)
-            i = int(np.searchsorted(g, x[axis]))
-            if abs(x[axis] - g[i - 1]) <= SINGLETON_TOL:
-                i -= 1
-            if abs(x[axis] - g[i]) <= SINGLETON_TOL:
-                left = (line[i] - line[i - 1]) / (g[i] - g[i - 1])
-                right = (line[i + 1] - line[i]) / (g[i + 1] - g[i])
-            else:
-                s = (line[i] - line[i - 1]) / (g[i] - g[i - 1])
-                left = right = s
-            lo.append(left)
-            hi.append(right)
-        return SubdiffSet(lo, hi)
+        planes = self._planes(x)
+        top = planes.max()
+        active = self._slopes[planes >= top - SINGLETON_TOL * max(1.0, abs(top))]
+        return SubdiffSet(active.min(axis=0), active.max(axis=0))
 
-    def _axis_restriction(self, x, axis):
-        """Sample values along the grid line through x parallel to an axis."""
-        if self.dim == 1:
-            return self.values
-        other = 1 - axis
-        g = self.grids[other]
-        j = np.clip(np.searchsorted(g, x[other]) - 1, 0, len(g) - 2)
-        t = (x[other] - g[j]) / (g[j + 1] - g[j])
-        v = np.moveaxis(self.values, axis, 0)
-        return v[:, j] * (1 - t) + v[:, j + 1] * t
+    def conjugate_vertices(self, lo, hi):
+        """Vertices of the cells of g* cut to [lo, hi], from one halfspace
+        intersection in (y, t): t >= y.x_i - value_i, the box, and a cap
+        t <= top above g* at every box corner, whose vertices are dropped.
+        """
+        lo, hi = self._check_dim(lo), self._check_dim(hi)
+        if np.any(lo >= hi):
+            raise ValueError("conjugate vertices need a box of positive width")
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        high = float(self.conjugate_many(corners).max())
+        top = high + 1.0 + abs(high)
+        eye, zero = np.eye(self.dim), np.zeros((self.dim, 1))
+        halfspaces = np.vstack(
+            [
+                np.column_stack([self._nodes, -np.ones(len(self._flat)), -self._flat]),
+                np.hstack([-eye, zero, lo[:, None]]),
+                np.hstack([eye, zero, -hi[:, None]]),
+                np.append(np.zeros(self.dim), [1.0, -top]),
+            ]
+        )
+        centre = (lo + hi) / 2.0
+        interior = np.append(centre, (self.conjugate(centre) + top) / 2.0)
+        points = HalfspaceIntersection(halfspaces, interior).intersections
+        return np.unique(points[points[:, -1] < (high + top) / 2.0, :-1], axis=0)
 
 
 class LinearShift(ConvexSpec):
@@ -322,6 +365,16 @@ class LinearShift(ConvexSpec):
     def conjugate(self, y):
         y = self._check_dim(y)
         return self.base.conjugate(y - self.slope)
+
+    def conjugate_many(self, ys):
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        return self.base.conjugate_many(ys - self.slope)
+
+    def conjugate_vertices(self, lo, hi):
+        vertices = self.base.conjugate_vertices(
+            self._check_dim(lo) - self.slope, self._check_dim(hi) - self.slope
+        )
+        return None if vertices is None else vertices + self.slope
 
     def subdiff(self, x):
         inner = self.base.subdiff(x)
@@ -387,10 +440,9 @@ def _shell_sup(g, lam, lo, hi, dim, n_radii=33, n_angles=32):
 
     Directions: +-1 in one dimension, n_angles on the circle in two, and
     from three on the 2*dim axis directions +-e_i plus the 2**dim
-    normalized sign diagonals.
+    normalized sign diagonals.  Points where g* is +infinity drop out.
     """
     radii = np.linspace(lo, hi, n_radii)
-    best = -INFINITY
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif dim == 2:
@@ -400,13 +452,10 @@ def _shell_sup(g, lam, lo, hi, dim, n_radii=33, n_angles=32):
         diagonals = np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
         eye = np.eye(dim)
         dirs = np.vstack([eye, -eye, diagonals / math.sqrt(dim)])
-    for d in dirs:
-        for r in radii:
-            c = g.conjugate(r * d)
-            if c == INFINITY:
-                continue
-            best = max(best, lam * r - c)
-    return best
+    points = radii[None, :, None] * dirs[:, None, :]
+    conj = g.conjugate_many(points.reshape(-1, dim))
+    # an INFINITY entry gives -INFINITY and drops out of the max
+    return float((lam * np.tile(radii, len(dirs)) - conj).max())
 
 
 def growth_radius(g, lam):

@@ -6,16 +6,23 @@ g_plus(tau_plus) is computed as a max-min over tilt coefficients,
     P_flat = sup_{y+} inf_{y-} P_NL(y+, y-),
     P_NL = P_L(y+ . phi+ - y- . phi-) + g-*(y-) - g+*(y+).
 
-The gradient of P_L in (y+, y-) is (tau+, -tau-), the Gibbs averages of the
-tilted equilibrium, and by Danskin's theorem the gradient of P_flat(y+) is
-tau+ at the inner minimizer minus grad g+*(y+).  When every conjugate has a
-gradient on its domain box (quadratic, l1 norm and their linear shifts),
-both levels run L-BFGS-B on these gradients under box bounds: the convex
-inner inf from y- = 0, the outer sup from a grid of starts.  A grid-sampled
-conjugate is piecewise linear with its optima on the kinks, so such a model
-keeps golden-section / coordinate descent for the inner inf and Nelder-Mead
-for the outer sup.  The min-max side (solve_sharp) runs the same multistart
-for its inner sup over y+; its outer inf over y- is kinked exactly where a
+The search over y+ follows the plus coupling.  A grid-sampled g+ has a
+piecewise-linear conjugate, and the inf over y- of the jointly convex part
+is convex in y+, so P_flat(y+) is convex on every linearity cell of g+* and
+its sup over the search box is attained at a vertex of a cell cut to the
+box (Rockafellar, Convex Analysis, Cor. 32.3.4): the outer sup, and the
+inner sup over y+ of the min-max side, evaluate exactly those finitely many
+points (conjugate_vertices).  Otherwise, the gradient of P_L in (y+, y-) is
+(tau+, -tau-), the Gibbs averages of the tilted equilibrium, and by
+Danskin's theorem the gradient of P_flat(y+) is tau+ at the inner minimizer
+minus grad g+*(y+).  When every conjugate has a gradient on its domain box
+(quadratic, l1 norm and their linear shifts), both levels run L-BFGS-B on
+these gradients under box bounds: the convex inner inf from y- = 0, the
+outer sup from a grid of starts.  A model with a grid-sampled coupling
+keeps golden-section / coordinate descent for the inner inf, and one with a
+grid-sampled g- and a smooth g+ keeps Nelder-Mead from the same start grid
+for the outer sup.  The min-max side (solve_sharp) searches its inner sup
+over y+ the same way; its outer inf over y- is kinked exactly where a
 duality gap opens and stays derivative-free.  Optimizers are tied back to
 Gibbs measures through the self-consistency residuals x_pm in
 subdiff(g_pm, tau_pm(mu)).
@@ -455,7 +462,8 @@ def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
 
 
 def _multistart_max(f, lo, hi, grid_points, cap, jac):
-    """Multistart maximization of f over the box [lo, hi].
+    """Multistart maximization of f over the box [lo, hi], for a smooth g+*
+    (a piecewise-linear one is searched at its cell vertices instead).
 
     The starts are a uniform grid of grid_points per axis, thinned evenly to
     at most cap.  With jac=True, f returns (value, gradient) and each start
@@ -505,8 +513,20 @@ def _multistart_max(f, lo, hi, grid_points, cap, jac):
     return points, values, stats
 
 
+def _vertex_max(f, candidates):
+    """f at every candidate point: the exact search when the candidates are
+    the cell vertices of a piecewise-linear g+*.  Returns (points, values,
+    stats) like _multistart_max."""
+    values = np.array([f(y) for y in candidates])
+    return candidates, values, {"candidates": len(candidates)}
+
+
 def solve_flat(model, config=None, warm_starts=()):
-    """Populate the max-min side: P_flat, M_flat, self-consistent equilibria."""
+    """Populate the max-min side: P_flat, M_flat, self-consistent equilibria.
+
+    The outer sup evaluates P_flat at the cell vertices of a piecewise-
+    linear g+* (see the module docstring) and otherwise runs _multistart_max.
+    """
     cfg = config or RunConfig()
     sol = GameSolution()
     diag = sol.diagnostics
@@ -540,9 +560,13 @@ def solve_flat(model, config=None, warm_starts=()):
         return p_flat_of(model, y_plus, radius=r_minus, config=cfg)[0]
 
     lo, hi = _box(model.g_plus, r_plus)
-    points, values, diag["search"] = _multistart_max(
-        outer, lo, hi, cfg.grid, cfg.multistart_cap, jac
-    )
+    vertices = model.g_plus.conjugate_vertices(lo, hi)
+    if vertices is not None:
+        points, values, diag["search"] = _vertex_max(outer, vertices)
+    else:
+        points, values, diag["search"] = _multistart_max(
+            outer, lo, hi, cfg.grid, cfg.multistart_cap, jac
+        )
     for w in warm_starts:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         points = np.vstack([points, w[None, :]])
@@ -630,6 +654,7 @@ def solve_sharp(model, config=None):
     sol.growth_radii = (r_plus, r_minus)
     jac = _has_gradients(model)
     lo, hi = _box(model.g_plus, r_plus)
+    vertices = model.g_plus.conjugate_vertices(lo, hi)
 
     def inner_sup(y_minus):
         if model.g_minus.conjugate(y_minus) == INFINITY:
@@ -641,7 +666,10 @@ def solve_sharp(model, config=None):
                 return value, grad_plus
             return p_nl(model, y_plus, y_minus)
 
-        points, values, _ = _multistart_max(f, lo, hi, 9, 81, jac)
+        if vertices is not None:
+            points, values, _ = _vertex_max(f, vertices)
+        else:
+            points, values, _ = _multistart_max(f, lo, hi, 9, 81, jac)
         best = float(values.max())
         argmax = _cluster(points, values, cfg.cluster_radius, cfg.value_window)
         return best, argmax

@@ -137,6 +137,17 @@ class TestExitCodes:
         assert "perron: Collatz-Wielandt bracket width" in err
 
 
+GRID_AXIS = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+CW_GRID = {
+    "schema": "thermoflat/1",
+    "alphabet": {"k": 2, "m": [0.5, 0.5]},
+    "plus": {
+        "potentials": [{"memory": 1, "table": [1.0, -1.0], "name": "spin"}],
+        "g": {"kind": "grid", "grid": GRID_AXIS, "values": [x * x for x in GRID_AXIS]},
+    },
+}
+
+
 class TestDeterminism:
     def test_solve_byte_identical(self, tmp_path):
         path = write_model(tmp_path, CW2)
@@ -145,6 +156,19 @@ class TestDeterminism:
         assert run_cli(["solve", path, "--out", str(out1)]) == 0
         assert run_cli(["solve", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_grid_model_solve_byte_identical(self, tmp_path):
+        # a grid coupling is searched at the cell vertices of its conjugate;
+        # the report counts them and carries no wall time
+        path = write_model(tmp_path, CW_GRID)
+        out1 = tmp_path / "a.json"
+        out2 = tmp_path / "b.json"
+        assert run_cli(["solve", path, "--out", str(out1)]) == 0
+        assert run_cli(["solve", path, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        search = json.loads(out1.read_text())["diagnostics"]["search"]
+        assert list(search) == ["candidates"]
+        assert search["candidates"] > 0
 
     def test_report_reparses_losslessly(self, tmp_path):
         path = write_model(tmp_path, CW2)

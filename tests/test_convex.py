@@ -131,6 +131,144 @@ class TestGridSampled:
             g.subdiff(np.array([1.0]))
 
 
+class TestGridEnvelope:
+    """A grid stands for the lower convex envelope of its samples."""
+
+    AX = np.array([-1.0, 0.0, 1.0])
+
+    def kink(self):
+        # samples of |x1 + x2|: the envelope is |x1 + x2| itself, while the
+        # bilinear interpolant of the samples is 1/2 at (1/2, -1/2)
+        a, b = np.meshgrid(self.AX, self.AX, indexing="ij")
+        return GridSampled([self.AX, self.AX], np.abs(a + b))
+
+    def test_non_separable_value_is_the_envelope(self):
+        g = self.kink()
+        assert g.value(np.array([0.5, -0.5])) == pytest.approx(0.0, abs=1e-15)
+        assert g.value(np.array([0.5, 0.25])) == pytest.approx(0.75, abs=1e-15)
+        np.testing.assert_allclose(
+            g.value_many([[0.5, -0.5], [0.5, 0.25]]), [0.0, 0.75], atol=1e-15
+        )
+
+    def test_subdiff_spans_the_active_facets(self):
+        sd = self.kink().subdiff(np.array([0.5, -0.5]))
+        np.testing.assert_allclose(sd.lower, [-1.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(sd.upper, [1.0, 1.0], atol=1e-15)
+        sd = self.kink().subdiff(np.array([0.5, 0.25]))
+        assert sd.is_singleton
+        np.testing.assert_allclose(sd.midpoint, [1.0, 1.0], atol=1e-15)
+
+    def test_fenchel_young_equality_inside_facets(self):
+        ax = np.linspace(-2.0, 2.0, 5)
+        a, b = np.meshgrid(ax, ax, indexing="ij")
+        g = GridSampled([ax, ax], 0.5 * a**2 + 0.5 * b**2 + 0.25 * np.abs(a + b))
+        rng = np.random.default_rng(0)
+        checked = 0
+        for x in rng.uniform(-1.9, 1.9, size=(50, 2)):
+            sd = g.subdiff(x)
+            if not sd.is_singleton:
+                continue
+            y = sd.midpoint
+            assert g.value(x) + g.conjugate(y) == pytest.approx(x @ y, abs=1e-12)
+            checked += 1
+        assert checked > 40
+
+    def test_one_axis_and_separable_values_unchanged(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        g1 = GridSampled([x], np.cosh(x))
+        pts = np.linspace(-1.0, 1.0, 101)
+        np.testing.assert_allclose(
+            g1.value_many(pts[:, None]), np.interp(pts, x, np.cosh(x)), atol=1e-15
+        )
+        ax = np.linspace(-2.0, 2.0, 5)
+        f = 0.5 * ax**2 + 0.25 * np.abs(ax)
+        g2 = GridSampled([ax, ax], np.add.outer(f, f))
+        xs = np.random.default_rng(1).uniform(-2.0, 2.0, size=(200, 2))
+        want = np.interp(xs[:, 0], ax, f) + np.interp(xs[:, 1], ax, f)
+        np.testing.assert_allclose(g2.value_many(xs), want, atol=1e-14)
+        np.testing.assert_allclose([g2.value(p) for p in xs], want, atol=1e-14)
+
+    def test_coplanar_samples(self):
+        a, b = np.meshgrid(self.AX, self.AX, indexing="ij")
+        g = GridSampled([self.AX, self.AX], 2.0 * a - b + 1.0)
+        assert g.value(np.array([0.3, 0.4])) == pytest.approx(1.2, abs=1e-14)
+        sd = g.subdiff(np.array([0.3, 0.4]))
+        np.testing.assert_allclose(sd.midpoint, [2.0, -1.0], atol=1e-14)
+
+
+class TestConjugateVertices:
+    def test_smooth_conjugates_have_none(self):
+        lo, hi = np.array([-1.0]), np.array([1.0])
+        assert Quadratic(1.0).conjugate_vertices(lo, hi) is None
+        assert AbsSum(1).conjugate_vertices(lo, hi) is None
+        assert LinearShift(np.array([0.2]), Quadratic(1.0)).conjugate_vertices(lo, hi) is None
+
+    def test_one_axis_node_slopes_and_box_ends(self):
+        x = np.linspace(-2.0, 2.0, 9)
+        g = GridSampled([x], x**2)
+        got = g.conjugate_vertices(np.array([-1.2]), np.array([2.0]))
+        slopes = x[:-1] + x[1:]  # (x_{i+1}^2 - x_i^2) / (x_{i+1} - x_i)
+        want = np.concatenate([[-1.2], slopes[(slopes > -1.2) & (slopes < 2.0)], [2.0]])
+        np.testing.assert_allclose(got.ravel(), want, atol=1e-14)
+
+    def test_linear_shift_moves_the_vertices(self):
+        x = np.linspace(-2.0, 2.0, 9)
+        base = GridSampled([x], x**2)
+        g = LinearShift(np.array([0.3]), base)
+        lo, hi = np.array([-1.0]), np.array([1.4])
+        np.testing.assert_allclose(
+            g.conjugate_vertices(lo, hi),
+            base.conjugate_vertices(lo - 0.3, hi - 0.3) + 0.3,
+            atol=1e-15,
+        )
+
+    def test_separable_grid_gives_the_product_of_breakpoints(self):
+        ax = np.linspace(-2.0, 2.0, 5)
+        f = 0.5 * ax**2 + 0.25 * np.abs(ax)
+        g = GridSampled([ax, ax], np.add.outer(f, f))
+        lo, hi = np.array([-4.0, -1.0]), np.array([4.0, 3.0])
+        got = g.conjugate_vertices(lo, hi)
+        slopes = np.diff(f) / np.diff(ax)
+        axes = [
+            np.concatenate([[a], slopes[(slopes > a) & (slopes < b)], [b]])
+            for a, b in zip(lo, hi)
+        ]
+        want = np.array([[u, v] for u in axes[0] for v in axes[1]])
+        assert got.shape == want.shape
+        dist = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+        assert dist.min(axis=1).max() < 1e-12
+        assert dist.min(axis=0).max() < 1e-12
+
+    def test_box_must_have_width(self):
+        g = GridSampled([np.linspace(-1.0, 1.0, 5)], np.linspace(-1.0, 1.0, 5) ** 2)
+        with pytest.raises(ValueError, match="positive width"):
+            g.conjugate_vertices(np.array([0.5]), np.array([0.5]))
+
+
+class TestConjugateMany:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Quadratic(2.5, dim=2),
+            AbsSum(dim=2),
+            GridSampled(
+                [np.linspace(-2.0, 2.0, 5)] * 2,
+                np.add.outer(np.linspace(-2.0, 2.0, 5) ** 2, np.abs(np.linspace(-2.0, 2.0, 5))),
+            ),
+            LinearShift(np.array([0.3, -0.2]), AbsSum(dim=2)),
+        ],
+        ids=["quadratic", "abs_sum", "grid", "linear_shift"],
+    )
+    def test_matches_conjugate_row_by_row(self, g):
+        ys = np.random.default_rng(2).uniform(-1.5, 1.5, size=(40, 2))
+        got = g.conjugate_many(ys)
+        want = [g.conjugate(y) for y in ys]
+        assert [v == INFINITY for v in got] == [v == INFINITY for v in want]
+        inside = [v != INFINITY for v in want]
+        assert any(inside)
+        np.testing.assert_allclose(got[inside], np.array(want)[inside], atol=1e-14)
+
+
 class TestLinearShift:
     def test_conjugate_shift_rule(self):
         # (g(. - a))* (y) = g*(y) + <a, y> is NOT this; LinearShift adds a

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.special import logsumexp
 
 from thermoflat.config import RunConfig
-from thermoflat.convex import INFINITY, AbsSum, LinearShift, Quadratic
+from thermoflat.convex import INFINITY, AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import (
     ModelSpec,
     approximating_potential,
@@ -276,6 +277,126 @@ class TestGradientSearch:
         assert first["iterations"] > 0
         assert first["unconverged"] == len(first["unconverged_messages"])
         assert first["unconverged_messages"] == sorted(first["unconverged_messages"])
+
+
+GRID_X = np.linspace(-2.0, 2.0, 9)
+
+
+def grid_star(y, nodes, values):
+    """max_i y.x_i - g_i: the conjugate of the envelope of grid samples."""
+    return np.max(np.atleast_2d(y) @ np.atleast_2d(nodes.T) - values, axis=-1)
+
+
+class TestGridSearch:
+    """A grid g+ has a piecewise-linear conjugate; P_flat is convex on each of
+    its linearity cells, so the sup over y+ sits at a cell vertex."""
+
+    def test_curie_weiss_grid_at_node_slope_vertices(self):
+        model = ModelSpec(A2, [SPIN], g_plus=GridSampled([GRID_X], GRID_X**2))
+        sol = solve_flat(model)
+        r_plus = sol.growth_radii[0]
+        # g*(y) = max_i y x_i - x_i^2 is linear between the node slopes
+        # x_i + x_{i+1}; add the ends of the box [-r+, r+]
+        slopes = GRID_X[:-1] + GRID_X[1:]
+        ys = np.concatenate([[-r_plus], slopes[np.abs(slopes) < r_plus], [r_plus]])
+        p_nl_by_hand = np.log(np.cosh(ys)) - grid_star(ys[:, None], GRID_X[:, None], GRID_X**2)
+        best = p_nl_by_hand.max()
+        assert sol.p_flat == pytest.approx(best, abs=1e-12)
+        ystar = abs(ys[np.argmax(p_nl_by_hand)])
+        assert ystar == pytest.approx(1.5)
+        coords = sorted(x.coords[0] for x in sol.m_flat)
+        np.testing.assert_allclose(coords, [-ystar, ystar], atol=1e-12)
+        assert len(sol.equilibria) == 2
+        assert sol.diagnostics["search"] == {"candidates": len(ys)}
+
+    def test_linear_shift_of_a_grid(self):
+        g = LinearShift(np.array([0.3]), GridSampled([GRID_X], GRID_X**2))
+        sol = solve_flat(ModelSpec(A2, [SPIN], g_plus=g))
+        # the shifted conjugate is g*(y - 0.3): its vertices move by 0.3
+        slopes = GRID_X[:-1] + GRID_X[1:] + 0.3
+        r_plus = sol.growth_radii[0]
+        ys = np.concatenate([[-r_plus], slopes[np.abs(slopes) < r_plus], [r_plus]])
+        values = np.log(np.cosh(ys)) - grid_star(ys[:, None] - 0.3, GRID_X[:, None], GRID_X**2)
+        assert sol.p_flat == pytest.approx(values.max(), abs=1e-12)
+        assert [x.coords for x in sol.m_flat] == [pytest.approx((1.8,), abs=1e-12)]
+        assert sol.equilibria
+
+    def test_game_on_grid_plus_two_sided_model(self):
+        g_plus = GridSampled([GRID_X], 1.5 * GRID_X**2)
+        model = ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0))
+        sol = solve_game(model, RunConfig(grid=9))
+        assert sol.gap >= -1e-8
+        # reference values of a Nelder-Mead multistart over y+ (grid 9)
+        assert sol.p_flat == pytest.approx(0.37662341051709936, abs=1e-12)
+        assert sol.p_sharp == pytest.approx(0.8179005642902151, abs=1e-10)
+        coords = sorted(x.coords[0] for x in sol.m_flat)
+        np.testing.assert_allclose(coords, [-2.25, 2.25], atol=1e-12)
+
+    def test_sharp_inner_sup_on_the_box_face(self):
+        # with |y+| <= 0.8 the inner sup over y+ of log cosh(y+ - y-) -
+        # g+*(y+) sits on the box face for y- near 0, past the vertex 0.5
+        g_plus = GridSampled([GRID_X], GRID_X**2)
+        model = ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0))
+        sol = solve_sharp(model, RunConfig(radius_plus=0.8))
+        ys = np.linspace(-0.8, 0.8, 1601)
+        star = grid_star(ys[:, None], GRID_X[:, None], GRID_X**2)
+
+        def sup_over_box(ym):
+            return np.max(np.log(np.cosh(ys - ym)) - star) + ym * ym / 2.0
+
+        brute = minimize_scalar(
+            sup_over_box, bounds=(-2.0, 2.0), method="bounded", options={"xatol": 1e-10}
+        )
+        assert sol.p_sharp == pytest.approx(brute.fun, abs=1e-9)
+        # the model is symmetric under y -> -y: y- = 0, y+ on both faces
+        (x_minus,) = sol.m_sharp
+        assert x_minus.coords[0] == pytest.approx(0.0, abs=1e-6)
+        (argmax,) = sol.m_sharp_of.values()
+        assert [p.coords[0] for p in argmax] == pytest.approx([-0.8, 0.8], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_non_separable_grid_matches_brute_force(self, seed):
+        # 5x5 samples of x1^2/2 + x2^2/2 + |x1 + x2|/4 over two k=3 memory-1
+        # tables; the equilibrium is admitted only if subdiff g+ is that of
+        # the envelope the conjugate describes
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(seed)
+        tables = np.array([[1.0, -0.4, -0.6], [-0.3, 0.9, -0.6]])
+        tables = tables + 0.05 * rng.standard_normal(tables.shape)
+        ax = np.linspace(-2.0, 2.0, 5)
+        a, b = np.meshgrid(ax, ax, indexing="ij")
+        values = 0.5 * a**2 + 0.5 * b**2 + 0.25 * np.abs(a + b)
+        model = ModelSpec(
+            a3,
+            [CylinderPotential(a3, t) for t in tables],
+            g_plus=GridSampled([ax, ax], values),
+        )
+        cfg = RunConfig(grid=9)
+        sol = solve_flat(model, cfg)
+        for e in sol.equilibria:
+            assert e.residual_plus <= cfg.sc_tol
+
+        nodes, flat = np.stack([a.ravel(), b.ravel()], axis=1), values.ravel()
+        log3 = np.log(np.full(3, 1.0 / 3.0))
+
+        def p_nl_brute(ys):
+            ys = np.atleast_2d(ys)
+            return logsumexp(log3 + ys @ tables, axis=1) - grid_star(ys, nodes, flat)
+
+        axis = np.linspace(-8.0, 8.0, 81)
+        grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        vals = p_nl_brute(grid)
+        best = vals.max()
+        for i in np.argsort(vals)[::-1][:8]:
+            res = minimize(
+                lambda y: -p_nl_brute(y)[0],
+                grid[i],
+                method="Nelder-Mead",
+                options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 4000},
+            )
+            best = max(best, -res.fun)
+        assert sol.p_flat == pytest.approx(best, abs=1e-8)
+        assert sol.p_flat >= best - 1e-12
 
 
 class TestMeanField:
