@@ -145,13 +145,12 @@ def cmd_game(model, doc, cfg):
 
 
 def cmd_transport(model, doc, cfg):
+    sol = linearizer.solve_flat(model, cfg)
     if "transport" in doc:
         rows = modelio.parse_dual_measure(doc["transport"]["rows"])
         cols = modelio.parse_dual_measure(doc["transport"]["cols"])
-        sol = linearizer.solve_flat(model, cfg)
     else:
         # default instance: uniform weights on the solved optimizer pairs
-        sol = linearizer.solve_flat(model, cfg)
         pairs = [(e.x_plus, e.x_minus) for e in sol.equilibria]
         if not pairs:
             raise ArithmeticError("no optimizer pairs available for transport")

@@ -201,15 +201,6 @@ class MarkovMeasure:
 
     # -- word machinery ----------------------------------------------------
 
-    def state_word(self, index):
-        """Decode a state index into its length-max(order,1) word."""
-        r = max(self.order, 1)
-        word = []
-        for _ in range(r):
-            word.append(index % self.alphabet.k)
-            index //= self.alphabet.k
-        return tuple(reversed(word))
-
     def symbol_kernel(self):
         """(n_states, k) next-symbol probabilities given the current state."""
         k = self.alphabet.k
@@ -369,10 +360,6 @@ class MixtureMeasure:
         self.components = comps
         self.alphabet = comps[0].alphabet
 
-    @property
-    def all_ergodic(self):
-        return all(c.ergodic for c in self.components)
-
     def expectation(self, phi):
         return sum(
             w * expectation(c, phi) for w, c in zip(self.weights, self.components)
@@ -381,11 +368,3 @@ class MixtureMeasure:
     def entropy_rate(self):
         # entropy is affine: the mixture rate is the weighted component sum
         return sum(w * entropy_rate(c) for w, c in zip(self.weights, self.components))
-
-
-def mixture_expectation(mix, phi):
-    return mix.expectation(phi)
-
-
-def mixture_entropy(mix):
-    return mix.entropy_rate()

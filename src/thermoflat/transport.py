@@ -1,15 +1,15 @@
 """Order-parameter transport: Delta-functionals over ergodic decompositions
-and the finite Monge-Kantorovich reformulation of the max-min pressure.
+and the finite Monge-Kantorovich reformulation of the max-min pressure,
+whose primal is one HiGHS linear program of any size.
 """
 
 import dataclasses
-import itertools
-import math
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from . import kernels
-from .convex import INFINITY
 from .linearizer import p_nl
 from .measures import MarkovMeasure, MixtureMeasure, entropy_rate, expectation
 
@@ -156,6 +156,12 @@ class DiscreteDualMeasure:
         w = np.asarray(self.weights, dtype=float)
         if len(self.points) != len(w) or len(w) == 0:
             raise ValueError("points and weights must match and be nonempty")
+        for p in self.points:
+            p = np.asarray(p, dtype=float)
+            if not np.all(np.isfinite(p)):
+                raise ValueError(f"points must be finite, got {p.tolist()}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"weights must be finite, got {w.tolist()}")
         if w.min() <= 0 or abs(w.sum() - 1.0) > 1e-10:
             raise ValueError("weights must be positive and sum to one")
 
@@ -192,188 +198,34 @@ def cost_matrix(model, rows, cols):
     return c
 
 
-def _simplex_vertices(r, c):
-    """All vertices of the transportation polytope, small cases only."""
-    nr, nc = len(r), len(c)
-    vertices = []
-    # vertices correspond to spanning forests; enumerate supports of size
-    # nr + nc - 1 and solve the marginal equations
-    cells = list(itertools.product(range(nr), range(nc)))
-    for support in itertools.combinations(cells, nr + nc - 1):
-        a = np.zeros((nr + nc, len(support)))
-        for idx, (i, j) in enumerate(support):
-            a[i, idx] = 1.0
-            a[nr + j, idx] = 1.0
-        b = np.concatenate([r, c])
-        sol, residual, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        if rank < len(support):
-            continue
-        if np.abs(a @ sol - b).max() > 1e-9 or sol.min() < -1e-9:
-            continue
-        m = np.zeros((nr, nc))
-        for idx, (i, j) in enumerate(support):
-            m[i, j] = max(sol[idx], 0.0)
-        if not any(np.abs(m - v).max() < 1e-9 for v in vertices):
-            vertices.append(m)
-    return vertices
-
-
-def _northwest_corner(r, c):
-    nr, nc = len(r), len(c)
-    m = np.zeros((nr, nc))
-    rr, cc = r.copy(), c.copy()
-    i = j = 0
-    basis = []
-    while i < nr and j < nc:
-        t = min(rr[i], cc[j])
-        m[i, j] = t
-        basis.append((i, j))
-        rr[i] -= t
-        cc[j] -= t
-        if rr[i] <= cc[j] and i < nr - 1:
-            i += 1
-        elif j < nc - 1:
-            j += 1
-        else:
-            i += 1
-    return m, basis
-
-
-def _transport_simplex(cost, r, c, max_pivots=10_000):
-    """Minimize <cost, m> over couplings via the transportation simplex.
-
-    Northwest-corner start, MODI duals, Bland's rule on entering cells.
-    """
-    nr, nc = cost.shape
-    m, basis = _northwest_corner(r, c)
-    basis = list(dict.fromkeys(basis))
-    while len(basis) < nr + nc - 1:  # degenerate start: pad the basis tree
-        for cell in itertools.product(range(nr), range(nc)):
-            if cell not in basis:
-                trial = basis + [cell]
-                if _is_forest(trial, nr, nc):
-                    basis = trial
-                    break
-    for _ in range(max_pivots):
-        u, v = _modi_duals(cost, basis, nr, nc)
-        entering = None
-        for i in range(nr):
-            for j in range(nc):
-                if (i, j) not in basis and cost[i, j] - u[i] - v[j] < -1e-11:
-                    entering = (i, j)
-                    break
-            if entering:
-                break
-        if entering is None:
-            return m, float(np.sum(m * cost))
-        cycle = _find_cycle(basis, entering, nr, nc)
-        minus = cycle[1::2]
-        t = min(m[i, j] for i, j in minus)
-        leave = min((cell for cell in minus if m[cell] <= t + 1e-15))
-        for idx, cell in enumerate(cycle):
-            m[cell] += t if idx % 2 == 0 else -t
-        m[leave] = 0.0
-        basis.remove(leave)
-        basis.append(entering)
-    raise ArithmeticError("transportation simplex failed to terminate")
-
-
-def _is_forest(cells, nr, nc):
-    parent = list(range(nr + nc))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in cells:
-        a, b = find(i), find(nr + j)
-        if a == b:
-            return False
-        parent[a] = b
-    return True
-
-
-def _modi_duals(cost, basis, nr, nc):
-    u = np.full(nr, np.nan)
-    v = np.full(nc, np.nan)
-    u[0] = 0.0
-    pending = list(basis)
-    while pending:
-        progressed = False
-        rest = []
-        for i, j in pending:
-            if not math.isnan(u[i]) and math.isnan(v[j]):
-                v[j] = cost[i, j] - u[i]
-                progressed = True
-            elif math.isnan(u[i]) and not math.isnan(v[j]):
-                u[i] = cost[i, j] - v[j]
-                progressed = True
-            elif math.isnan(u[i]) and math.isnan(v[j]):
-                rest.append((i, j))
-        pending = rest
-        if not progressed and pending:
-            i, j = pending[0]
-            u[i] = 0.0
-    u = np.nan_to_num(u)
-    v = np.nan_to_num(v)
-    return u, v
-
-
-def _find_cycle(basis, entering, nr, nc):
-    """Unique alternating row/column cycle through the entering cell."""
-    cells = basis + [entering]
-    by_row = {}
-    by_col = {}
-    for cell in cells:
-        by_row.setdefault(cell[0], []).append(cell)
-        by_col.setdefault(cell[1], []).append(cell)
-
-    def search(path, along_row):
-        last = path[-1]
-        pool = by_row[last[0]] if along_row else by_col[last[1]]
-        for nxt in pool:
-            if nxt == last:
-                continue
-            if nxt == entering and len(path) >= 4 and len(path) % 2 == 0:
-                return path
-            if nxt in path:
-                continue
-            found = search(path + [nxt], not along_row)
-            if found:
-                return found
-        return None
-
-    cycle = search([entering], True) or search([entering], False)
-    if cycle is None:
-        raise ArithmeticError("no pivot cycle found")
-    return cycle
-
-
-def kantorovich_primal(model, row_measure, col_measure, method="auto"):
+def kantorovich_primal(model, row_measure, col_measure):
     """min over couplings of sum n_ij P_NL(y+_i, y-_j).
 
-    Returns (value, Coupling). Vertex enumeration for grids up to 3x3,
-    transportation simplex up to 16x16.
+    Returns (value, Coupling). One HiGHS solve of the marginal-equality LP
+    (n >= 0, row sums r, column sums c), at any size; the value is the cost
+    of the returned plan.
     """
     r = np.asarray(row_measure.weights, dtype=float)
     c = np.asarray(col_measure.weights, dtype=float)
     cost = cost_matrix(model, row_measure.points, col_measure.points)
-    if np.any(np.isinf(cost)):
+    if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains infinite entries")
     nr, nc = cost.shape
-    if method == "vertices" or (method == "auto" and nr <= 3 and nc <= 3):
-        best, best_m = INFINITY, None
-        for m in _simplex_vertices(r, c):
-            v = float(np.sum(m * cost))
-            if v < best:
-                best, best_m = v, m
-        return best, Coupling(best_m, row_measure, col_measure)
-    if nr > 16 or nc > 16:
-        raise ValueError("transport instance too large")
-    m, value = _transport_simplex(cost, r, c)
-    return value, Coupling(m, row_measure, col_measure)
+    # plan entry n_ij (flat index i*nc + j) enters two constraints, row sum
+    # i and column sum nr + j: one CSC column with two ones
+    i, j = np.divmod(np.arange(nr * nc), nc)
+    a_eq = sparse.csc_array(
+        (np.ones(2 * nr * nc), np.stack([i, nr + j], axis=1).ravel(),
+         np.arange(0, 2 * nr * nc + 1, 2)),
+        shape=(nr + nc, nr * nc),
+    )
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([r, c]),
+                  bounds=(0, None), method="highs")
+    if not res.success:
+        raise ArithmeticError(f"kantorovich_primal: HiGHS failed: {res.message}")
+    # HiGHS returns -0.0 and rounding-level negatives for nonbasic cells
+    plan = np.maximum(res.x.reshape(nr, nc), 0.0)
+    return float(np.sum(plan * cost)), Coupling(plan, row_measure, col_measure)
 
 
 def kantorovich_dual_check(model, row_measure, col_measure, primal_value,
@@ -429,8 +281,3 @@ def birkhoff_sampling(model, mu, n, num_samples, seed=0):
         )
         out[side] = np.array([g.gradient(a) for a in avgs])
     return out
-
-
-def composite_delta(potentials, g, mu):
-    """Delta^{g o tau}(mu), convenience wrapper used by the CLI."""
-    return delta_functional(potentials, mu, g.value)

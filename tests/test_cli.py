@@ -233,6 +233,23 @@ class TestSubcommands:
             p_nl(model, [1.2], [0.4]), abs=1e-12
         )
 
+    @pytest.mark.parametrize("field,message", [
+        ("points", "points must be finite"),
+        ("weights", "weights must be finite"),
+    ])
+    def test_transport_non_finite_input_is_validation_error(
+            self, tmp_path, capsys, field, message):
+        doc = json.loads(json.dumps(TWO_SIDED))
+        doc["transport"] = {
+            "rows": {"points": [[1.2], [0.3]], "weights": [0.5, 0.5]},
+            "cols": {"points": [[0.4]], "weights": [1.0]},
+        }
+        doc["transport"]["rows"][field][1] = (
+            [math.nan] if field == "points" else math.nan)
+        path = write_model(tmp_path, doc)
+        assert run_cli(["transport", path]) == 2
+        assert message in capsys.readouterr().err
+
     def test_delta_on_named_measure(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CW2))
         doc["measures"] = {

@@ -1,0 +1,78 @@
+"""Static checks on the package source: no unused module-level import and
+no private module-level function or class that nothing references.
+
+There is no linter among the test dependencies, so this is the check that
+keeps deleted code from coming back half-way (an import left behind, or a
+helper whose last caller is gone).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "thermoflat"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(tree):
+    """(bound name, line) for every import statement at module level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append((alias.asname or alias.name.split(".")[0],
+                            node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _references(node):
+    """Names a subtree reads, as bare names or as attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_package_has_modules():
+    assert len(MODULES) > 5
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_no_unused_module_level_import(path):
+    tree = _tree(path)
+    used = _references(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_no_unreferenced_private_definition():
+    statements = [
+        (path.name, stmt, _references(stmt))
+        for path in MODULES for stmt in _tree(path).body
+    ]
+    unreferenced = []
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        # a reference from inside its own body (recursion) does not count
+        if not any(node.name in refs
+                   for _, stmt, refs in statements if stmt is not node):
+            unreferenced.append(f"{module}:{node.lineno} {node.name}")
+    assert not unreferenced, f"private definitions never used: {unreferenced}"

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
+from thermoflat import transport
 from thermoflat.convex import AbsSum, Quadratic
 from thermoflat.linearizer import ModelSpec, p_nl, solve_flat
 from thermoflat.measures import (
@@ -157,6 +159,14 @@ class TestCouplings:
         with pytest.raises(ValueError):
             DiscreteDualMeasure(((0.0,),), (0.9,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # NaN slips through both "w.min() <= 0" and the sum check
+        with pytest.raises(ValueError, match="weights must be finite"):
+            DiscreteDualMeasure(((0.0,), (1.0,)), (bad, 0.5))
+        with pytest.raises(ValueError, match="points must be finite"):
+            DiscreteDualMeasure(((0.0,), (bad,)), (0.5, 0.5))
+
 
 class TestKantorovich:
     def _instance(self, seed, nr, nc):
@@ -172,11 +182,10 @@ class TestKantorovich:
         )
         return m, rows, cols
 
-    @pytest.mark.parametrize("nr,nc", [(2, 2), (3, 3), (4, 5), (6, 4)])
-    def test_matches_linprog(self, nr, nc):
-        m, rows, cols = self._instance(nr * 10 + nc, nr, nc)
-        value, coupling = kantorovich_primal(m, rows, cols, method="auto")
-        cost = cost_matrix(m, rows.points, cols.points)
+    @staticmethod
+    def _highs_value(cost, rows, cols):
+        """Reference optimum: the marginal-equality LP built entry by entry."""
+        nr, nc = cost.shape
         a_eq = []
         for i in range(nr):
             row = np.zeros((nr, nc))
@@ -190,7 +199,62 @@ class TestKantorovich:
         res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=b_eq,
                       bounds=(0, None), method="highs")
         assert res.success
-        assert value == pytest.approx(res.fun, abs=1e-9)
+        return res.fun
+
+    @pytest.mark.parametrize("nr,nc", [(2, 2), (3, 3), (4, 5), (6, 4)])
+    def test_matches_linprog(self, nr, nc):
+        m, rows, cols = self._instance(nr * 10 + nc, nr, nc)
+        value, coupling = kantorovich_primal(m, rows, cols)
+        cost = cost_matrix(m, rows.points, cols.points)
+        assert value == pytest.approx(self._highs_value(cost, rows, cols),
+                                      abs=1e-9)
+
+    def test_solves_beyond_sixteen_points(self):
+        m, rows, cols = self._instance(0, 20, 17)
+        value, coupling = kantorovich_primal(m, rows, cols)
+        cost = cost_matrix(m, rows.points, cols.points)
+        assert value == pytest.approx(self._highs_value(cost, rows, cols),
+                                      abs=1e-9)
+        assert value == coupling.cost(cost)
+        assert coupling.matrix.shape == (20, 17)
+
+    def test_tied_costs_match_best_permutation(self):
+        # |y+| = |y-| in pairs makes many plans tie; by Birkhoff-von Neumann
+        # the optimum over uniform 5x5 couplings is the best permutation plan
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
+        ys = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        rows = DiscreteDualMeasure(tuple((y,) for y in ys), (0.2,) * 5)
+        cols = DiscreteDualMeasure(tuple((abs(y),) for y in ys), (0.2,) * 5)
+        value, coupling = kantorovich_primal(m, rows, cols)
+        cost = cost_matrix(m, rows.points, cols.points)
+        best = min(
+            0.2 * sum(cost[i, j] for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(5))
+        )
+        assert value == pytest.approx(best, abs=1e-12)
+        plan = coupling.matrix
+        assert plan.min() >= 0.0
+        np.testing.assert_allclose(plan.sum(axis=1), 0.2, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), 0.2, atol=1e-12)
+
+    def test_nan_cost_rejected(self, monkeypatch):
+        monkeypatch.setattr(transport, "cost_matrix",
+                            lambda *a: np.array([[0.0, math.nan]]))
+        rows = DiscreteDualMeasure(((0.0,),), (1.0,))
+        cols = DiscreteDualMeasure(((0.0,), (1.0,)), (0.5, 0.5))
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
+        with pytest.raises(ValueError, match="infinite"):
+            kantorovich_primal(m, rows, cols)
+
+    def test_failed_lp_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(
+            transport, "linprog",
+            lambda *a, **kw: OptimizeResult(success=False, status=4,
+                                            message="numerical difficulties"),
+        )
+        m, rows, cols = self._instance(1, 2, 2)
+        with pytest.raises(ArithmeticError, match="numerical difficulties"):
+            kantorovich_primal(m, rows, cols)
 
     def test_single_support_echoes_p_nl(self):
         m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
