@@ -147,8 +147,10 @@ def cmd_game(model, doc, cfg):
 def cmd_transport(model, doc, cfg):
     sol = linearizer.solve_flat(model, cfg)
     if "transport" in doc:
-        rows = modelio.parse_dual_measure(doc["transport"]["rows"])
-        cols = modelio.parse_dual_measure(doc["transport"]["cols"])
+        rows = modelio.parse_dual_measure(
+            doc["transport"]["rows"], "transport.rows", model.n_plus)
+        cols = modelio.parse_dual_measure(
+            doc["transport"]["cols"], "transport.cols", model.n_minus)
     else:
         # default instance: uniform weights on the solved optimizer pairs
         pairs = [(e.x_plus, e.x_minus) for e in sol.equilibria]
@@ -161,9 +163,10 @@ def cmd_transport(model, doc, cfg):
         cols = transport.DiscreteDualMeasure(
             tuple(m for _, m in pairs), (1.0 / n,) * n
         )
-    value, coupling = transport.kantorovich_primal(model, rows, cols)
+    cost = transport.cost_matrix(model, rows.points, cols.points)
+    value, coupling = transport.kantorovich_primal(model, rows, cols, cost=cost)
     dual = transport.kantorovich_dual_check(
-        model, rows, cols, value, p_flat=sol.p_flat
+        model, rows, cols, value, p_flat=sol.p_flat, cost=cost
     )
     return {
         "value": value,

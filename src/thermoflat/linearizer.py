@@ -37,7 +37,7 @@ from scipy.optimize import LbfgsInvHessProduct, minimize
 from .config import RunConfig
 from .convex import INFINITY, DualPoint, growth_radius
 from .measures import CylinderPotential, entropy_rate, expectation
-from .ruelle import _log_sum_exp, _log_transfer, _word_law, build_transfer, rpf_solve
+from .ruelle import _tilted_pressure, build_transfer, rpf_solve
 
 # Projected-gradient targets of the inner inf and the outer sup.  The inner
 # one sits below SINGLETON_TOL: an l1 coupling admits a minimizer on its kink
@@ -114,11 +114,13 @@ class ModelSpec:
                 return np.zeros((0, size))
             return np.stack([p.padded(memory).table.ravel() for p in pots])
 
+        plus, minus = stack(self.plus_potentials), stack(self.minus_potentials)
         self._fast = {
             "memory": memory,
             "log_w": np.log(self.alphabet.weights),
-            "plus": stack(self.plus_potentials),
-            "minus": stack(self.minus_potentials),
+            "plus": plus,
+            "minus": minus,
+            "both": np.vstack([plus, minus]),
         }
         return self._fast
 
@@ -126,35 +128,25 @@ class ModelSpec:
         """(P_L(Theta), tau+, tau-) without building potential objects.
 
         tau+ and tau- are the averages of the plus and minus potentials
-        under the Gibbs measure of Theta, so (tau+, -tau-) is the gradient
-        of P_L in (y+, y-).  Memory 1: the measure is the product of the
-        softmax weights of the tilted table; memory >= 2: its law on words
-        comes from the Perron pair (ruelle._word_law).
+        under the Gibbs measure of Theta (ruelle._tilted_pressure), so
+        (tau+, -tau-) is the gradient of P_L in (y+, y-).
         """
         fast = self._fast_data()
-        memory = fast["memory"]
-        tbl = np.zeros(fast["plus"].shape[1] or fast["minus"].shape[1])
+        tbl = np.zeros(fast["both"].shape[1])
         if len(y_plus):
             tbl = tbl + y_plus @ fast["plus"]
         if len(y_minus):
             tbl = tbl - y_minus @ fast["minus"]
-        if memory == 1:
-            log_p = fast["log_w"] + tbl
-            value = _log_sum_exp(log_p)
-            log_p -= value
-        else:
-            try:
-                value, _, _, log_p = _word_law(
-                    _log_transfer(fast["log_w"], tbl, memory), self.alphabet.k, memory
-                )
-            except ArithmeticError as exc:
-                raise ArithmeticError(
-                    f"linear_pressure_tilted at y+ = {np.asarray(y_plus).tolist()}, "
-                    f"y- = {np.asarray(y_minus).tolist()}: {exc}"
-                ) from exc
-            log_p -= _log_sum_exp(log_p)
-        weights = np.exp(log_p)
-        return value, fast["plus"] @ weights, fast["minus"] @ weights
+        try:
+            value, tau = _tilted_pressure(
+                fast["log_w"], tbl, fast["both"], fast["memory"]
+            )
+        except ArithmeticError as exc:
+            raise ArithmeticError(
+                f"linear_pressure_tilted at y+ = {np.asarray(y_plus).tolist()}, "
+                f"y- = {np.asarray(y_minus).tolist()}: {exc}"
+            ) from exc
+        return value, tau[: self.n_plus], tau[self.n_plus :]
 
     def direct_pressure_of(self, mu):
         """P(mu) = entropy - g_minus(tau_minus) + g_plus(tau_plus)."""

@@ -151,11 +151,19 @@ def load_model(path):
     return parse_model(doc), doc
 
 
-def parse_dual_measure(spec):
+def parse_dual_measure(spec, field, dim):
+    """A transport section's dual measure, every point with `dim`
+    coordinates; a ValueError names `field` (e.g. "transport.rows")."""
     points = tuple(
         tuple(float(c) for c in (p if isinstance(p, list) else [p]))
         for p in spec["points"]
     )
+    for p in points:
+        if len(p) != dim:
+            raise ValueError(
+                f"{field}.points: point {list(p)} has dimension {len(p)}, "
+                f"the model needs {dim}"
+            )
     return DiscreteDualMeasure(points, tuple(float(w) for w in spec["weights"]))
 
 

@@ -1,10 +1,13 @@
 """Brute-force oracles for the nonlinear pressure.
 
 Two independent routes to the same number:
-  * direct variational search over explicit measure families (product or
-    order-1 Markov), maximizing h - g-(tau-) + g+(tau+) on refined grids;
+  * direct variational search over explicit measure families, maximizing
+    h - g-(tau-) + g+(tau+): product measures on refined simplex grids, or
+    order-1 Markov chains by L-BFGS-B over their row logits, from the
+    chains of tilted Gibbs measures;
   * the constrained-entropy route: h(z) as a Legendre transform of the
     linear pressure, then a grid maximum of g+(z+) - g-(z-) + h(z).
+Both take linear pressures and Gibbs averages from ruelle._tilted_pressure.
 Neither touches the max-min solver, so they can arbitrate it.
 """
 
@@ -14,8 +17,17 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from .measures import CylinderPotential, MarkovMeasure, expectation
-from .ruelle import build_transfer, rpf_solve
+from .convex import growth_radius
+from .measures import MarkovMeasure
+from .ruelle import _log_sum_exp, _tilted_pressure
+
+# Order-1 direct oracle: L-BFGS-B runs from at most MARKOV_STARTS tilted
+# Gibbs chains.  Constrained-entropy dual: the box |y_i| <= BKL_RADIUS and
+# the L-BFGS-B options of each solve.
+MARKOV_STARTS = 9
+MARKOV_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
+BKL_RADIUS = 60.0
+BKL_OPTIONS = {"ftol": 1e-14, "gtol": 1e-12, "maxiter": 500}
 
 
 def _simplex_grid(k, resolution):
@@ -34,18 +46,21 @@ def _entropy_guard(p):
 
 
 def direct_pressure(model, resolution=41, order=0, rounds=3):
-    """Grid-refined sup of the direct pressure over a measure family.
+    """Sup of the direct pressure over a measure family.
 
-    order 0 searches product measures, order 1 searches one-step Markov
-    chains (interior transition rows only). Returns (value, best measure).
+    order 0 searches product measures on a simplex grid of `resolution`
+    steps, refined `rounds` times.  order 1 searches all one-step Markov
+    chains with positive entries by L-BFGS-B over their row logits, from
+    tilted Gibbs chains on a grid of `resolution` tilts per axis
+    (_direct_markov); `rounds` is unused there.  Returns (value, best
+    measure), the value being the direct pressure of that measure.
     """
     if resolution < 11:
         raise ValueError("oracle resolution below 11 is rejected as too coarse")
-    k = model.alphabet.k
     if order == 0:
         return _direct_product(model, resolution, rounds)
     if order == 1:
-        return _direct_markov(model, resolution, rounds)
+        return _direct_markov(model, resolution)
     raise ValueError("oracle supports order 0 and 1 only")
 
 
@@ -83,53 +98,126 @@ def _direct_product(model, resolution, rounds):
     return best_v, MarkovMeasure.product(model.alphabet, _entropy_guard(best_p))
 
 
-def _row_grids(k, resolution, eps=1e-3):
-    """Interior simplex grid for one transition row."""
-    pts = [p for p in _simplex_grid(k, resolution) if p.min() > eps / 2]
-    out = []
-    for p in pts:
-        q = np.clip(p, eps, None)
-        out.append(q / q.sum())
-    return out
+def _stacked(potentials, memory):
+    """Flat word tables of the potentials, padded to `memory`, as rows."""
+    return np.stack([p.padded(memory).table.ravel() for p in potentials])
 
 
-def _direct_markov(model, resolution, rounds):
+def _coupling_slope(g, x):
+    """The gradient of a smooth coupling at x; for a kinked one, the
+    midpoint of its subdifferential hull."""
+    return g.gradient(x) if hasattr(g, "gradient") else g.subdiff(x).midpoint
+
+
+def _chain_pressure(model, tables, n, logits):
+    """Direct pressure of the order-1 chain with row logits `logits` and its
+    gradient in the logits.
+
+    tables: the plus then the minus potentials as flat tables over words
+    of length n >= 2.  With Q the row softmax of the logits, pi its
+    stationary law and P(w) = pi(w_0) Q(w_0, w_1) ... the word law, the
+    value is h - g-(tau-) + g+(tau+), tau = tables @ P.  The gradient runs
+    backward through the word law, then through pi by dpi = pi dQ Z with
+    Z = (I - Q + 1 pi)^-1, then through the softmax.
+    """
     k = model.alphabet.k
-    # keep the full product of row grids tractable
-    res = resolution
-    while (math.comb(res + k - 1, k - 1) + 1) ** k > 250_000:
-        res -= 2
-    rows = _row_grids(k, res)
+    log_q = logits - _log_sum_exp(logits, rows=True)[:, None]
+    q = np.exp(log_q)
+    a = q.T - np.eye(k)
+    a[-1] = 1.0
+    pi = np.linalg.solve(a, np.eye(k)[-1])
+    # forward[j]: law of the words of length j + 1; last symbol = index % k
+    forward = [pi]
+    for j in range(1, n):
+        prev = forward[-1]
+        forward.append((prev[:, None] * q[np.arange(len(prev)) % k]).ravel())
+    tau = tables @ forward[-1]
+    rel = log_q - np.log(model.alphabet.weights)
+    row_entropy = -(q * rel).sum(axis=1)
+    value = float(pi @ row_entropy)
+    slope = np.zeros(len(tau))
+    n_plus = model.n_plus
+    if model.g_plus is not None:
+        value += model.g_plus.value(tau[:n_plus])
+        slope[:n_plus] = _coupling_slope(model.g_plus, tau[:n_plus])
+    if model.g_minus is not None:
+        value -= model.g_minus.value(tau[n_plus:])
+        slope[n_plus:] = -_coupling_slope(model.g_minus, tau[n_plus:])
+    # backward: d value / d P(w) through tau, summed over the last symbols
+    back = slope @ tables
+    grad_q = -pi[:, None] * (rel + 1.0)
+    for j in range(n - 1, 0, -1):
+        block = back.reshape(-1, k)
+        prev = forward[j - 1]
+        grad_q += (prev[:, None] * block).reshape(-1, k, k).sum(axis=0)
+        back = (q[np.arange(len(prev)) % k] * block).sum(axis=1)
+    grad_pi = row_entropy + back
+    fundamental = np.eye(k) - q + pi[None, :]
+    grad_q += pi[:, None] * np.linalg.solve(fundamental, grad_pi)[None, :]
+    grad = q * (grad_q - (grad_q * q).sum(axis=1, keepdims=True))
+    return value, grad
 
-    def value_of(q):
-        mu = MarkovMeasure.from_transitions(model.alphabet, q, order=1)
-        return model.direct_pressure_of(mu)
 
-    best_q, best_v = None, -math.inf
-    for combo in itertools.product(rows, repeat=k):
-        q = np.stack(combo)
-        v = value_of(q)
-        if v > best_v:
-            best_v, best_q = v, q
-    spacing = 1.0 / res
-    free = [(i, j) for i in range(k) for j in range(k - 1)]
-    for _ in range(rounds):
-        # cyclic per-coordinate refinement at 10x density
-        for i, j in free:
-            grid = np.linspace(
-                best_q[i, j] - 1.5 * spacing, best_q[i, j] + 1.5 * spacing, 31
-            )
-            for t in grid:
-                q = best_q.copy()
-                q[i, j] = t
-                q[i, -1] = 1.0 - q[i, :-1].sum()
-                if q[i].min() < 1e-9:
-                    continue
-                v = value_of(q)
-                if v > best_v:
-                    best_v, best_q = v, q
-        spacing /= 10.0
-    return best_v, MarkovMeasure.from_transitions(model.alphabet, best_q, order=1)
+def _tilt_starts(model, resolution, cap):
+    """Tilts (y+, y-) on a grid of `resolution` points per axis over each
+    coupling's growth radius cut to its conjugate box, thinned evenly to at
+    most `cap`."""
+    axes = []
+    for g, potentials, norm in (
+        (model.g_plus, model.plus_potentials, model.tau_plus_norm()),
+        (model.g_minus, model.minus_potentials, model.tau_minus_norm()),
+    ):
+        if g is None:
+            axes += [np.zeros(1)] * len(potentials)
+            continue
+        radius = growth_radius(g, norm).safe_radius
+        lo, hi = g.conjugate_box()
+        axes += [np.linspace(max(-radius, a), min(radius, b), resolution)
+                 for a, b in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    starts = np.stack([m.ravel() for m in mesh], axis=1)
+    if len(starts) > cap:
+        starts = starts[np.linspace(0, len(starts) - 1, cap).astype(int)]
+    return starts
+
+
+def _direct_markov(model, resolution):
+    """Multistart L-BFGS-B over the row logits of an order-1 chain.
+
+    Each start is the chain of pair probabilities of the Gibbs measure of a
+    tilt y+ . phi+ - y- . phi- (_tilt_starts).  Every chain with finite
+    logits has full support, so no chain is rejected on the way.  The
+    value and its gradient are exact (_chain_pressure).
+    """
+    k = model.alphabet.k
+    potentials = model.plus_potentials + model.minus_potentials
+    n = max(2, max(p.memory for p in potentials))
+    tables = _stacked(potentials, n)
+    log_w = np.log(model.alphabet.weights)
+    pairs = np.repeat(np.eye(k * k), k ** (n - 2), axis=1)
+    signs = np.repeat([1.0, -1.0], [model.n_plus, model.n_minus])
+
+    def neg(logits):
+        value, grad = _chain_pressure(model, tables, n, logits.reshape(k, k))
+        return -value, -grad.ravel()
+
+    best_v, best_q = -math.inf, None
+    for y in _tilt_starts(model, resolution, MARKOV_STARTS):
+        try:
+            _, pair = _tilted_pressure(log_w, (signs * y) @ tables, pairs, n)
+        except ArithmeticError as exc:
+            raise ArithmeticError(
+                f"direct_pressure: start chain at tilt {y.tolist()}: {exc}"
+            ) from exc
+        # floored so that a pair law that underflows still gives finite logits
+        log_q = np.log(np.maximum(pair.reshape(k, k), np.finfo(float).tiny))
+        res = minimize(neg, (log_q - log_q.max(axis=1, keepdims=True)).ravel(),
+                       jac=True, method="L-BFGS-B", options=MARKOV_OPTIONS)
+        if -res.fun > best_v:
+            best_v, best_q = -float(res.fun), res.x.reshape(k, k)
+    q = np.exp(best_q - _log_sum_exp(best_q, rows=True)[:, None])
+    mu = MarkovMeasure.from_transitions(model.alphabet, q)
+    return model.direct_pressure_of(mu), mu
 
 
 # -- constrained-entropy route -------------------------------------------------
@@ -160,15 +248,25 @@ def _unique_potentials(model):
     return uniq, plus_idx, minus_idx
 
 
-def _tilted(alphabet, potentials, y):
-    memory = max(p.memory for p in potentials)
-    theta = CylinderPotential.zero(alphabet, memory)
-    for c, p in zip(y, potentials):
-        theta = theta + float(c) * p
-    return theta
+def _bkl_dual(log_w, tables, memory, z, y0, radius):
+    """inf over the box |y_i| <= radius of P_L(y . tables) - y . z by one
+    L-BFGS-B run from y0, on the value and its gradient tau(y) - z.
+    Returns (value, minimizer, boundary_flag)."""
+
+    def objective(y):
+        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
+        return value - float(y @ z), tau - z
+
+    try:
+        res = minimize(objective, y0, jac=True, method="L-BFGS-B",
+                       bounds=[(-radius, radius)] * len(z), options=BKL_OPTIONS)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
+    boundary = bool(np.any(np.abs(res.x) > radius - 1e-6))
+    return float(res.fun), res.x, boundary
 
 
-def bkl_entropy(alphabet, potentials, z, radius=60.0):
+def bkl_entropy(alphabet, potentials, z, radius=BKL_RADIUS):
     """h(z) = inf_y { P_L(sum_i y_i phi_i) - y . z }.
 
     The maximal entropy among shift-invariant measures with constrained
@@ -179,86 +277,81 @@ def bkl_entropy(alphabet, potentials, z, radius=60.0):
     """
     potentials = list(potentials)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = len(potentials)
-    if z.shape != (d,):
+    if z.shape != (len(potentials),):
         raise ValueError("constraint dimension mismatch")
-
-    def objective(y):
-        theta = _tilted(alphabet, potentials, y)
-        rpf = rpf_solve(build_transfer(theta))
-        tau = np.array([expectation(rpf.gibbs, p) for p in potentials])
-        val = rpf.log_lambda - float(np.dot(y, z))
-        return val, tau - z
-
-    res = minimize(
-        lambda y: objective(y)[0],
-        np.zeros(d),
-        jac=lambda y: objective(y)[1],
-        method="L-BFGS-B",
-        bounds=[(-radius, radius)] * d,
-        options={"ftol": 1e-14, "gtol": 1e-12, "maxiter": 500},
+    memory = max(p.memory for p in potentials)
+    value, _, boundary = _bkl_dual(
+        np.log(alphabet.weights), _stacked(potentials, memory), memory, z,
+        np.zeros(len(z)), radius,
     )
-    boundary = bool(np.any(np.abs(res.x) > radius - 1e-6))
-    return float(res.fun), boundary
+    return value, boundary
 
 
 def bkl_pressure(model, grid=41):
     """Grid maximum of g+(z+) - g-(z-) + h(z) over achievable averages.
 
     z ranges over a box bounded by the sup norms of the merged potentials;
-    infeasible z (boundary-flagged entropy) are skipped.
+    infeasible z (boundary-flagged entropy) are skipped.  A grid of `grid`
+    points per axis, then a 13-point grid on three cells around its best
+    node, then a Nelder-Mead polish.  Each dual solve of a grid node starts
+    from the minimizer at its neighbouring node (the previous one along
+    the last axis that moved), and each polish solve from the best node's.
+    A stopped L-BFGS-B bounds the inf from above, so a start it leaves too
+    early overstates h: starting the polish solves from the last point the
+    polish evaluated put the value 1.5e-7 above P_flat on a three-symbol
+    memory-2 model.
     """
     uniq, plus_idx, minus_idx = _unique_potentials(model)
-    bounds = [p.sup_norm for p in uniq]
-    axes = [np.linspace(-b, b, grid) if b > 0 else np.zeros(1) for b in bounds]
-    best = -math.inf
-    best_z = None
-    for combo in itertools.product(*axes):
-        z = np.array(combo)
-        h, boundary = bkl_entropy(model.alphabet, uniq, z)
+    memory = max(p.memory for p in uniq)
+    tables = _stacked(uniq, memory)
+    log_w = np.log(model.alphabet.weights)
+
+    def score(z, y0):
+        """(g+(z+) - g-(z-) + h(z), dual minimizer); -inf when infeasible."""
+        h, y, boundary = _bkl_dual(log_w, tables, memory, z, y0, BKL_RADIUS)
         if boundary:
-            continue
-        val = h
+            return -math.inf, None
         if model.g_plus is not None:
-            val += model.g_plus.value(z[plus_idx])
+            h += model.g_plus.value(z[plus_idx])
         if model.g_minus is not None:
-            val -= model.g_minus.value(z[minus_idx])
-        if val > best:
-            best, best_z = val, z
+            h -= model.g_minus.value(z[minus_idx])
+        return h, y
+
+    def grid_max(axes):
+        """Best (value, z, minimizer) over the product of the axes."""
+        best = (-math.inf, None, None)
+        minimizers = {}
+        for idx in itertools.product(*(range(len(a)) for a in axes)):
+            moved = [i for i, j in enumerate(idx) if j > 0]
+            prev = None
+            if moved:
+                prev = list(idx)
+                prev[moved[-1]] -= 1
+                prev = minimizers.get(tuple(prev))
+            z = np.array([a[j] for a, j in zip(axes, idx)])
+            val, y = score(z, np.zeros(len(z)) if prev is None else prev)
+            if y is not None:
+                minimizers[idx] = y
+            if val > best[0]:
+                best = (val, z, y)
+        return best
+
+    bounds = [p.sup_norm for p in uniq]
+    best, best_z, best_y = grid_max(
+        [np.linspace(-b, b, grid) if b > 0 else np.zeros(1) for b in bounds]
+    )
     if best_z is None:
         raise ArithmeticError("no feasible constraint point found")
-    # one refinement pass around the best grid node
     spacing = [2 * b / (grid - 1) if b > 0 else 0.0 for b in bounds]
-    fine_axes = [
+    fine = grid_max([
         np.linspace(z0 - 1.5 * s, z0 + 1.5 * s, 13) if s > 0 else np.array([z0])
         for z0, s in zip(best_z, spacing)
-    ]
-    for combo in itertools.product(*fine_axes):
-        z = np.array(combo)
-        h, boundary = bkl_entropy(model.alphabet, uniq, z)
-        if boundary:
-            continue
-        val = h
-        if model.g_plus is not None:
-            val += model.g_plus.value(z[plus_idx])
-        if model.g_minus is not None:
-            val -= model.g_minus.value(z[minus_idx])
-        if val > best:
-            best, best_z = val, z
-
-    def neg(z):
-        h, boundary = bkl_entropy(model.alphabet, uniq, z)
-        if boundary:
-            return math.inf
-        val = h
-        if model.g_plus is not None:
-            val += model.g_plus.value(z[plus_idx])
-        if model.g_minus is not None:
-            val -= model.g_minus.value(z[minus_idx])
-        return -val
+    ])
+    if fine[0] > best:
+        best, best_z, best_y = fine
 
     # continuous polish off the grid
-    res = minimize(neg, best_z, method="Nelder-Mead",
+    res = minimize(lambda z: -score(z, best_y)[0], best_z, method="Nelder-Mead",
                    options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
     if -res.fun > best and np.isfinite(res.fun):
         best, best_z = -float(res.fun), res.x

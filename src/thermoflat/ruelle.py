@@ -130,6 +130,28 @@ def _word_law(log_b, k, memory):
     return log_lam, log_h, log_nu, log_b[trail, lead] + log_h[lead] + log_nu[trail]
 
 
+def _tilted_pressure(log_weights, tilt, averaged, memory):
+    """(P_L, tau): the linear pressure of a flat memory-word table `tilt`
+    and the Gibbs averages of the rows of `averaged`, flat tables over the
+    same words.
+
+    Memory 1: the Gibbs measure is the product of the softmax weights of
+    the table; memory >= 2: its law on words comes from the Perron pair
+    (_word_law), whose ArithmeticError passes through unchanged.  When
+    `tilt` is y . averaged, tau is the gradient of P_L in y.
+    """
+    if memory == 1:
+        log_p = log_weights + tilt
+        value = _log_sum_exp(log_p)
+        log_p -= value
+    else:
+        value, _, _, log_p = _word_law(
+            _log_transfer(log_weights, tilt, memory), len(log_weights), memory
+        )
+        log_p -= _log_sum_exp(log_p)
+    return value, averaged @ np.exp(log_p)
+
+
 class TransferMatrix:
     """Log-domain matrix realization of the weighted prepend-and-sum operator.
 

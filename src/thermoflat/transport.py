@@ -86,9 +86,11 @@ def delta_via_birkhoff(potentials, mu, func, n):
         ],
         axis=1,
     )
+    # F once per distinct row of averages, weighted by its total probability
     mask = probs > 0
-    vals = np.array([func(a) for a in averages[mask]])
-    return float(np.dot(probs[mask], vals))
+    rows, inverse = np.unique(averages[mask], axis=0, return_inverse=True)
+    weights = np.bincount(inverse.ravel(), weights=probs[mask], minlength=len(rows))
+    return float(np.dot(weights, [func(a) for a in rows]))
 
 
 def affine_pressure_flat(model, mu):
@@ -156,6 +158,9 @@ class DiscreteDualMeasure:
         w = np.asarray(self.weights, dtype=float)
         if len(self.points) != len(w) or len(w) == 0:
             raise ValueError("points and weights must match and be nonempty")
+        dims = sorted({np.size(p) for p in self.points})
+        if len(dims) > 1:
+            raise ValueError(f"points must share one dimension, got {dims}")
         for p in self.points:
             p = np.asarray(p, dtype=float)
             if not np.all(np.isfinite(p)):
@@ -190,7 +195,16 @@ class Coupling:
 
 
 def cost_matrix(model, rows, cols):
-    """C[i, j] = P_NL(y+_i, y-_j)."""
+    """C[i, j] = P_NL(y+_i, y-_j); row points need n_plus coordinates and
+    column points n_minus."""
+    for side, points, dim in (("row", rows, model.n_plus),
+                              ("column", cols, model.n_minus)):
+        for p in points:
+            if np.size(p) != dim:
+                raise ValueError(
+                    f"{side} point {np.ravel(p).tolist()} has dimension "
+                    f"{np.size(p)}, the model needs {dim}"
+                )
     c = np.empty((len(rows), len(cols)))
     for i, yp in enumerate(rows):
         for j, ym in enumerate(cols):
@@ -198,16 +212,18 @@ def cost_matrix(model, rows, cols):
     return c
 
 
-def kantorovich_primal(model, row_measure, col_measure):
+def kantorovich_primal(model, row_measure, col_measure, cost=None):
     """min over couplings of sum n_ij P_NL(y+_i, y-_j).
 
     Returns (value, Coupling). One HiGHS solve of the marginal-equality LP
     (n >= 0, row sums r, column sums c), at any size; the value is the cost
-    of the returned plan.
+    of the returned plan.  `cost` is the cost matrix when the caller has
+    built it already (cost_matrix).
     """
     r = np.asarray(row_measure.weights, dtype=float)
     c = np.asarray(col_measure.weights, dtype=float)
-    cost = cost_matrix(model, row_measure.points, col_measure.points)
+    if cost is None:
+        cost = cost_matrix(model, row_measure.points, col_measure.points)
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains infinite entries")
     nr, nc = cost.shape
@@ -229,11 +245,13 @@ def kantorovich_primal(model, row_measure, col_measure):
 
 
 def kantorovich_dual_check(model, row_measure, col_measure, primal_value,
-                           alpha=None, beta=None, p_flat=None):
+                           alpha=None, beta=None, p_flat=None, cost=None):
     """Verify a dual pair: feasibility alpha_i + beta_j <= C_ij and weak
     duality; defaults to the canonical pair alpha_i = P_flat, beta_j = 0.
+    `cost` is C when the caller has built it already.
     """
-    cost = cost_matrix(model, row_measure.points, col_measure.points)
+    if cost is None:
+        cost = cost_matrix(model, row_measure.points, col_measure.points)
     if alpha is None:
         if p_flat is None:
             raise ValueError("need p_flat for the canonical dual pair")

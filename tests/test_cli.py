@@ -250,6 +250,45 @@ class TestSubcommands:
         assert run_cli(["transport", path]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,points", [
+        ("rows", [[1.2, 0.0], [0.3, 0.0]]),
+        ("rows", [[1.2], [0.3, 0.0]]),
+        ("cols", [[0.4, 0.1]]),
+    ])
+    def test_transport_point_dimension_is_validation_error(
+            self, tmp_path, capsys, field, points):
+        doc = json.loads(json.dumps(TWO_SIDED))
+        doc["transport"] = {
+            "rows": {"points": [[1.2], [0.3]], "weights": [0.5, 0.5]},
+            "cols": {"points": [[0.4]], "weights": [1.0]},
+        }
+        doc["transport"][field]["points"] = points
+        path = write_model(tmp_path, doc)
+        assert run_cli(["transport", path]) == 2
+        err = capsys.readouterr().err
+        assert f"transport.{field}.points" in err
+        assert "has dimension 2, the model needs 1" in err
+
+    def test_transport_builds_the_cost_matrix_once(
+            self, tmp_path, capsys, monkeypatch):
+        from thermoflat import transport
+
+        calls = []
+        original = transport.p_nl
+        monkeypatch.setattr(transport, "p_nl",
+                            lambda *a, **kw: calls.append(a) or original(*a, **kw))
+        doc = json.loads(json.dumps(TWO_SIDED))
+        doc["transport"] = {
+            "rows": {"points": [[1.2], [0.3]], "weights": [0.5, 0.5]},
+            "cols": {"points": [[0.4], [0.1], [0.0]],
+                     "weights": [0.2, 0.3, 0.5]},
+        }
+        path = write_model(tmp_path, doc)
+        assert run_cli(["transport", path]) == 0
+        assert len(calls) == 6
+        out = json.loads(capsys.readouterr().out)
+        assert out["dual_check"]["dual_value"] == pytest.approx(out["p_flat"])
+
     def test_delta_on_named_measure(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CW2))
         doc["measures"] = {
@@ -284,8 +323,8 @@ class TestSubcommands:
         assert json.loads(capsys.readouterr().out)["config"]["grid"] == 17
 
     def test_oracle_on_three_symbol_memory2_model(self, tmp_path, capsys):
-        # the bkl search reaches tilts where some states of the Gibbs chain
-        # carry almost no mass; the chain must stay a valid ergodic chain
+        # the bkl search reaches tilts where some words carry almost no
+        # Gibbs mass; the order-1 direct oracle must find the Gibbs chain
         a3 = AprioriAlphabet(3)
         table = np.random.default_rng(3).standard_normal((3, 3))
         model = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
@@ -293,6 +332,7 @@ class TestSubcommands:
         assert run_cli(["oracle", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["bkl"] == pytest.approx(out["p_flat"], abs=1e-8)
+        assert out["direct"] == pytest.approx(out["p_flat"], abs=1e-5)
 
 
 class TestEntryPoint:

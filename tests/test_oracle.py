@@ -6,8 +6,9 @@ from scipy.optimize import brentq
 
 from thermoflat.convex import LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec, solve_flat
-from thermoflat.measures import AprioriAlphabet, CylinderPotential
+from thermoflat.measures import AprioriAlphabet, CylinderPotential, MarkovMeasure
 from thermoflat.oracle import (
+    _chain_pressure,
     bkl_entropy,
     bkl_pressure,
     direct_pressure,
@@ -47,6 +48,31 @@ class TestDirectPressure:
         v0, _ = direct_pressure(m, order=0)
         v1, _ = direct_pressure(m, order=1)
         assert v1 >= v0 - 1e-9
+
+    def test_chain_gradient_matches_finite_differences(self):
+        # memory-3 plus and memory-2 minus potentials on a weighted alphabet
+        rng = np.random.default_rng(8)
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        plus = CylinderPotential(a3, rng.normal(size=(3, 3, 3)))
+        minus = CylinderPotential(a3, rng.normal(size=(3, 3)))
+        m = ModelSpec(a3, [plus], [minus],
+                      LinearShift(np.array([0.2]), Quadratic(1.5)),
+                      Quadratic(0.7))
+        tables = np.stack([plus.table.ravel(),
+                           minus.padded(3).table.ravel()])
+        logits = rng.normal(size=(3, 3))
+        value, grad = _chain_pressure(m, tables, 3, logits)
+        q = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        mu = MarkovMeasure.from_transitions(a3, q)
+        assert value == pytest.approx(m.direct_pressure_of(mu), abs=1e-14)
+        step = 1e-6
+        for i in range(3):
+            for j in range(3):
+                e = np.zeros((3, 3))
+                e[i, j] = step
+                fd = (_chain_pressure(m, tables, 3, logits + e)[0]
+                      - _chain_pressure(m, tables, 3, logits - e)[0]) / (2 * step)
+                assert grad[i, j] == pytest.approx(fd, abs=1e-8)
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
@@ -103,13 +129,37 @@ class TestBKLPressure:
         assert v == pytest.approx(sol.p_flat, abs=1e-6)
 
 
+def three_symbol_memory2(seed, scale=1.0):
+    a3 = AprioriAlphabet(3)
+    table = scale * np.random.default_rng(seed).standard_normal((3, 3))
+    return ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
+
+
 class TestThreeSymbolMemory2:
+    def test_direct_order1_matches_solver(self):
+        # a memory-2 potential has order-1 Gibbs chains, so the order-1
+        # family attains P_flat
+        v, mu = direct_pressure(three_symbol_memory2(3), order=1)
+        assert v == pytest.approx(2.0254008866271, abs=1e-5)
+        assert mu.order == 1
+
+    @pytest.mark.parametrize("seed", range(100, 105))
+    def test_direct_order1_on_random_tables(self, seed):
+        m = three_symbol_memory2(seed)
+        v, _ = direct_pressure(m, order=1)
+        assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-5)
+
+    def test_direct_order1_on_wide_table(self):
+        # the Gibbs chains of the outer start tilts have pair probabilities
+        # that underflow to 0; the optimum is a nearly deterministic chain
+        m = three_symbol_memory2(3, scale=5.0)
+        v, _ = direct_pressure(m, order=1)
+        assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-5)
+
     def test_bkl_matches_solver(self):
-        # the bkl search reaches tilts where some states of the Gibbs chain
-        # carry almost no mass; the chain must stay a valid ergodic chain
-        a3 = AprioriAlphabet(3)
-        table = np.random.default_rng(3).standard_normal((3, 3))
-        m = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
+        # the bkl search reaches tilts where some words carry almost no
+        # Gibbs mass
+        m = three_symbol_memory2(3)
         sol = solve_flat(m)
         assert sol.p_flat == pytest.approx(2.0254008866, abs=1e-10)
         v, _ = bkl_pressure(m)

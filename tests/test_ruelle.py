@@ -12,6 +12,7 @@ from thermoflat.measures import (
     expectation,
 )
 from thermoflat.ruelle import (
+    _tilted_pressure,
     build_transfer,
     entropy_of_gibbs,
     linear_pressure,
@@ -158,6 +159,25 @@ class TestLinearPressure:
             g = CylinderPotential(A2, rng.normal(size=(2, 2)))
             lhs = abs(linear_pressure(f) - linear_pressure(g))
             assert lhs <= (f + (-1.0) * g).sup_norm + 1e-10
+
+
+class TestTiltedPressure:
+    @pytest.mark.parametrize("memory", [1, 3])
+    def test_tau_is_the_gradient(self, memory):
+        rng = np.random.default_rng(14 + memory)
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        tables = rng.normal(size=(2, 3**memory))
+        log_w = np.log(a3.weights)
+        y = np.array([0.7, -0.4])
+        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
+        phi = CylinderPotential(a3, (y @ tables).reshape((3,) * memory))
+        assert value == pytest.approx(linear_pressure(phi), abs=1e-12)
+        step = 1e-6
+        for i in range(2):
+            e = np.eye(2)[i] * step
+            fd = (_tilted_pressure(log_w, (y + e) @ tables, tables, memory)[0]
+                  - _tilted_pressure(log_w, (y - e) @ tables, tables, memory)[0])
+            assert tau[i] == pytest.approx(fd / (2 * step), abs=1e-8)
 
 
 class TestRPF:

@@ -65,6 +65,18 @@ class TestDeltaFunctional:
 
 
 class TestDeltaBirkhoff:
+    def test_one_call_per_distinct_average(self):
+        # 256 words of length 8, but their spin averages take 9 values
+        mu = MarkovMeasure.product(A2, [0.5, 0.5])
+        seen = []
+
+        def f(z):
+            seen.append(float(z[0]))
+            return square(z)
+
+        assert delta_via_birkhoff([SPIN], mu, f, 8) == pytest.approx(0.125)
+        assert sorted(seen) == pytest.approx(np.linspace(-1, 1, 9).tolist())
+
     def test_uniform_spin_square_exact_values(self):
         mu = MarkovMeasure.product(A2, [0.5, 0.5])
         # E[(S_n/n)^2] = 1/n for +-1 coin flips: 0.5 at n=2, 0.25 at n=4
@@ -168,6 +180,11 @@ class TestCouplings:
             DiscreteDualMeasure(((0.0,), (bad,)), (0.5, 0.5))
 
 
+    def test_mixed_point_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="share one dimension"):
+            DiscreteDualMeasure(((0.0,), (1.0, 2.0)), (0.5, 0.5))
+
+
 class TestKantorovich:
     def _instance(self, seed, nr, nc):
         rng = np.random.default_rng(seed)
@@ -254,6 +271,15 @@ class TestKantorovich:
         )
         m, rows, cols = self._instance(1, 2, 2)
         with pytest.raises(ArithmeticError, match="numerical difficulties"):
+            kantorovich_primal(m, rows, cols)
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_point_dimension_must_match_model(self, side):
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
+        good = DiscreteDualMeasure(((0.5,),), (1.0,))
+        bad = DiscreteDualMeasure(((0.5, 0.5),), (1.0,))
+        rows, cols = (bad, good) if side == "row" else (good, bad)
+        with pytest.raises(ValueError, match=f"{side} point .* has dimension 2"):
             kantorovich_primal(m, rows, cols)
 
     def test_single_support_echoes_p_nl(self):
