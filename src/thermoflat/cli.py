@@ -164,9 +164,9 @@ def cmd_transport(model, doc, cfg):
             tuple(m for _, m in pairs), (1.0 / n,) * n
         )
     cost = transport.cost_matrix(model, rows.points, cols.points)
-    value, coupling = transport.kantorovich_primal(model, rows, cols, cost=cost)
+    value, coupling = transport.kantorovich_primal(cost, rows, cols)
     dual = transport.kantorovich_dual_check(
-        model, rows, cols, value, p_flat=sol.p_flat, cost=cost
+        cost, rows, cols, value, p_flat=sol.p_flat
     )
     return {
         "value": value,

@@ -37,7 +37,7 @@ from scipy.optimize import LbfgsInvHessProduct, minimize
 from .config import RunConfig
 from .convex import INFINITY, DualPoint, growth_radius
 from .measures import CylinderPotential, entropy_rate, expectation
-from .ruelle import _tilted_pressure, build_transfer, rpf_solve
+from .ruelle import _tilted_pressure, build_transfer, rpf_solve, stacked_tables
 
 # Projected-gradient targets of the inner inf and the outer sup.  The inner
 # one sits below SINGLETON_TOL: an l1 coupling admits a minimizer on its kink
@@ -102,25 +102,16 @@ class ModelSpec:
         """Cached log weights and stacked padded tables for tilt sweeps."""
         if self._fast is not None:
             return self._fast
-        k = self.alphabet.k
         memory = max(
             [p.memory for p in self.plus_potentials + self.minus_potentials],
             default=1,
         )
-        size = k**memory
-
-        def stack(pots):
-            if not pots:
-                return np.zeros((0, size))
-            return np.stack([p.padded(memory).table.ravel() for p in pots])
-
-        plus, minus = stack(self.plus_potentials), stack(self.minus_potentials)
         self._fast = {
             "memory": memory,
             "log_w": np.log(self.alphabet.weights),
-            "plus": plus,
-            "minus": minus,
-            "both": np.vstack([plus, minus]),
+            "both": stacked_tables(
+                self.alphabet, self.plus_potentials + self.minus_potentials, memory
+            ),
         }
         return self._fast
 
@@ -132,14 +123,10 @@ class ModelSpec:
         (tau+, -tau-) is the gradient of P_L in (y+, y-).
         """
         fast = self._fast_data()
-        tbl = np.zeros(fast["both"].shape[1])
-        if len(y_plus):
-            tbl = tbl + y_plus @ fast["plus"]
-        if len(y_minus):
-            tbl = tbl - y_minus @ fast["minus"]
         try:
             value, tau = _tilted_pressure(
-                fast["log_w"], tbl, fast["both"], fast["memory"]
+                fast["log_w"], np.concatenate([y_plus, -y_minus]) @ fast["both"],
+                fast["both"], fast["memory"],
             )
         except ArithmeticError as exc:
             raise ArithmeticError(

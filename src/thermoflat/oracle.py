@@ -19,10 +19,11 @@ from scipy.optimize import minimize
 
 from .convex import growth_radius
 from .measures import MarkovMeasure
-from .ruelle import _log_sum_exp, _tilted_pressure
+from .ruelle import _log_sum_exp, _tilted_pressure, stacked_tables
 
 # Order-1 direct oracle: L-BFGS-B runs from at most MARKOV_STARTS tilted
-# Gibbs chains.  Constrained-entropy dual: the box |y_i| <= BKL_RADIUS and
+# Gibbs chains, then once more from the slope tilt of the best chain.
+# Constrained-entropy dual: the box |y_i| <= BKL_RADIUS and
 # the L-BFGS-B options of each solve.
 MARKOV_STARTS = 9
 MARKOV_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
@@ -51,16 +52,16 @@ def direct_pressure(model, resolution=41, order=0, rounds=3):
     order 0 searches product measures on a simplex grid of `resolution`
     steps, refined `rounds` times.  order 1 searches all one-step Markov
     chains with positive entries by L-BFGS-B over their row logits, from
-    tilted Gibbs chains on a grid of `resolution` tilts per axis
-    (_direct_markov); `rounds` is unused there.  Returns (value, best
-    measure), the value being the direct pressure of that measure.
+    tilted Gibbs chains (_direct_markov); `resolution` and `rounds` serve
+    order 0 only.  Returns (value, best measure), the value being the
+    direct pressure of that measure.
     """
     if resolution < 11:
         raise ValueError("oracle resolution below 11 is rejected as too coarse")
     if order == 0:
         return _direct_product(model, resolution, rounds)
     if order == 1:
-        return _direct_markov(model, resolution)
+        return _direct_markov(model)
     raise ValueError("oracle supports order 0 and 1 only")
 
 
@@ -98,34 +99,43 @@ def _direct_product(model, resolution, rounds):
     return best_v, MarkovMeasure.product(model.alphabet, _entropy_guard(best_p))
 
 
-def _stacked(potentials, memory):
-    """Flat word tables of the potentials, padded to `memory`, as rows."""
-    return np.stack([p.padded(memory).table.ravel() for p in potentials])
-
-
-def _coupling_slope(g, x):
-    """The gradient of a smooth coupling at x; for a kinked one, the
-    midpoint of its subdifferential hull."""
-    return g.gradient(x) if hasattr(g, "gradient") else g.subdiff(x).midpoint
+def _solve(a, b):
+    """a^-1 b; where a is singular to working precision, as when the rows
+    of a chain underflow into several closed classes, the least-norm
+    solution."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.all(np.isfinite(x)):
+        x = np.linalg.lstsq(a, b)[0]
+    return x
 
 
 def _chain_pressure(model, tables, n, logits):
-    """Direct pressure of the order-1 chain with row logits `logits` and its
-    gradient in the logits.
+    """Direct pressure of the order-1 chain with row logits `logits`, its
+    gradient in the logits, and the coupling slopes at the chain's averages
+    as a tilt of the tables, (dg+(tau+), -dg-(tau-)).
 
     tables: the plus then the minus potentials as flat tables over words
     of length n >= 2.  With Q the row softmax of the logits, pi its
     stationary law and P(w) = pi(w_0) Q(w_0, w_1) ... the word law, the
-    value is h - g-(tau-) + g+(tau+), tau = tables @ P.  The gradient runs
-    backward through the word law, then through pi by dpi = pi dQ Z with
-    Z = (I - Q + 1 pi)^-1, then through the softmax.
+    value is h - g-(tau-) + g+(tau+), tau = tables @ P.  The slope of a
+    coupling is the midpoint of its subdifferential hull: its gradient
+    where it is smooth.  The gradient runs backward through the word law,
+    then through pi by dpi = pi dQ Z with Z = (I - Q + 1 pi)^-1, then
+    through the softmax.
     """
     k = model.alphabet.k
     log_q = logits - _log_sum_exp(logits, rows=True)[:, None]
     q = np.exp(log_q)
-    a = q.T - np.eye(k)
+    # the generator Q - I, each diagonal entry minus the row's off-diagonal
+    # mass: 1 - Q_ii would round a nearly absorbing state's exit rate to 0
+    gen = q - np.diag(np.diag(q))
+    gen -= np.diag(gen.sum(axis=1))
+    a = gen.T.copy()
     a[-1] = 1.0
-    pi = np.linalg.solve(a, np.eye(k)[-1])
+    pi = _solve(a, np.eye(k)[-1])
     # forward[j]: law of the words of length j + 1; last symbol = index % k
     forward = [pi]
     for j in range(1, n):
@@ -139,10 +149,10 @@ def _chain_pressure(model, tables, n, logits):
     n_plus = model.n_plus
     if model.g_plus is not None:
         value += model.g_plus.value(tau[:n_plus])
-        slope[:n_plus] = _coupling_slope(model.g_plus, tau[:n_plus])
+        slope[:n_plus] = model.g_plus.subdiff(tau[:n_plus]).midpoint
     if model.g_minus is not None:
         value -= model.g_minus.value(tau[n_plus:])
-        slope[n_plus:] = -_coupling_slope(model.g_minus, tau[n_plus:])
+        slope[n_plus:] = -model.g_minus.subdiff(tau[n_plus:]).midpoint
     # backward: d value / d P(w) through tau, summed over the last symbols
     back = slope @ tables
     grad_q = -pi[:, None] * (rel + 1.0)
@@ -152,70 +162,92 @@ def _chain_pressure(model, tables, n, logits):
         grad_q += (prev[:, None] * block).reshape(-1, k, k).sum(axis=0)
         back = (q[np.arange(len(prev)) % k] * block).sum(axis=1)
     grad_pi = row_entropy + back
-    fundamental = np.eye(k) - q + pi[None, :]
-    grad_q += pi[:, None] * np.linalg.solve(fundamental, grad_pi)[None, :]
+    fundamental = pi[None, :] - gen
+    grad_q += pi[:, None] * _solve(fundamental, grad_pi)[None, :]
     grad = q * (grad_q - (grad_q * q).sum(axis=1, keepdims=True))
-    return value, grad
+    return value, grad, slope
 
 
-def _tilt_starts(model, resolution, cap):
-    """Tilts (y+, y-) on a grid of `resolution` points per axis over each
-    coupling's growth radius cut to its conjugate box, thinned evenly to at
-    most `cap`."""
-    axes = []
-    for g, potentials, norm in (
-        (model.g_plus, model.plus_potentials, model.tau_plus_norm()),
-        (model.g_minus, model.minus_potentials, model.tau_minus_norm()),
+def _tilt_starts(model, cap):
+    """Tilts y on the stacked plus-then-minus tables, i.e. (y+, -y-), on a
+    grid of at most `cap` points.
+
+    Each coupling's growth radius, cut to its conjugate box, gives one
+    interval per axis; with d such axes, each is cut into the same number
+    n of equal cells, n**d <= cap, and the grid takes their centres.  The
+    centres stay off the ends, whose Gibbs chains are nearly deterministic
+    and flat in the logits.
+    """
+    spans = []
+    for g, potentials, norm, sign in (
+        (model.g_plus, model.plus_potentials, model.tau_plus_norm(), 1.0),
+        (model.g_minus, model.minus_potentials, model.tau_minus_norm(), -1.0),
     ):
         if g is None:
-            axes += [np.zeros(1)] * len(potentials)
+            spans += [None] * len(potentials)
             continue
         radius = growth_radius(g, norm).safe_radius
         lo, hi = g.conjugate_box()
-        axes += [np.linspace(max(-radius, a), min(radius, b), resolution)
-                 for a, b in zip(lo, hi)]
+        spans += [(sign * max(-radius, a), sign * min(radius, b))
+                  for a, b in zip(lo, hi)]
+    d = sum(s is not None for s in spans)
+    cells = np.arange(int(cap ** (1.0 / max(d, 1)) + 1e-9)) + 0.5
+    cells /= len(cells)
+    axes = [np.zeros(1) if s is None else s[0] + (s[1] - s[0]) * cells
+            for s in spans]
     mesh = np.meshgrid(*axes, indexing="ij")
-    starts = np.stack([m.ravel() for m in mesh], axis=1)
-    if len(starts) > cap:
-        starts = starts[np.linspace(0, len(starts) - 1, cap).astype(int)]
-    return starts
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _direct_markov(model, resolution):
+def _direct_markov(model):
     """Multistart L-BFGS-B over the row logits of an order-1 chain.
 
     Each start is the chain of pair probabilities of the Gibbs measure of a
-    tilt y+ . phi+ - y- . phi- (_tilt_starts).  Every chain with finite
-    logits has full support, so no chain is rejected on the way.  The
-    value and its gradient are exact (_chain_pressure).
+    tilt y+ . phi+ - y- . phi- (_tilt_starts); a start whose Perron solve
+    fails is skipped.  Every chain with finite logits has full support, so
+    no chain is rejected on the way.  The value and its gradient are exact
+    (_chain_pressure).  The search is not concave and can stop at a local
+    maximum next to the optimum.  The optimum is the Gibbs chain of the
+    coupling slopes at its own averages, so one more climb starts from the
+    Gibbs chain of the slopes at the best chain's averages.
     """
     k = model.alphabet.k
     potentials = model.plus_potentials + model.minus_potentials
     n = max(2, max(p.memory for p in potentials))
-    tables = _stacked(potentials, n)
+    tables = stacked_tables(model.alphabet, potentials, n)
     log_w = np.log(model.alphabet.weights)
     pairs = np.repeat(np.eye(k * k), k ** (n - 2), axis=1)
-    signs = np.repeat([1.0, -1.0], [model.n_plus, model.n_minus])
 
     def neg(logits):
-        value, grad = _chain_pressure(model, tables, n, logits.reshape(k, k))
+        value, grad, _ = _chain_pressure(model, tables, n, logits.reshape(k, k))
         return -value, -grad.ravel()
 
-    best_v, best_q = -math.inf, None
-    for y in _tilt_starts(model, resolution, MARKOV_STARTS):
-        try:
-            _, pair = _tilted_pressure(log_w, (signs * y) @ tables, pairs, n)
-        except ArithmeticError as exc:
-            raise ArithmeticError(
-                f"direct_pressure: start chain at tilt {y.tolist()}: {exc}"
-            ) from exc
+    def climb(y):
+        """(value, row logits) of the L-BFGS-B climb from the Gibbs chain of
+        the tilt y on the tables."""
+        _, pair = _tilted_pressure(log_w, y @ tables, pairs, n)
         # floored so that a pair law that underflows still gives finite logits
         log_q = np.log(np.maximum(pair.reshape(k, k), np.finfo(float).tiny))
         res = minimize(neg, (log_q - log_q.max(axis=1, keepdims=True)).ravel(),
                        jac=True, method="L-BFGS-B", options=MARKOV_OPTIONS)
-        if -res.fun > best_v:
-            best_v, best_q = -float(res.fun), res.x.reshape(k, k)
-    q = np.exp(best_q - _log_sum_exp(best_q, rows=True)[:, None])
+        return -float(res.fun), res.x.reshape(k, k)
+
+    best, failures = (-math.inf, None), []
+    for y in _tilt_starts(model, MARKOV_STARTS):
+        try:
+            best = max(best, climb(y), key=lambda r: r[0])
+        except ArithmeticError as exc:
+            failures.append(f"tilt {y.tolist()}: {exc}")
+    if best[1] is None:
+        raise ArithmeticError(
+            "direct_pressure: every start chain failed; " + "; ".join(failures)
+        )
+    try:
+        best = max(best, climb(_chain_pressure(model, tables, n, best[1])[2]),
+                   key=lambda r: r[0])
+    except ArithmeticError:
+        pass
+    q = np.exp(best[1] - _log_sum_exp(best[1], rows=True)[:, None])
     mu = MarkovMeasure.from_transitions(model.alphabet, q)
     return model.direct_pressure_of(mu), mu
 
@@ -281,7 +313,8 @@ def bkl_entropy(alphabet, potentials, z, radius=BKL_RADIUS):
         raise ValueError("constraint dimension mismatch")
     memory = max(p.memory for p in potentials)
     value, _, boundary = _bkl_dual(
-        np.log(alphabet.weights), _stacked(potentials, memory), memory, z,
+        np.log(alphabet.weights), stacked_tables(alphabet, potentials, memory),
+        memory, z,
         np.zeros(len(z)), radius,
     )
     return value, boundary
@@ -303,7 +336,7 @@ def bkl_pressure(model, grid=41):
     """
     uniq, plus_idx, minus_idx = _unique_potentials(model)
     memory = max(p.memory for p in uniq)
-    tables = _stacked(uniq, memory)
+    tables = stacked_tables(model.alphabet, uniq, memory)
     log_w = np.log(model.alphabet.weights)
 
     def score(z, y0):

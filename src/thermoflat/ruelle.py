@@ -130,6 +130,14 @@ def _word_law(log_b, k, memory):
     return log_lam, log_h, log_nu, log_b[trail, lead] + log_h[lead] + log_nu[trail]
 
 
+def stacked_tables(alphabet, potentials, memory):
+    """The flat word tables of the potentials padded to `memory`, one row
+    each: shape (len(potentials), k**memory)."""
+    return np.array(
+        [p.padded(memory).table.ravel() for p in potentials]
+    ).reshape(-1, alphabet.k**memory)
+
+
 def _tilted_pressure(log_weights, tilt, averaged, memory):
     """(P_L, tau): the linear pressure of a flat memory-word table `tilt`
     and the Gibbs averages of the rows of `averaged`, flat tables over the

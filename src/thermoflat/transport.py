@@ -158,9 +158,6 @@ class DiscreteDualMeasure:
         w = np.asarray(self.weights, dtype=float)
         if len(self.points) != len(w) or len(w) == 0:
             raise ValueError("points and weights must match and be nonempty")
-        dims = sorted({np.size(p) for p in self.points})
-        if len(dims) > 1:
-            raise ValueError(f"points must share one dimension, got {dims}")
         for p in self.points:
             p = np.asarray(p, dtype=float)
             if not np.all(np.isfinite(p)):
@@ -195,16 +192,7 @@ class Coupling:
 
 
 def cost_matrix(model, rows, cols):
-    """C[i, j] = P_NL(y+_i, y-_j); row points need n_plus coordinates and
-    column points n_minus."""
-    for side, points, dim in (("row", rows, model.n_plus),
-                              ("column", cols, model.n_minus)):
-        for p in points:
-            if np.size(p) != dim:
-                raise ValueError(
-                    f"{side} point {np.ravel(p).tolist()} has dimension "
-                    f"{np.size(p)}, the model needs {dim}"
-                )
+    """C[i, j] = P_NL(y+_i, y-_j)."""
     c = np.empty((len(rows), len(cols)))
     for i, yp in enumerate(rows):
         for j, ym in enumerate(cols):
@@ -212,18 +200,29 @@ def cost_matrix(model, rows, cols):
     return c
 
 
-def kantorovich_primal(model, row_measure, col_measure, cost=None):
-    """min over couplings of sum n_ij P_NL(y+_i, y-_j).
+def _checked_cost(cost, row_measure, col_measure):
+    """The cost matrix as floats, one row per row point and one column per
+    column point."""
+    cost = np.asarray(cost, dtype=float)
+    shape = (len(row_measure.points), len(col_measure.points))
+    if cost.shape != shape:
+        raise ValueError(
+            f"cost matrix has shape {cost.shape}, the measures need {shape}"
+        )
+    return cost
+
+
+def kantorovich_primal(cost, row_measure, col_measure):
+    """min over couplings of sum n_ij C_ij, with C = cost_matrix(...) the
+    prices P_NL(y+_i, y-_j).
 
     Returns (value, Coupling). One HiGHS solve of the marginal-equality LP
     (n >= 0, row sums r, column sums c), at any size; the value is the cost
-    of the returned plan.  `cost` is the cost matrix when the caller has
-    built it already (cost_matrix).
+    of the returned plan.
     """
     r = np.asarray(row_measure.weights, dtype=float)
     c = np.asarray(col_measure.weights, dtype=float)
-    if cost is None:
-        cost = cost_matrix(model, row_measure.points, col_measure.points)
+    cost = _checked_cost(cost, row_measure, col_measure)
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains infinite entries")
     nr, nc = cost.shape
@@ -244,14 +243,12 @@ def kantorovich_primal(model, row_measure, col_measure, cost=None):
     return float(np.sum(plan * cost)), Coupling(plan, row_measure, col_measure)
 
 
-def kantorovich_dual_check(model, row_measure, col_measure, primal_value,
-                           alpha=None, beta=None, p_flat=None, cost=None):
+def kantorovich_dual_check(cost, row_measure, col_measure, primal_value,
+                           alpha=None, beta=None, p_flat=None):
     """Verify a dual pair: feasibility alpha_i + beta_j <= C_ij and weak
     duality; defaults to the canonical pair alpha_i = P_flat, beta_j = 0.
-    `cost` is C when the caller has built it already.
     """
-    if cost is None:
-        cost = cost_matrix(model, row_measure.points, col_measure.points)
+    cost = _checked_cost(cost, row_measure, col_measure)
     if alpha is None:
         if p_flat is None:
             raise ValueError("need p_flat for the canonical dual pair")

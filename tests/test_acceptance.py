@@ -32,6 +32,7 @@ from thermoflat.transport import (
     DiscreteDualMeasure,
     affine_pressure_flat,
     birkhoff_sampling,
+    cost_matrix,
     delta_functional,
     delta_via_birkhoff,
     kantorovich_dual_check,
@@ -204,9 +205,10 @@ def test_criterion_8_kantorovich():
     n = len(pairs)
     rows = DiscreteDualMeasure(tuple(p for p, _ in pairs), (1.0 / n,) * n)
     cols = DiscreteDualMeasure(tuple(q for _, q in pairs), (1.0 / n,) * n)
-    value, _ = kantorovich_primal(model, rows, cols)
+    cost = cost_matrix(model, rows.points, cols.points)
+    value, _ = kantorovich_primal(cost, rows, cols)
     assert abs(value - sol.p_flat) < 1e-8
-    check = kantorovich_dual_check(model, rows, cols, value, p_flat=sol.p_flat)
+    check = kantorovich_dual_check(cost, rows, cols, value, p_flat=sol.p_flat)
     assert check["feasible"]
     assert check["weak_duality"]
     assert abs(check["gap"]) < 1e-8

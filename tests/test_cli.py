@@ -90,6 +90,18 @@ class TestModelIO:
         assert mu.two_cylinder_tv(mu2) < 1e-12
 
 
+    @pytest.mark.parametrize("points,bad", [
+        ([[1.0], [0.5, 0.0]], "[0.5, 0.0] has dimension 2"),  # mixed
+        ([[1.0, 0.0], [0.5, 0.0]], "[1.0, 0.0] has dimension 2"),
+    ])
+    def test_dual_measure_point_dimension(self, points, bad):
+        spec = {"points": points, "weights": [0.5, 0.5]}
+        with pytest.raises(ValueError) as info:
+            modelio.parse_dual_measure(spec, "transport.cols", 1)
+        assert str(info.value) == (
+            f"transport.cols.points: point {bad}, the model needs 1")
+
+
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
         path = write_model(tmp_path, CW2)

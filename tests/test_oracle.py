@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from thermoflat.convex import LinearShift, Quadratic
+from thermoflat import oracle
+from thermoflat.convex import AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec, solve_flat
 from thermoflat.measures import AprioriAlphabet, CylinderPotential, MarkovMeasure
 from thermoflat.oracle import (
@@ -61,10 +63,14 @@ class TestDirectPressure:
         tables = np.stack([plus.table.ravel(),
                            minus.padded(3).table.ravel()])
         logits = rng.normal(size=(3, 3))
-        value, grad = _chain_pressure(m, tables, 3, logits)
+        value, grad, slope = _chain_pressure(m, tables, 3, logits)
         q = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         mu = MarkovMeasure.from_transitions(a3, q)
         assert value == pytest.approx(m.direct_pressure_of(mu), abs=1e-14)
+        # the tilt of the tables: (g+'(tau+), -g-'(tau-))
+        np.testing.assert_allclose(
+            slope, [1.5 * m.tau_plus(mu)[0] + 0.2, -0.7 * m.tau_minus(mu)[0]],
+            atol=1e-13)
         step = 1e-6
         for i in range(3):
             for j in range(3):
@@ -73,6 +79,14 @@ class TestDirectPressure:
                 fd = (_chain_pressure(m, tables, 3, logits + e)[0]
                       - _chain_pressure(m, tables, 3, logits - e)[0]) / (2 * step)
                 assert grad[i, j] == pytest.approx(fd, abs=1e-8)
+
+    def test_every_start_failing_is_solver_error(self, monkeypatch):
+        def fail(*args):
+            raise ArithmeticError("perron: no bracket")
+
+        monkeypatch.setattr(oracle, "_tilted_pressure", fail)
+        with pytest.raises(ArithmeticError, match="every start chain failed"):
+            direct_pressure(three_symbol_memory2(3), order=1)
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
@@ -155,6 +169,57 @@ class TestThreeSymbolMemory2:
         m = three_symbol_memory2(3, scale=5.0)
         v, _ = direct_pressure(m, order=1)
         assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-5)
+
+    @pytest.mark.parametrize("g", [
+        LinearShift(np.array([0.3]), AbsSum()),
+        GridSampled([np.linspace(-6.0, 6.0, 49)], 0.75 * np.linspace(-6.0, 6.0, 49) ** 2),
+    ], ids=["linear_shift_abs_sum", "grid"])
+    def test_direct_order1_on_couplings_without_gradient(self, g):
+        # the climb takes the midpoint of the coupling's subdifferential
+        a3 = AprioriAlphabet(3)
+        table = np.random.default_rng(3).standard_normal((3, 3))
+        m = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=g)
+        v, _ = direct_pressure(m, order=1)
+        assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-5)
+
+    def test_direct_order1_off_diagonal_optimum(self):
+        # phi and -phi as two plus potentials: the optimal tilts are
+        # +-(t, -t), and every tilt (s, s) has the untilted chain, a
+        # critical point of the climb, as its Gibbs chain
+        ising = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        m = ModelSpec(A2, [CylinderPotential(A2, ising),
+                           CylinderPotential(A2, -ising)],
+                      g_plus=Quadratic(1.5, dim=2))
+        sol = solve_flat(m)
+        assert sol.equilibria[0].x_plus[0] == pytest.approx(
+            -sol.equilibria[0].x_plus[1])
+        v, _ = direct_pressure(m, order=1)
+        assert v == pytest.approx(sol.p_flat, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_direct_order1_on_two_plus_potentials(self, seed):
+        # the multistart alone stops 1.4e-8 and 7.4e-7 short; the climb
+        # from the slope tilt of its best chain closes the gap
+        rng = np.random.default_rng(seed)
+        tables = rng.standard_normal((2, 3, 3))
+        a3 = AprioriAlphabet(3)
+        m = ModelSpec(a3, [CylinderPotential(a3, t) for t in tables],
+                      g_plus=Quadratic(rng.uniform(0.5, 3.0, 2)[0], dim=2))
+        v, _ = direct_pressure(m, order=1)
+        assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-9)
+
+    def test_direct_order1_skips_failed_starts(self):
+        # the Perron solves at the outer start tilts fail; the optimum is
+        # the best periodic orbit, whose entropy relative to the uniform
+        # a priori measure is -log 3
+        m = three_symbol_memory2(3, scale=30.0)
+        table = m.plus_potentials[0].table
+        orbit = max(
+            np.mean([table[c[i], c[(i + 1) % len(c)]] for i in range(len(c))]) ** 2
+            for n in (1, 2, 3) for c in itertools.product(range(3), repeat=n)
+        )
+        v, _ = direct_pressure(m, order=1)
+        assert v == pytest.approx(0.75 * orbit - math.log(3), abs=1e-6)
 
     def test_bkl_matches_solver(self):
         # the bkl search reaches tilts where some words carry almost no
