@@ -7,8 +7,9 @@ sentinel below is always produced deliberately, never by overflow.  Every
 kind but the grid has a conjugate that is smooth on a box domain, and gives
 its gradient there (`conjugate_gradient`, `conjugate_box`).  A grid stands
 for the lower convex envelope of its samples, so its conjugate is a max of
-affine functions, linear on finitely many cells; `conjugate_vertices` lists
-the vertices of those cells cut to a box.
+affine functions, linear on finitely many cells; `conjugate_pieces` gives
+those affine functions and `conjugate_vertices` the vertices of the cells
+cut to a box.
 """
 
 import dataclasses
@@ -119,6 +120,11 @@ class ConvexSpec:
     def conjugate_vertices(self, lo, hi):
         """Vertices of the linearity cells of a piecewise-linear g* cut to the
         box [lo, hi], as rows; None when g* is not piecewise linear."""
+        return None
+
+    def conjugate_pieces(self):
+        """(slopes, offsets) with g*(y) = max_i slopes_i . y - offsets_i, the
+        affine pieces of a piecewise-linear g*; None when g* is not one."""
         return None
 
     # True when conjugate_gradient is defined on all of conjugate_box.
@@ -317,6 +323,9 @@ class GridSampled(ConvexSpec):
         active = self._slopes[planes >= top - SINGLETON_TOL * max(1.0, abs(top))]
         return SubdiffSet(active.min(axis=0), active.max(axis=0))
 
+    def conjugate_pieces(self):
+        return self._nodes, self._flat
+
     def conjugate_vertices(self, lo, hi):
         """Vertices of the cells of g* cut to [lo, hi], from one halfspace
         intersection in (y, t): t >= y.x_i - value_i, the box, and a cap
@@ -375,6 +384,13 @@ class LinearShift(ConvexSpec):
             self._check_dim(lo) - self.slope, self._check_dim(hi) - self.slope
         )
         return None if vertices is None else vertices + self.slope
+
+    def conjugate_pieces(self):
+        pieces = self.base.conjugate_pieces()
+        if pieces is None:
+            return None
+        slopes, offsets = pieces
+        return slopes, offsets + slopes @ self.slope
 
     def subdiff(self, x):
         inner = self.base.subdiff(x)

@@ -15,24 +15,33 @@ inner sup over y+ of the min-max side, evaluate exactly those finitely many
 points (conjugate_vertices).  Otherwise, the gradient of P_L in (y+, y-) is
 (tau+, -tau-), the Gibbs averages of the tilted equilibrium, and by
 Danskin's theorem the gradient of P_flat(y+) is tau+ at the inner minimizer
-minus grad g+*(y+).  When every conjugate has a gradient on its domain box
-(quadratic, l1 norm and their linear shifts), both levels run L-BFGS-B on
-these gradients under box bounds: the convex inner inf from y- = 0, the
-outer sup from a grid of starts.  A model with a grid-sampled coupling
-keeps golden-section / coordinate descent for the inner inf, and one with a
-grid-sampled g- and a smooth g+ keeps Nelder-Mead from the same start grid
-for the outer sup.  The min-max side (solve_sharp) searches its inner sup
-over y+ the same way; its outer inf over y- is kinked exactly where a
-duality gap opens and stays derivative-free.  Optimizers are tied back to
-Gibbs measures through the self-consistency residuals x_pm in
-subdiff(g_pm, tau_pm(mu)).
+minus grad g+*(y+).  Each level runs L-BFGS-B on these gradients under box
+bounds when the conjugate it needs has a gradient on its domain box
+(quadratic, l1 norm and their linear shifts): the convex inner inf from
+y- = 0 when g-* has one, the outer sup from a grid of starts when g+* has
+one too.  A grid-sampled g- keeps golden-section / coordinate descent for
+the inner inf, and with a smooth g+ Nelder-Mead from the same start grid
+for the outer sup.
+
+The min-max side (solve_sharp) minimizes the convex S(y-) = sup over y+ of
+P_NL by a level bundle method on Danskin cuts: one HiGHS LP over the cuts
+bounds P_sharp from below, full inner sups bound it from above, and the
+weak-duality bound P_flat <= P_sharp stops it at once where the max-min
+inner minimizer attains P_flat.  Optimizers are tied back to Gibbs measures
+through the self-consistency residuals x_pm in subdiff(g_pm, tau_pm(mu)).
 """
 
 import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import LbfgsInvHessProduct, minimize
+from scipy.optimize import (
+    LbfgsInvHessProduct,
+    OptimizeResult,
+    linprog,
+    minimize,
+    nnls,
+)
 
 from .config import RunConfig
 from .convex import INFINITY, DualPoint, growth_radius
@@ -47,6 +56,17 @@ INNER_GTOL = 1e-13
 OUTER_GTOL = 1e-9
 LBFGSB_OPTIONS = {"ftol": 1e-12, "maxiter": 200, "maxls": 10}
 POLISH_STEPS = 4
+# The level bundle of solve_sharp: it stops once its bracket on P_sharp is
+# at most SHARP_GAP wide or after SHARP_MAX_ITER inner sups, and puts each
+# level LEVEL of the way from the lower bound to the least model value of
+# the evaluated points.  Its master LPs run at HiGHS tolerances LP_OPTIONS.
+SHARP_GAP = 1e-11
+SHARP_MAX_ITER = 100
+LEVEL = 0.01
+LP_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 
 
 class ModelSpec:
@@ -194,9 +214,9 @@ def p_nl(model, y_plus, y_minus, grad=False):
     """P_NL = P_L(Theta) + g-*(y-) - g+*(y+); +inf outside dom(g-*).
 
     With grad=True returns (value, grad_plus, grad_minus), the gradient
-    (tau+ - grad g+*(y+), -tau- + grad g-*(y-)); every coupling must then
-    have a conjugate gradient.  Outside dom(g-*) the gradient holds the
-    P_L terms alone.
+    (tau+ - grad g+*(y+), -tau- + grad g-*(y-)).  A coupling without a
+    conjugate gradient (a grid) adds no term to its side, which then holds
+    the P_L term alone; so does the minus side outside dom(g-*).
     """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
     y_minus = np.atleast_1d(np.asarray(y_minus, dtype=float))
@@ -209,21 +229,19 @@ def p_nl(model, y_plus, y_minus, grad=False):
         if c == INFINITY:
             return (INFINITY, grad_plus, grad_minus) if grad else INFINITY
         value += c
-        if grad:
+        if grad and model.g_minus.has_conjugate_gradient:
             grad_minus += model.g_minus.conjugate_gradient(y_minus)
     if model.g_plus is not None:
         value -= model.g_plus.conjugate(y_plus)
-        if grad:
+        if grad and model.g_plus.has_conjugate_gradient:
             grad_plus -= model.g_plus.conjugate_gradient(y_plus)
     return (value, grad_plus, grad_minus) if grad else value
 
 
-def _has_gradients(model):
-    """Whether every coupling of the model has a conjugate gradient: the
-    search then runs on gradients at both levels."""
-    return all(
-        g is None or g.has_conjugate_gradient for g in (model.g_plus, model.g_minus)
-    )
+def _has_gradient(g):
+    """Whether the search over a coupling's tilts can run on gradients: the
+    coupling is absent, or its conjugate has a gradient on its domain box."""
+    return g is None or g.has_conjugate_gradient
 
 
 def _box(g, radius):
@@ -238,32 +256,57 @@ def _projected(x, gradient, lo, hi):
     return np.where(out, 0.0, gradient)
 
 
+class _Stationary(Exception):
+    """Ends an L-BFGS-B run at an evaluated point that meets its gtol."""
+
+
 def _lbfgsb(fun, x0, lo, hi, gtol):
     """Minimize fun over the box [lo, hi] from x0.
 
-    fun(x) returns (value, gradient, *extra).  L-BFGS-B runs until the
-    projected gradient is below gtol or its value differences sink into
-    rounding, which happens about sqrt(eps) from a minimizer, while the
-    gradient there keeps its relative precision.  So up to POLISH_STEPS
-    quasi-Newton steps on the L-BFGS curvature pairs follow, each kept only
-    when it shrinks the projected gradient without raising the value beyond
-    rounding.  Returns (x, fun(x), scipy result).
+    fun(x) returns (value, gradient, *extra).  L-BFGS-B stops at the first
+    point it evaluates whose projected gradient is below gtol and whose
+    value is within rounding of the least so far, even one its line search
+    would reject because the value differences there sink into rounding.
+    That happens about sqrt(eps) from a minimizer, while the gradient keeps
+    its relative precision; when L-BFGS-B stops on it before reaching gtol,
+    up to POLISH_STEPS quasi-Newton steps on the L-BFGS curvature pairs
+    follow, each kept only when it shrinks the projected gradient without
+    raising the value beyond rounding.  Returns (x, fun(x), scipy result).
     """
-    seen = {}
+    seen, least, iterations = {}, INFINITY, 0
 
     def wrapped(x):
+        nonlocal least
         out = fun(x)
         seen[x.tobytes()] = out
+        # only where values differ by rounding can the line search reject a
+        # point that meets gtol
+        rounding = abs(out[0] - least) <= 1e-12 * max(1.0, abs(least))
+        least = min(least, out[0])
+        if rounding and np.abs(_projected(x, out[1], lo, hi)).max() <= gtol:
+            raise _Stationary(x.copy(), out)
         return out[0], out[1]
 
-    res = minimize(
-        wrapped,
-        np.clip(x0, lo, hi),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(lo, hi)),
-        options=dict(LBFGSB_OPTIONS, gtol=gtol),
-    )
+    def count(intermediate_result):
+        nonlocal iterations
+        iterations += 1
+
+    try:
+        res = minimize(
+            wrapped,
+            np.clip(x0, lo, hi),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lo, hi)),
+            options=dict(LBFGSB_OPTIONS, gtol=gtol),
+            callback=count,
+        )
+    except _Stationary as stop:
+        x, out = stop.args
+        return x, out, OptimizeResult(
+            x=x, success=True, nit=iterations,
+            message="projected gradient below gtol",
+        )
     x = res.x
     out = seen.get(x.tobytes()) or fun(x)
     pg = _projected(x, out[1], lo, hi)
@@ -324,14 +367,15 @@ def _cluster(points, values, radius, window):
     return kept
 
 
-def _minimize_convex_box(f, radius, dim, scan=33, tol=1e-11):
+def _minimize_convex_box(f, radius, dim, tol=1e-11):
     """Minimize a convex function over the box [-radius, radius]^dim.
 
     Golden section per axis (cyclic coordinate descent for dim 2); returns
-    (value, list of minimizers) with flat regions reported via the scan.
+    (value, list of minimizers) with flat regions reported via a 33-point
+    scan.
     """
     if dim == 1:
-        grid = np.linspace(-radius, radius, scan)
+        grid = np.linspace(-radius, radius, 33)
         vals = np.array([f(np.array([t])) for t in grid])
         i = int(np.argmin(vals))
         lo = grid[max(i - 1, 0)]
@@ -397,7 +441,7 @@ def plus_radius(model, config=None):
 def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
     """P_flat(y+) = inf over y- of P_NL(y+, y-), with the minimizer set.
 
-    When every coupling has a conjugate gradient, L-BFGS-B finds the root
+    When g-* has a gradient, L-BFGS-B finds the root
     of the gradient -tau- + grad g-*(y-) over the box [-radius, radius]
     cut to dom(g-*), from y- = 0 moved into the box (see _lbfgsb), and
     reports that one minimizer.  With grad=True it also returns the
@@ -406,6 +450,8 @@ def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
     reports flat stretches as several minimizers and gives no gradient.
     """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
+    if grad and not (_has_gradient(model.g_plus) and _has_gradient(model.g_minus)):
+        raise ValueError("no P_flat gradient for a grid-sampled coupling")
     if model.g_minus is None:
         if grad:
             value, grad_plus, _ = p_nl(model, y_plus, np.zeros(0), grad=True)
@@ -414,7 +460,7 @@ def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
     if radius is None:
         radius, _ = minus_radius(model, config)
     cfg = config or RunConfig()
-    if _has_gradients(model):
+    if _has_gradient(model.g_minus):
 
         def inner(y_minus):
             value, grad_plus, grad_minus = p_nl(model, y_plus, y_minus, grad=True)
@@ -426,8 +472,6 @@ def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
         )
         minimizers = [DualPoint(x)]
         return (value, minimizers, grad_plus) if grad else (value, minimizers)
-    if grad:
-        raise ValueError("no P_flat gradient for a grid-sampled coupling")
 
     def objective(y_minus):
         return p_nl(model, y_plus, y_minus)
@@ -440,23 +484,30 @@ def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
     return value, [DualPoint(p) for p in kept]
 
 
-def _multistart_max(f, lo, hi, grid_points, cap, jac):
-    """Multistart maximization of f over the box [lo, hi], for a smooth g+*
-    (a piecewise-linear one is searched at its cell vertices instead).
-
-    The starts are a uniform grid of grid_points per axis, thinned evenly to
-    at most cap.  With jac=True, f returns (value, gradient) and each start
-    runs L-BFGS-B under the box bounds (_lbfgsb); otherwise each runs
-    Nelder-Mead on values, clipped to the box.  Returns (points, values,
-    stats): every refined local optimum, its value, and the starts, total
-    iterations and unconverged starts with their sorted messages.
-    """
+def _start_grid(lo, hi, grid_points, cap):
+    """A uniform grid of grid_points per axis over the box [lo, hi], as
+    rows, thinned evenly to at most cap."""
     axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=1)
     if len(starts) > cap:
         idx = np.linspace(0, len(starts) - 1, cap).astype(int)
         starts = starts[idx]
+    return starts
+
+
+def _multistart_max(f, lo, hi, grid_points, cap, jac):
+    """Multistart maximization of f over the box [lo, hi], for a smooth g+*
+    (a piecewise-linear one is searched at its cell vertices instead).
+
+    The starts are _start_grid(lo, hi, grid_points, cap).  With jac=True, f
+    returns (value, gradient) and each start runs L-BFGS-B under the box
+    bounds (_lbfgsb); otherwise each runs
+    Nelder-Mead on values, clipped to the box.  Returns (points, values,
+    stats): every refined local optimum, its value, and the starts, total
+    iterations and unconverged starts with their sorted messages.
+    """
+    starts = _start_grid(lo, hi, grid_points, cap)
 
     def neg_pair(y):
         value, gradient = f(y)
@@ -528,7 +579,7 @@ def solve_flat(model, config=None, warm_starts=()):
     diag["growth_plus"] = dataclasses.asdict(cert_plus)
     sol.growth_radii = (r_plus, r_minus)
 
-    jac = _has_gradients(model)
+    jac = _has_gradient(model.g_plus) and _has_gradient(model.g_minus)
 
     def outer(y_plus):
         if jac:
@@ -615,66 +666,248 @@ def _attach_equilibria(model, sol, pairs, cfg):
         )
 
 
-def solve_sharp(model, config=None):
-    """Populate the min-max side: P_sharp = inf_y- sup_y+ P_NL."""
+@dataclasses.dataclass
+class _InnerSup:
+    """One inner sup of solve_sharp: the distinct local maxima over y+ of
+    P_NL(., y_minus) with their values, best first, and whether the full
+    search found them."""
+
+    y_minus: np.ndarray
+    maxima: list
+    values: np.ndarray
+    full: bool
+
+
+def _master_lp(slopes, offsets, pieces, lo, hi):
+    """Min over the box [lo, hi] of the cutting-plane model
+    max_j slopes_j.y + offsets_j, plus max_i x_i.y - v_i for the affine
+    pieces (x, v) of a grid g-*, as one HiGHS LP in (y, t[, s]).
+
+    Returns (lower, y): y is the LP's minimizer, and lower is the least
+    value over the box of the combination of cuts (and pieces) that the
+    LP's multipliers give, a lower bound on the model however loosely
+    HiGHS meets its tolerances (LP weak duality).
+    """
+    blocks = [(slopes, offsets)]
+    if pieces is not None:
+        blocks.append((pieces[0], -pieces[1]))
+    # block j holds the rows a.y + b <= t_j
+    n, k = len(lo), len(blocks)
+    epigraph = [-np.eye(k)[[j] * len(b)] for j, (_, b) in enumerate(blocks)]
+    res = linprog(
+        np.append(np.zeros(n), np.ones(k)),
+        A_ub=np.vstack([np.hstack([a, t]) for (a, _), t in zip(blocks, epigraph)]),
+        b_ub=np.concatenate([-b for _, b in blocks]),
+        bounds=list(zip(lo, hi)) + [(None, None)] * k,
+        method="highs",
+        options=LP_OPTIONS,
+    )
+    if res.status != 0:
+        raise ArithmeticError(
+            f"solve_sharp: master LP over {len(offsets)} cuts: {res.message}"
+        )
+    weights = -res.ineqlin.marginals
+    lower = 0.0
+    for a, b in blocks:
+        w, weights = np.maximum(weights[: len(b)], 0.0), weights[len(b) :]
+        w = w / w.sum()
+        g = w @ a
+        lower += w @ b + np.minimum(g * lo, g * hi).sum()
+    return float(lower), res.x[:n]
+
+
+def _project(point, a, b, lo, hi):
+    """Euclidean projection of point onto {y : a y <= b, lo <= y <= hi}, or
+    None when that set is empty: least-distance programming by one NNLS
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23)."""
+    n = len(point)
+    eye = np.eye(n)
+    a = np.vstack([a, eye, -eye])
+    b = np.concatenate([b, hi, -lo])
+    # with y = point + x: min |x| subject to -a x >= h = a point - b; x is
+    # homogeneous in h, so h is scaled to a largest entry of 1
+    h = a @ point - b
+    scale = h.max()
+    if scale <= 0.0:
+        return point
+    e = np.vstack([-a.T, h[None, :] / scale])
+    u, _ = nnls(e, np.append(np.zeros(n), 1.0))
+    r = e @ u
+    r[-1] -= 1.0
+    if r[-1] > -1e-12:
+        return None
+    return np.clip(point - scale * r[:n] / r[-1], lo, hi)
+
+
+def solve_sharp(model, config=None, *, _flat=None):
+    """Populate the min-max side: P_sharp = inf over y- of S(y-), where
+    S(y-) = sup over y+ of P_NL(y+, y-).
+
+    S is convex, a sup of the convex functions P_NL(y+, .), and by Danskin
+    each local max y+ of P_NL(., y-_k) gives the cut
+    P_NL(y+, y-_k) + (-tau-(y+, y-_k) + grad g-*(y-_k)).(y- - y-_k), which
+    lies below S whether or not y+ is the global max.  A level bundle
+    (Lemarechal, Nemirovskii & Nesterov, Math. Prog. 69, 1995) minimizes S
+    over the box [-r-, r-] cut to dom(g-*):
+    - the min of the cuts over the box, one HiGHS LP, bounds P_sharp from
+      below (a grid g-* stays out of the cuts and enters that LP exactly,
+      as its affine pieces; an abs_sum g-* is the box);
+    - the least S found by a full inner search bounds it from above;
+    - the next iterate is the Euclidean projection of the evaluated point
+      of least model value onto the level set {model <= lower + LEVEL *
+      (that value - lower)}.
+    It stops when upper - lower <= SHARP_GAP, when the master LP resolves
+    no narrower bracket, or after SHARP_MAX_ITER inner sups (then with one
+    full search at the best point if none has run).  The inner sup
+    over y+ evaluates the cell vertices of a grid g+*, which is exact.
+    Otherwise L-BFGS-B runs from warm starts (the local maxima the previous
+    inner sup found, or at first the max-min maximizers), and, where a
+    point is to bound P_sharp from above, also from the start grid of
+    _multistart_max (grid 9, at most 81 starts).  The bracket is rigorous
+    as far as those full searches find the global max.
+
+    solve_game passes its max-min solution as _flat: the first iterates are
+    then its inner minimizers x-*, and P_flat bounds P_sharp from below
+    (weak duality), so S(x-*) <= P_flat + SHARP_GAP stops the search there.
+    Otherwise the first iterate is y- = 0 moved into the box.
+    diagnostics["sharp"] gives the bracket (lower, upper), the inner sups
+    (iterations), the cuts, the full_inner_sups and why it stopped
+    ("bracket", "weak_duality" or "iteration_cap").
+    """
     cfg = config or RunConfig()
-    sol = GameSolution()
     if model.g_minus is None or model.g_plus is None or model.n_minus == 0:
-        flat = solve_flat(model, cfg)
+        flat = solve_flat(model, cfg) if _flat is None else _flat
         flat.p_sharp = flat.p_flat
         flat.gap = 0.0
         flat.diagnostics["sharp_note"] = "one-sided model: P_sharp := P_flat"
         return flat
 
-    if model.n_minus > 2:
-        raise ValueError("solve_sharp: the min-max side supports n_minus <= 2")
     r_minus, _ = minus_radius(model, cfg)
     r_plus, _ = plus_radius(model, cfg)
-    sol.growth_radii = (r_plus, r_minus)
-    jac = _has_gradients(model)
-    lo, hi = _box(model.g_plus, r_plus)
-    vertices = model.g_plus.conjugate_vertices(lo, hi)
+    sol = GameSolution(growth_radii=(r_plus, r_minus))
+    lo_plus, hi_plus = _box(model.g_plus, r_plus)
+    vertices = model.g_plus.conjugate_vertices(lo_plus, hi_plus)
+    grid_starts = list(_start_grid(lo_plus, hi_plus, 9, 81))
+    lo, hi = _box(model.g_minus, r_minus)
+    pieces = model.g_minus.conjugate_pieces()
+    flat_starts = [] if _flat is None else [x.array for x in _flat.m_flat]
+    slopes, offsets = np.zeros((0, model.n_minus)), np.zeros(0)
+    points = []  # one _InnerSup per point of the y- box, in order
+    counts = {"iterations": 0, "full_inner_sups": 0}
 
-    def inner_sup(y_minus):
-        if model.g_minus.conjugate(y_minus) == INFINITY:
-            return INFINITY, []
-
-        def f(y_plus):
-            if jac:
-                value, grad_plus, _ = p_nl(model, y_plus, y_minus, grad=True)
-                return value, grad_plus
-            return p_nl(model, y_plus, y_minus)
-
+    def inner_sup(y_minus, full):
+        """The local maxima of P_NL(., y-); their cuts join the model."""
+        nonlocal slopes, offsets
+        warm = points[-1].maxima if points else flat_starts
+        full = full or vertices is not None or not warm
+        counts["iterations"] += 1
+        counts["full_inner_sups"] += full
+        found = []
         if vertices is not None:
-            points, values, _ = _vertex_max(f, vertices)
+            for v in vertices:
+                value, _, slope = p_nl(model, v, y_minus, grad=True)
+                found.append((v, value, slope))
         else:
-            points, values, _ = _multistart_max(f, lo, hi, 9, 81, jac)
-        best = float(values.max())
-        argmax = _cluster(points, values, cfg.cluster_radius, cfg.value_window)
-        return best, argmax
 
-    def outer(y_minus):
-        return inner_sup(y_minus)[0]
+            def neg(y_plus):
+                value, grad_plus, grad_minus = p_nl(model, y_plus, y_minus, grad=True)
+                return -value, -grad_plus, grad_minus
 
-    value, minimizers = _minimize_convex_box(
-        outer, r_minus, model.n_minus, scan=17
-    )
-    sol.p_sharp = float(value)
-    sol.m_sharp = [DualPoint(m) for m in minimizers]
-    for m in minimizers:
-        _, argmax = inner_sup(np.asarray(m))
-        sol.m_sharp_of[tuple(np.asarray(m).tolist())] = [DualPoint(p) for p in argmax]
+            for start in warm + (grid_starts if full else []):
+                x, out, _ = _lbfgsb(neg, start, lo_plus, hi_plus, OUTER_GTOL)
+                found.append((x, -out[0], out[2]))
+        found.sort(key=lambda row: -row[1])
+        kept = []
+        for row in found:
+            if all(np.linalg.norm(row[0] - k[0]) > cfg.cluster_radius for k in kept):
+                kept.append(row)
+        values = np.array([k[1] for k in kept])
+        new_slopes = np.array([k[2] for k in kept])
+        at_cut = values
+        if pieces is not None:
+            at_cut = values - model.g_minus.conjugate(y_minus)
+        slopes = np.vstack([slopes, new_slopes])
+        offsets = np.concatenate([offsets, at_cut - new_slopes @ y_minus])
+        return _InnerSup(y_minus, [k[0] for k in kept], values, full)
+
+    def model_value(ys):
+        value = (ys @ slopes.T + offsets).max(axis=1)
+        if pieces is not None:
+            value = value + model.g_minus.conjugate_many(ys)
+        return value
+
+    first = []
+    if _flat is not None:
+        first = [m.array for ms in _flat.m_flat_of.values() for m in ms]
+    for y in np.unique(np.clip(first or [np.zeros(model.n_minus)], lo, hi), axis=0):
+        points.append(inner_sup(y, full=False))
+    p_flat = -INFINITY if _flat is None else _flat.p_flat
+    while True:
+        lp_lower, lp_point = _master_lp(slopes, offsets, pieces, lo, hi)
+        lower = max(lp_lower, p_flat)
+        upper = min([p.values[0] for p in points if p.full], default=INFINITY)
+        if upper - lower <= SHARP_GAP:
+            stop = "weak_duality" if p_flat >= lp_lower else "bracket"
+            break
+        capped = counts["iterations"] >= SHARP_MAX_ITER
+        if capped and upper < INFINITY:
+            stop = "iteration_cap"
+            break
+        estimates = model_value(np.array([p.y_minus for p in points]))
+        best = int(np.argmin(estimates))
+        # no point of the box has a model value below lower, and the LP's
+        # minimizer has one of at most floor, so the level set is not empty
+        floor = model_value(lp_point[None, :])[0]
+        if capped or estimates[best] <= max(lower + SHARP_GAP, floor):
+            if points[best].full:
+                stop = "bracket"  # as narrow as the master LP resolves
+                break
+            # only a full search lets the point bound P_sharp from above
+            points[best] = inner_sup(points[best].y_minus, full=True)
+            continue
+        level = max(lower + LEVEL * (estimates[best] - lower), floor)
+        if pieces is None:
+            a, b = slopes, level - offsets
+        else:
+            x, v = pieces
+            a = (slopes[:, None, :] + x[None, :, :]).reshape(-1, model.n_minus)
+            b = (level - offsets[:, None] + v[None, :]).ravel()
+        y = _project(points[best].y_minus, a, b, lo, hi)
+        points.append(inner_sup(lp_point if y is None else y, full=False))
+
+    sol.p_sharp = float(upper)
+    for p in sorted(points, key=lambda p: tuple(p.y_minus)):
+        if not p.full or p.values[0] > upper + cfg.value_window:
+            continue
+        near = [np.linalg.norm(p.y_minus - m.array) for m in sol.m_sharp]
+        if min(near, default=INFINITY) <= cfg.cluster_radius:
+            continue
+        argmax = _cluster(
+            np.array(p.maxima), p.values, cfg.cluster_radius, cfg.value_window
+        )
+        sol.m_sharp.append(DualPoint(p.y_minus))
+        sol.m_sharp_of[tuple(p.y_minus.tolist())] = [DualPoint(x) for x in argmax]
+    sol.diagnostics["sharp"] = {
+        "lower": float(lower),
+        "upper": float(upper),
+        **counts,
+        "cuts": len(offsets),
+        "stop": stop,
+    }
     return sol
 
 
 def solve_game(model, config=None):
-    """Both sides plus the duality gap."""
+    """Both sides plus the duality gap; the sharp side starts from the flat
+    solution (see solve_sharp)."""
     cfg = config or RunConfig()
     flat = solve_flat(model, cfg)
-    sharp = solve_sharp(model, cfg)
+    sharp = solve_sharp(model, cfg, _flat=flat)
     flat.p_sharp = sharp.p_sharp
     flat.m_sharp = sharp.m_sharp
     flat.m_sharp_of = sharp.m_sharp_of
+    if "sharp" in sharp.diagnostics:
+        flat.diagnostics["sharp"] = sharp.diagnostics["sharp"]
     flat.gap = float(flat.p_sharp - flat.p_flat)
     if flat.gap < -1e-8:
         raise ArithmeticError(f"weak duality violated: gap {flat.gap}")

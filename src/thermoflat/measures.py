@@ -257,16 +257,11 @@ class MarkovMeasure:
         r = max(self.order, 1)
         if n < r:
             raise ValueError("path length shorter than the measure order")
-        if self.order == 0:
-            start = self.stationary
-            trans = np.tile(self.stationary, (k, 1))
-        else:
-            start = self.stationary
-            trans = self.transitions
-        start_cum = np.cumsum(start)
+        start_cum = np.cumsum(self.stationary)
         start_cum[-1] = 1.0
-        trans_cum = np.cumsum(trans, axis=1)
-        trans_cum[:, -1] = 1.0
+        if self.order > 0:
+            trans_cum = np.cumsum(self.transitions, axis=1)
+            trans_cum[:, -1] = 1.0
         draws = 1 + (n - r)
         chunk = 1024
         out = np.empty((num_samples, n), dtype=np.int64)
@@ -277,7 +272,12 @@ class MarkovMeasure:
                 np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
             )
             uniforms = rng.random((size, draws))
-            states = kernels.sample_state_paths(start_cum, trans_cum, uniforms)
+            if self.order == 0:
+                # i.i.d. symbols: every draw looks up the one distribution
+                states = np.searchsorted(start_cum, uniforms, side="right")
+                np.minimum(states, k - 1, out=states)
+            else:
+                states = kernels.sample_state_paths(start_cum, trans_cum, uniforms)
             # expand: initial state contributes its r symbols, then one per step
             syms = np.empty((size, n), dtype=np.int64)
             first = states[:, 0]

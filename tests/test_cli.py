@@ -229,6 +229,17 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["gap"] >= -1e-8
 
+    def test_game_on_three_minus_potentials(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TWO_SIDED))
+        doc["minus"]["potentials"] *= 3
+        doc["minus"]["g"]["dim"] = 3
+        path = write_model(tmp_path, doc)
+        assert run_cli(["game", path, "--grid", "9"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        sharp = out["diagnostics"]["sharp"]
+        assert sharp["lower"] <= out["p_sharp"] == sharp["upper"]
+        assert out["gap"] >= -1e-8
+
     def test_transport_single_pair_echoes_p_nl(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TWO_SIDED))
         doc["transport"] = {

@@ -245,6 +245,25 @@ class TestConjugateVertices:
             g.conjugate_vertices(np.array([0.5]), np.array([0.5]))
 
 
+class TestConjugatePieces:
+    def test_smooth_conjugates_have_none(self):
+        assert Quadratic(1.0).conjugate_pieces() is None
+        assert AbsSum(2).conjugate_pieces() is None
+        assert LinearShift(np.array([0.2]), Quadratic(1.0)).conjugate_pieces() is None
+
+    @pytest.mark.parametrize("shift", [None, np.array([0.3, -0.2])])
+    def test_pieces_give_the_conjugate(self, shift):
+        ax = np.linspace(-2.0, 2.0, 5)
+        g = GridSampled([ax, ax], np.add.outer(ax**2, 0.5 * ax**2))
+        if shift is not None:
+            g = LinearShift(shift, g)
+        slopes, offsets = g.conjugate_pieces()
+        ys = np.random.default_rng(0).uniform(-5.0, 5.0, size=(50, 2))
+        np.testing.assert_allclose(
+            (ys @ slopes.T - offsets).max(axis=1), g.conjugate_many(ys), atol=1e-12
+        )
+
+
 class TestConjugateMany:
     @pytest.mark.parametrize(
         "g",

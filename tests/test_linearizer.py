@@ -144,15 +144,202 @@ class TestGame:
         sol = solve_game(m)
         assert sol.p_sharp == pytest.approx(sol.p_flat, abs=1e-8)
 
-    def test_sharp_side_rejects_three_minus_potentials(self):
-        m = ModelSpec(A2, [SPIN], [SPIN] * 3, Quadratic(5.0), Quadratic(1.0, dim=3))
-        with pytest.raises(ValueError, match="n_minus <= 2"):
-            solve_sharp(m)
+    def test_three_minus_potentials_match_brute_force(self):
+        # constant minus potentials 0.5 and -0.3 add -0.5 y2 + 0.3 y3 to P_L,
+        # so S(y-) separates: the spin game in y1 plus y2^2/2 - 0.5 y2 and
+        # y3^2/2 + 0.3 y3, whose minima are -0.125 and -0.045
+        consts = [CylinderPotential(A2, [c, c]) for c in (0.5, -0.3)]
+        m = ModelSpec(
+            A2, [SPIN], [SPIN, *consts], Quadratic(3.0), Quadratic(1.0, dim=3)
+        )
+        sol = solve_game(m)
+        brute = brute_sharp_1d(
+            lambda yp, ym: np.log(np.cosh(yp - ym)) - yp**2 / 6.0
+        )
+        assert sol.p_sharp == pytest.approx(brute - 0.17, abs=1e-9)
+        (x_minus,) = sol.m_sharp
+        np.testing.assert_allclose(x_minus.coords, [0.0, 0.5, -0.3], atol=1e-6)
+        # three spin minus potentials act through their sum, whose least
+        # |y-|^2/2 is that of Quadratic(3.0) on one potential
+        three = ModelSpec(
+            A2, [SPIN], [SPIN] * 3, Quadratic(5.0), Quadratic(1.0, dim=3)
+        )
+        one = ModelSpec(A2, [SPIN], [SPIN], Quadratic(5.0), Quadratic(3.0))
+        assert solve_game(three).p_sharp == pytest.approx(
+            solve_game(one).p_sharp, abs=1e-9
+        )
 
     def test_one_sided_sharp_convention(self):
         sol = solve_sharp(cw_model(2.0))
         assert sol.p_sharp == sol.p_flat
         assert sol.gap == 0.0
+
+
+def brute_sharp_1d(p_nl_plus, lo=-2.0, hi=2.0):
+    """inf over lo <= y- <= hi of sup over |y+| <= 8 of p_nl_plus(y+, y-) +
+    y-^2 / 2: a 1601-point y+ grid refined by bounded Brent, inside golden
+    section over y- (the sup is convex in y-) down to a 1e-12 bracket."""
+
+    def sup(ym):
+        ys = np.linspace(-8.0, 8.0, 1601)
+        i = int(np.argmax(p_nl_plus(ys, ym)))
+        res = minimize_scalar(
+            lambda yp: -p_nl_plus(yp, ym),
+            bounds=(ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        return -res.fun + ym * ym / 2.0
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = sup(c), sup(d)
+    while hi - lo > 1e-12:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = sup(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = sup(d)
+    return min(fc, fd)
+
+
+HALF_SQUARE_GRID = GridSampled(
+    [np.linspace(-2.0, 2.0, 9)], 0.5 * np.linspace(-2.0, 2.0, 9) ** 2
+)
+
+
+def memory2_game():
+    rng = np.random.default_rng(1)
+    plus, minus = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    return ModelSpec(
+        A2, [CylinderPotential(A2, plus)], [CylinderPotential(A2, minus)],
+        Quadratic(1.5), Quadratic(1.0),
+    )
+
+
+def two_minus_game():
+    a3 = AprioriAlphabet(3)
+    rng = np.random.default_rng(5)
+    plus, *minus = [CylinderPotential(a3, rng.standard_normal(3)) for _ in range(3)]
+    return ModelSpec(a3, [plus], minus, Quadratic(3.0), Quadratic(1.0, dim=2))
+
+
+class TestSharpBundle:
+    """The min-max side: a level bundle over y- on Danskin cuts."""
+
+    def test_shifted_plus_kink_matches_brute_force(self):
+        # g+ = 3x^2/2 + 0.3x puts the kink of S at y- = 0.3
+        g_plus = LinearShift(np.array([0.3]), Quadratic(3.0))
+        sol = solve_game(ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0)))
+        brute = brute_sharp_1d(
+            lambda yp, ym: np.log(np.cosh(yp - ym)) - (yp - 0.3) ** 2 / 6.0
+        )
+        assert sol.p_sharp == pytest.approx(brute, abs=1e-9)
+        assert sol.p_sharp == pytest.approx(0.8543663184318369, abs=1e-9)
+        sharp = sol.diagnostics["sharp"]
+        assert sharp["stop"] == "bracket"
+        assert sharp["lower"] <= sol.p_sharp == sharp["upper"]
+        assert sharp["upper"] - sharp["lower"] <= 1e-9
+        (x_minus,) = sol.m_sharp
+        assert x_minus.coords[0] == pytest.approx(0.3, abs=1e-6)
+
+    def test_iteration_cap_keeps_a_certified_upper_bound(self, monkeypatch):
+        import thermoflat.linearizer as lin
+
+        monkeypatch.setattr(lin, "SHARP_MAX_ITER", 3)
+        g_plus = LinearShift(np.array([0.3]), Quadratic(3.0))
+        sol = solve_game(ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0)))
+        sharp = sol.diagnostics["sharp"]
+        assert sharp["stop"] == "iteration_cap"
+        assert sharp["full_inner_sups"] >= 1
+        assert sharp["lower"] <= 0.8543663184318369 <= sharp["upper"] + 1e-12
+        assert sol.p_sharp == sharp["upper"]
+
+    @pytest.mark.parametrize("build", [memory2_game, two_minus_game])
+    def test_weak_duality_stop(self, build):
+        # the flat inner minimizer x-* attains P_flat as the sup over y+,
+        # so S(x-*) <= P_flat closes the bracket at the first iterate
+        sol = solve_game(build())
+        assert sol.p_sharp == pytest.approx(sol.p_flat, abs=1e-9)
+        sharp = sol.diagnostics["sharp"]
+        assert sharp["stop"] == "weak_duality"
+        assert sharp["full_inner_sups"] == 1
+        assert sharp["lower"] == sol.p_flat
+
+    @pytest.mark.parametrize(
+        "g_plus, g_minus, solver, config, reference",
+        [
+            # reference values of a golden-section search over y-, which
+            # stops about 1.6e-12 off the kink
+            (Quadratic(3.0), Quadratic(1.0), solve_game, None, 0.8093663184314064),
+            (
+                Quadratic(3.0), Quadratic(1.0), solve_game, RunConfig(grid=9),
+                0.8093663184314064,
+            ),
+            (Quadratic(3.0), AbsSum(1), solve_game, None, 0.8093663184318991),
+            (Quadratic(1.5), HALF_SQUARE_GRID, solve_sharp, None, 0.11519416888287015),
+            (
+                Quadratic(3.0), LinearShift(np.array([0.2]), HALF_SQUARE_GRID),
+                solve_sharp, None, 0.8093663184314066,
+            ),
+        ],
+    )
+    def test_matches_golden_section(self, g_plus, g_minus, solver, config, reference):
+        # the grid minus couplings enter the master LP as affine pieces
+        sol = solver(ModelSpec(A2, [SPIN], [SPIN], g_plus, g_minus), config)
+        assert sol.p_sharp == pytest.approx(reference, abs=1e-9)
+        assert sol.diagnostics["sharp"]["stop"] in ("bracket", "weak_duality")
+
+    def test_sharp_diagnostics_are_deterministic(self):
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
+        first = solve_game(m, RunConfig(grid=9)).diagnostics["sharp"]
+        assert first == solve_game(m, RunConfig(grid=9)).diagnostics["sharp"]
+        assert set(first) == {
+            "lower", "upper", "iterations", "cuts", "full_inner_sups", "stop"
+        }
+        assert 1 <= first["full_inner_sups"] <= first["iterations"] <= first["cuts"]
+
+    def test_game_solves_the_flat_side_once(self, monkeypatch):
+        import thermoflat.linearizer as lin
+
+        calls = []
+        original = lin.solve_flat
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lin, "solve_flat", counted)
+        sol = solve_game(cw_model(2.0))
+        assert len(calls) == 1
+        assert sol.p_sharp == sol.p_flat
+        assert sol.gap == 0.0
+
+    def test_grid_plus_inner_solves_run_on_gradients(self, monkeypatch):
+        # the inner inf needs only a g- conjugate gradient, so a grid g+
+        # with a quadratic g- gets the L-BFGS-B inner
+        import thermoflat.linearizer as lin
+
+        g_plus = GridSampled([GRID_X], 1.5 * GRID_X**2)
+        model = ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0))
+        evaluations, original = [], lin.p_nl
+
+        def counted(*args, **kwargs):
+            evaluations[-1] += 1
+            return original(*args, **kwargs)
+
+        def inner(*args, **kwargs):
+            evaluations.append(0)
+            return p_flat_of(*args, **kwargs)
+
+        monkeypatch.setattr(lin, "p_nl", counted)
+        monkeypatch.setattr(lin, "p_flat_of", inner)
+        solve_flat(model, RunConfig(grid=9))
+        assert evaluations
+        assert max(evaluations) <= 15
 
 
 class TestPFlatOf:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoflat.kernels import sample_state_paths
 from thermoflat.measures import (
     AprioriAlphabet,
     CylinderPotential,
@@ -171,6 +172,25 @@ class TestSampling:
         paths = mu.sample_paths(200, 2000, seed=5)
         freq = (paths == 0).mean()
         assert freq == pytest.approx(0.75, abs=0.01)
+
+    def test_product_paths_match_the_tiled_chain(self):
+        # an order-0 measure draws each symbol by one lookup in its
+        # distribution: the same paths as the chain whose every row is that
+        # distribution, over two chunks of the sample budget
+        a3 = AprioriAlphabet(3)
+        mu = MarkovMeasure.product(a3, [0.2, 0.5, 0.3])
+        n, num, seed = 40, 1500, 9
+        start_cum = np.cumsum(mu.stationary)
+        start_cum[-1] = 1.0
+        trans_cum = np.tile(start_cum, (3, 1))
+        chunks = []
+        for ci, lo in enumerate(range(0, num, 1024)):
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+            )
+            uniforms = rng.random((min(1024, num - lo), n))
+            chunks.append(sample_state_paths(start_cum, trans_cum, uniforms))
+        np.testing.assert_array_equal(mu.sample_paths(n, num, seed), np.vstack(chunks))
 
     def test_markov_empirical_transitions(self):
         q = np.array([[0.9, 0.1], [0.3, 0.7]])
