@@ -127,6 +127,9 @@ class ConvexSpec:
         affine pieces of a piecewise-linear g*; None when g* is not one."""
         return None
 
+    # True when gradient (of g itself) is defined everywhere.
+    has_gradient = False
+
     # True when conjugate_gradient is defined on all of conjugate_box.
     has_conjugate_gradient = False
 
@@ -176,6 +179,8 @@ class Quadratic(ConvexSpec):
         x = self._check_dim(x)
         g = self.beta * x
         return SubdiffSet(g, g)
+
+    has_gradient = True
 
     def gradient(self, x):
         return self.beta * self._check_dim(x)
@@ -400,6 +405,10 @@ class LinearShift(ConvexSpec):
 
     def gradient(self, x):
         return self.base.gradient(x) + self.slope
+
+    @property
+    def has_gradient(self):
+        return self.base.has_gradient
 
     @property
     def has_conjugate_gradient(self):

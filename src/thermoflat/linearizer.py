@@ -15,13 +15,12 @@ inner sup over y+ of the min-max side, evaluate exactly those finitely many
 points (conjugate_vertices).  Otherwise, the gradient of P_L in (y+, y-) is
 (tau+, -tau-), the Gibbs averages of the tilted equilibrium, and by
 Danskin's theorem the gradient of P_flat(y+) is tau+ at the inner minimizer
-minus grad g+*(y+).  Each level runs L-BFGS-B on these gradients under box
-bounds when the conjugate it needs has a gradient on its domain box
-(quadratic, l1 norm and their linear shifts): the convex inner inf from
-y- = 0 when g-* has one, the outer sup from a grid of starts when g+* has
-one too.  A grid-sampled g- keeps golden-section / coordinate descent for
-the inner inf, and with a smooth g+ Nelder-Mead from the same start grid
-for the outer sup.
+minus grad g+*(y+).  The outer sup runs L-BFGS-B on it under box bounds
+from a grid of starts.  The convex inner inf runs L-BFGS-B from y- = 0
+when g-* has a gradient on its domain box (quadratic, l1 norm and their
+linear shifts); a grid-sampled g- has a piecewise-linear conjugate, and its
+inner inf is a smooth epigraph program, solved by SLSQP and polished on the
+face of g-* it ends on (_epigraph_inf).
 
 The min-max side (solve_sharp) minimizes the convex S(y-) = sup over y+ of
 P_NL by a level bundle method on Danskin cuts: one HiGHS LP over the cuts
@@ -35,6 +34,7 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import (
     LbfgsInvHessProduct,
     OptimizeResult,
@@ -56,6 +56,11 @@ INNER_GTOL = 1e-13
 OUTER_GTOL = 1e-9
 LBFGSB_OPTIONS = {"ftol": 1e-12, "maxiter": 200, "maxls": 10}
 POLISH_STEPS = 4
+# SLSQP options of the epigraph inner inf for a grid g-: tight enough that
+# its active pieces are those at the minimizer, which the face polish then
+# reaches.  On the grid-minus test models SLSQP stopped up to 2e-3 from the
+# minimizer at its default ftol of 1e-6, and up to 3e-5 at 1e-10.
+SLSQP_OPTIONS = {"ftol": 1e-10}
 # The level bundle of solve_sharp: it stops once its bracket on P_sharp is
 # at most SHARP_GAP wide or after SHARP_MAX_ITER inner sups, and puts each
 # level LEVEL of the way from the lower bound to the least model value of
@@ -238,12 +243,6 @@ def p_nl(model, y_plus, y_minus, grad=False):
     return (value, grad_plus, grad_minus) if grad else value
 
 
-def _has_gradient(g):
-    """Whether the search over a coupling's tilts can run on gradients: the
-    coupling is absent, or its conjugate has a gradient on its domain box."""
-    return g is None or g.has_conjugate_gradient
-
-
 def _box(g, radius):
     """Search box: [-radius, radius]^dim cut to the domain box of g*."""
     lo, hi = g.conjugate_box()
@@ -333,25 +332,6 @@ def _lbfgsb(fun, x0, lo, hi, gtol):
     return x, out, res
 
 
-def _golden_min(f, a, b, tol=1e-11):
-    """Golden-section minimum of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 def _cluster(points, values, radius, window):
     """Merge nearby optimizers: coordinate radius + value window of the best."""
     order = np.argsort(values)[::-1]
@@ -365,60 +345,6 @@ def _cluster(points, values, radius, window):
             kept.append(p)
     kept.sort(key=lambda p: tuple(p))
     return kept
-
-
-def _minimize_convex_box(f, radius, dim, tol=1e-11):
-    """Minimize a convex function over the box [-radius, radius]^dim.
-
-    Golden section per axis (cyclic coordinate descent for dim 2); returns
-    (value, list of minimizers) with flat regions reported via a 33-point
-    scan.
-    """
-    if dim == 1:
-        grid = np.linspace(-radius, radius, 33)
-        vals = np.array([f(np.array([t])) for t in grid])
-        i = int(np.argmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        x, v = _golden_min(lambda t: f(np.array([t])), lo, hi, tol)
-        minimizers = [np.array([x])]
-        # detect flat stretches (non-strictly-convex conjugates)
-        flat = np.where(vals <= v + 1e-9)[0]
-        for j in flat:
-            if abs(grid[j] - x) > 1e-4:
-                xj, vj = _golden_min(
-                    lambda t: f(np.array([t])),
-                    grid[max(j - 1, 0)],
-                    grid[min(j + 1, len(grid) - 1)],
-                    tol,
-                )
-                if vj <= v + 1e-9:
-                    minimizers.append(np.array([xj]))
-        return v, minimizers
-    # dim == 2: coarse scan then cyclic coordinate descent
-    grid = np.linspace(-radius, radius, 9)
-    best_x, best_v = None, INFINITY
-    for a in grid:
-        for b in grid:
-            v = f(np.array([a, b]))
-            if v < best_v:
-                best_v, best_x = v, np.array([a, b])
-    x = best_x.copy()
-    for _ in range(60):
-        moved = 0.0
-        for axis in range(2):
-
-            def line(t, axis=axis):
-                y = x.copy()
-                y[axis] = t
-                return f(y)
-
-            t, _ = _golden_min(line, -radius, radius, tol)
-            moved = max(moved, abs(t - x[axis]))
-            x[axis] = t
-        if moved < 1e-10:
-            break
-    return f(x), [x]
 
 
 # -- one-sided problems -------------------------------------------------------
@@ -438,50 +364,96 @@ def plus_radius(model, config=None):
     return cert.safe_radius, cert
 
 
-def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
-    """P_flat(y+) = inf over y- of P_NL(y+, y-), with the minimizer set.
+def _epigraph_inf(model, y_plus, lo, hi):
+    """The minimizer over the box [lo, hi] of P_L(y+, y-) + g-*(y-) for a
+    piecewise-linear g-*(y) = max_i x_i.y - v_i.
 
-    When g-* has a gradient, L-BFGS-B finds the root
-    of the gradient -tau- + grad g-*(y-) over the box [-radius, radius]
-    cut to dom(g-*), from y- = 0 moved into the box (see _lbfgsb), and
-    reports that one minimizer.  With grad=True it also returns the
-    Danskin gradient tau+ - grad g+*(y+) at the minimizer, the gradient of
-    P_flat.  Otherwise the value-only _minimize_convex_box runs, which
-    reports flat stretches as several minimizers and gives no gradient.
+    One SLSQP run solves the smooth convex epigraph program min P_L + s
+    subject to s >= x_i.y- - v_i, on the exact gradient (-tau-, 1) and the
+    constant constraint Jacobian.  SLSQP stops on ftol (see SLSQP_OPTIONS)
+    short of the minimizer, but an admissible equilibrium needs tau- on a
+    grid node to SINGLETON_TOL.  So its point is projected onto the face
+    where the pieces with positive KKT multipliers are equal, and, unless
+    that face is one vertex, _lbfgsb polishes P_L + x_a.y - v_a along it,
+    in a null-space basis of the differences of its nodes.  That point is
+    kept if it stays in the box and on the face; otherwise SLSQP's is.  A
+    nonzero SLSQP status is no failure: every point of the box bounds the
+    inf from above.
+    """
+    x, v = model.g_minus.conjugate_pieces()
+    n = model.n_minus
+
+    def epigraph(z):
+        value, _, tau_minus = model.linear_pressure_tilted(y_plus, z[:n])
+        return value + z[n], np.append(-tau_minus, 1.0)
+
+    # s - x_i.y + v_i >= 0
+    jacobian = np.column_stack([-x, np.ones(len(v))])
+    y = np.clip(np.zeros(n), lo, hi)
+    res = minimize(
+        epigraph,
+        np.append(y, (x @ y - v).max()),
+        jac=True,
+        method="SLSQP",
+        bounds=list(zip(lo, hi)) + [(None, None)],
+        constraints={"type": "ineq", "fun": lambda z: jacobian @ z + v,
+                     "jac": lambda z: jacobian},
+        options=SLSQP_OPTIONS,
+    )
+    y = np.clip(res.x[:n], lo, hi)
+    # stationarity in the free s makes the multipliers sum to 1
+    a, *others = np.flatnonzero(res.multipliers > 0)
+    rows, rhs = x[others] - x[a], v[others] - v[a]
+    point = y - np.linalg.pinv(rows) @ (rows @ y - rhs)
+    basis = null_space(rows)
+    if basis.shape[1]:
+
+        def along(t):
+            face = point + basis @ t
+            value, _, tau_minus = model.linear_pressure_tilted(y_plus, face)
+            return value + x[a] @ face - v[a], basis.T @ (x[a] - tau_minus)
+
+        free = np.full(basis.shape[1], np.inf)
+        t, _, _ = _lbfgsb(along, np.zeros(len(free)), -free, free, INNER_GTOL)
+        point = point + basis @ t
+    level = x[a] @ point - v[a]
+    on_face = (x @ point - v).max() <= level + 1e-12 * max(1.0, abs(level))
+    return point if on_face and np.all((lo <= point) & (point <= hi)) else y
+
+
+def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
+    """P_flat(y+) = inf over y- of P_NL(y+, y-), with its one minimizer.
+
+    The inf runs over the box [-radius, radius] cut to dom(g-*).  A
+    piecewise-linear g-* (a grid) takes _epigraph_inf; otherwise L-BFGS-B
+    finds the root of the gradient -tau- + grad g-*(y-) from y- = 0 moved
+    into the box (see _lbfgsb).  With grad=True it also returns the Danskin
+    gradient tau+ - grad g+*(y+) at the minimizer, the gradient of P_flat,
+    which a grid g+ does not have.
     """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
-    if grad and not (_has_gradient(model.g_plus) and _has_gradient(model.g_minus)):
-        raise ValueError("no P_flat gradient for a grid-sampled coupling")
+    if grad and model.g_plus is not None and not model.g_plus.has_conjugate_gradient:
+        raise ValueError("no P_flat gradient for a grid-sampled plus coupling")
     if model.g_minus is None:
-        if grad:
-            value, grad_plus, _ = p_nl(model, y_plus, np.zeros(0), grad=True)
-            return value, [], grad_plus
-        return p_nl(model, y_plus, np.zeros(0)), []
+        value, grad_plus, _ = p_nl(model, y_plus, np.zeros(0), grad=True)
+        return (value, [], grad_plus) if grad else (value, [])
     if radius is None:
         radius, _ = minus_radius(model, config)
-    cfg = config or RunConfig()
-    if _has_gradient(model.g_minus):
+    lo, hi = _box(model.g_minus, radius)
+    if model.g_minus.conjugate_pieces() is not None:
+        y_minus = _epigraph_inf(model, y_plus, lo, hi)
+        value, grad_plus, _ = p_nl(model, y_plus, y_minus, grad=True)
+    else:
 
-        def inner(y_minus):
-            value, grad_plus, grad_minus = p_nl(model, y_plus, y_minus, grad=True)
+        def inner(y):
+            value, grad_plus, grad_minus = p_nl(model, y_plus, y, grad=True)
             return value, grad_minus, grad_plus
 
-        lo, hi = _box(model.g_minus, radius)
-        x, (value, _, grad_plus), _ = _lbfgsb(
+        y_minus, (value, _, grad_plus), _ = _lbfgsb(
             inner, np.zeros(model.n_minus), lo, hi, INNER_GTOL
         )
-        minimizers = [DualPoint(x)]
-        return (value, minimizers, grad_plus) if grad else (value, minimizers)
-
-    def objective(y_minus):
-        return p_nl(model, y_plus, y_minus)
-
-    value, minimizers = _minimize_convex_box(objective, radius, model.n_minus)
-    pts = [np.asarray(m) for m in minimizers]
-    kept = _cluster(
-        pts, np.array([-0.0] * len(pts)), cfg.cluster_radius, cfg.value_window
-    )
-    return value, [DualPoint(p) for p in kept]
+    minimizers = [DualPoint(y_minus)]
+    return (value, minimizers, grad_plus) if grad else (value, minimizers)
 
 
 def _start_grid(lo, hi, grid_points, cap):
@@ -496,43 +468,22 @@ def _start_grid(lo, hi, grid_points, cap):
     return starts
 
 
-def _multistart_max(f, lo, hi, grid_points, cap, jac):
-    """Multistart maximization of f over the box [lo, hi], for a smooth g+*
-    (a piecewise-linear one is searched at its cell vertices instead).
-
-    The starts are _start_grid(lo, hi, grid_points, cap).  With jac=True, f
-    returns (value, gradient) and each start runs L-BFGS-B under the box
-    bounds (_lbfgsb); otherwise each runs
-    Nelder-Mead on values, clipped to the box.  Returns (points, values,
+def _multistart_max(f, lo, hi, grid_points, cap):
+    """Multistart maximization over the box [lo, hi] of f, which returns
+    (value, gradient): L-BFGS-B (_lbfgsb) from each start of
+    _start_grid(lo, hi, grid_points, cap).  Returns (points, values,
     stats): every refined local optimum, its value, and the starts, total
     iterations and unconverged starts with their sorted messages.
     """
     starts = _start_grid(lo, hi, grid_points, cap)
 
-    def neg_pair(y):
+    def neg(y):
         value, gradient = f(y)
         return -value, -gradient
 
-    def neg(y):
-        v = f(np.clip(y, lo, hi))
-        return INFINITY if v == -INFINITY else -v
-
-    def refine(start):
-        if jac:
-            x, out, res = _lbfgsb(neg_pair, start, lo, hi, OUTER_GTOL)
-            return x, -out[0], res
-        res = minimize(
-            neg,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
-        )
-        x = np.clip(res.x, lo, hi)
-        return x, -neg(x), res
-
-    results = [refine(start) for start in starts]
+    results = [_lbfgsb(neg, start, lo, hi, OUTER_GTOL) for start in starts]
     points = np.array([r[0] for r in results])
-    values = np.array([r[1] for r in results])
+    values = np.array([-r[1][0] for r in results])
     failed = [r[2] for r in results if not r[2].success]
     stats = {
         "starts": len(starts),
@@ -579,23 +530,21 @@ def solve_flat(model, config=None, warm_starts=()):
     diag["growth_plus"] = dataclasses.asdict(cert_plus)
     sol.growth_radii = (r_plus, r_minus)
 
-    jac = _has_gradient(model.g_plus) and _has_gradient(model.g_minus)
-
     def outer(y_plus):
-        if jac:
-            value, _, gradient = p_flat_of(
-                model, y_plus, radius=r_minus, config=cfg, grad=True
-            )
-            return value, gradient
-        return p_flat_of(model, y_plus, radius=r_minus, config=cfg)[0]
+        value, _, gradient = p_flat_of(
+            model, y_plus, radius=r_minus, config=cfg, grad=True
+        )
+        return value, gradient
 
     lo, hi = _box(model.g_plus, r_plus)
     vertices = model.g_plus.conjugate_vertices(lo, hi)
     if vertices is not None:
-        points, values, diag["search"] = _vertex_max(outer, vertices)
+        points, values, diag["search"] = _vertex_max(
+            lambda y: p_flat_of(model, y, radius=r_minus, config=cfg)[0], vertices
+        )
     else:
         points, values, diag["search"] = _multistart_max(
-            outer, lo, hi, cfg.grid, cfg.multistart_cap, jac
+            outer, lo, hi, cfg.grid, cfg.multistart_cap
         )
     for w in warm_starts:
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -772,7 +721,8 @@ def solve_sharp(model, config=None, *, _flat=None):
     Otherwise the first iterate is y- = 0 moved into the box.
     diagnostics["sharp"] gives the bracket (lower, upper), the inner sups
     (iterations), the cuts, the full_inner_sups and why it stopped
-    ("bracket", "weak_duality" or "iteration_cap").
+    ("bracket", "weak_duality", "lp_resolution" when the master LP resolves
+    no narrower bracket, or "iteration_cap").
     """
     cfg = config or RunConfig()
     if model.g_minus is None or model.g_plus is None or model.n_minus == 0:
@@ -860,7 +810,7 @@ def solve_sharp(model, config=None, *, _flat=None):
         floor = model_value(lp_point[None, :])[0]
         if capped or estimates[best] <= max(lower + SHARP_GAP, floor):
             if points[best].full:
-                stop = "bracket"  # as narrow as the master LP resolves
+                stop = "lp_resolution"
                 break
             # only a full search lets the point bound P_sharp from above
             points[best] = inner_sup(points[best].y_minus, full=True)
@@ -917,12 +867,13 @@ def solve_game(model, config=None):
 def mean_field_iterate(model, y0, damping=1.0, max_iters=500, step_tol=1e-10):
     """Damped gradient-consistency iteration; fixed points seed solve_flat.
 
-    Requires differentiable couplings (quadratic / shifted quadratic): the
-    update is y <- (1-a) y + a (grad g+(tau+(mu_y)), grad g-(tau-(mu_y))).
+    Requires differentiable couplings (quadratic / shifted quadratic, see
+    ConvexSpec.has_gradient): the update is
+    y <- (1-a) y + a (grad g+(tau+(mu_y)), grad g-(tau-(mu_y))).
     Returns (trace, fixed_point_or_None, cycle_flag).
     """
     for g in (model.g_plus, model.g_minus):
-        if g is not None and not hasattr(g, "gradient"):
+        if g is not None and not g.has_gradient:
             raise ValueError("mean-field iteration requires differentiable couplings")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -953,26 +904,19 @@ def mean_field_iterate(model, y0, damping=1.0, max_iters=500, step_tol=1e-10):
 
 
 def decision_rule(model, solution, samples=5, spacing=1e-3):
-    """Tabulate the inner minimizer x-(x+) over M_flat and a neighborhood.
-
-    Requires a strictly convex conjugate on the minus side (quadratic) so
-    each M_flat(x+) is a singleton; raises on a multivalued rule.
+    """Tabulate the inner minimizer x-(x+) that p_flat_of returns over M_flat
+    and a neighborhood: samples points spacing apart, each shifting every
+    coordinate of x+ by the same offset.  Where the inner inf has several
+    minimizers (a conjugate that is not strictly convex), it is one of them.
     """
     if model.g_minus is None:
-        return {
-            tuple(x.coords): np.zeros(0) for x in solution.m_flat
-        }
+        return {tuple(x.coords): np.zeros(0) for x in solution.m_flat}
     rule = {}
     r_minus, _ = minus_radius(model)
+    offsets = np.linspace(-spacing * (samples // 2), spacing * (samples // 2), samples)
     for x_plus in solution.m_flat:
-        base = x_plus.array
-        offsets = np.linspace(-spacing * (samples // 2), spacing * (samples // 2), samples)
         for d in offsets:
-            pt = base + d  # applied to every coordinate; small probe grid
-            _, minimizers = p_flat_of(model, pt, radius=r_minus)
-            if len(minimizers) != 1:
-                raise ArithmeticError(
-                    "multivalued inner minimizer under a strictly convex conjugate"
-                )
-            rule[tuple(pt.tolist())] = minimizers[0].array
+            pt = x_plus.array + d
+            (x_minus,) = p_flat_of(model, pt, radius=r_minus)[1]
+            rule[tuple(pt.tolist())] = x_minus.array
     return rule

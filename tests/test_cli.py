@@ -159,6 +159,21 @@ CW_GRID = {
     },
 }
 
+GRID_MINUS = {
+    "schema": "thermoflat/1",
+    "alphabet": {"k": 2, "m": [0.5, 0.5]},
+    "plus": {
+        "potentials": [{"memory": 1, "table": [1.0, -1.0], "name": "spin"}],
+        "g": {"kind": "quadratic", "beta": 1.5, "dim": 1},
+    },
+    "minus": {
+        "potentials": [{"memory": 1, "table": [1.0, -1.0], "name": "spin"}],
+        "g": {
+            "kind": "grid", "grid": GRID_AXIS, "values": [x * x / 2 for x in GRID_AXIS]
+        },
+    },
+}
+
 
 class TestDeterminism:
     def test_solve_byte_identical(self, tmp_path):
@@ -181,6 +196,21 @@ class TestDeterminism:
         search = json.loads(out1.read_text())["diagnostics"]["search"]
         assert list(search) == ["candidates"]
         assert search["candidates"] > 0
+
+    def test_grid_minus_model_solves_and_plays(self, tmp_path, capsys):
+        # the inner inf over a grid minus conjugate ends with tau- on a node,
+        # so the equilibrium at y+ = y- = 0 is admitted
+        path = write_model(tmp_path, GRID_MINUS)
+        out1 = tmp_path / "a.json"
+        out2 = tmp_path / "b.json"
+        assert run_cli(["solve", path, "--out", str(out1)]) == 0
+        assert run_cli(["solve", path, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["p_flat"] == pytest.approx(0.0, abs=1e-12)
+        capsys.readouterr()
+        assert run_cli(["game", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["gap"] >= -1e-8
 
     def test_report_reparses_losslessly(self, tmp_path):
         path = write_model(tmp_path, CW2)

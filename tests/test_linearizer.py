@@ -293,6 +293,27 @@ class TestSharpBundle:
         assert sol.p_sharp == pytest.approx(reference, abs=1e-9)
         assert sol.diagnostics["sharp"]["stop"] in ("bracket", "weak_duality")
 
+    def test_lp_resolution_stop(self):
+        # two plus and three minus potentials: the master LP at its HiGHS
+        # tolerances resolves no bracket narrower than about 6e-11
+        import thermoflat.linearizer as lin
+
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(1)
+        plus, minus = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
+        model = ModelSpec(
+            a3,
+            [CylinderPotential(a3, row) for row in plus],
+            [CylinderPotential(a3, row) for row in minus],
+            Quadratic(4.0, dim=2),
+            Quadratic(1.0, dim=3),
+        )
+        sol = solve_sharp(model, RunConfig(grid=9))
+        sharp = sol.diagnostics["sharp"]
+        assert sharp["stop"] == "lp_resolution"
+        assert lin.SHARP_GAP < sharp["upper"] - sharp["lower"] <= 1e-9
+        assert sol.p_sharp == sharp["upper"]
+
     def test_sharp_diagnostics_are_deterministic(self):
         m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
         first = solve_game(m, RunConfig(grid=9)).diagnostics["sharp"]
@@ -351,6 +372,14 @@ class TestPFlatOf:
         ym = mins[0].coords[0]
         assert ym == pytest.approx(math.tanh(1.0 - ym), abs=1e-6)
         assert v <= p_nl(m, [1.0], [0.0]) + 1e-12
+
+    def test_grid_minus_minimizer_puts_tau_on_the_node(self):
+        # for |y+| < 0.25 the inf of log cosh(y+ - y-) + g-*(y-) sits where
+        # tau- = tanh(y+ - y-) is the node 0, so y- = y+ and g-*(y-) = 0
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(1.5), HALF_SQUARE_GRID)
+        v, (x_minus,) = p_flat_of(m, [0.1])
+        assert x_minus.coords[0] == pytest.approx(0.1, abs=1e-12)
+        assert v == pytest.approx(-0.01 / 3.0, abs=1e-14)
 
     def test_no_minus_side(self):
         v, mins = p_flat_of(cw_model(2.0), [0.5])
@@ -586,6 +615,69 @@ class TestGridSearch:
         assert sol.p_flat >= best - 1e-12
 
 
+def grid_minus_models():
+    """The grid-minus models with P_flat from a dense brute force over the
+    linearity cells of g-*."""
+    a3 = AprioriAlphabet(3)
+    rng = np.random.default_rng(0)
+    t, u = (CylinderPotential(a3, rng.standard_normal(3)) for _ in range(2))
+    ax5 = np.linspace(-2.0, 2.0, 5)
+    a, b = np.meshgrid(ax5, ax5, indexing="ij")
+    kinked = GridSampled([ax5, ax5], (a**2 + b**2) / 2 + (abs(a) + abs(b)) / 4)
+    shifted = LinearShift(np.array([0.2]), HALF_SQUARE_GRID)
+    return {
+        "spin": (
+            ModelSpec(A2, [SPIN], [SPIN], Quadratic(1.5), HALF_SQUARE_GRID), 0.0
+        ),
+        "shifted": (
+            ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), shifted), 0.514632413880930
+        ),
+        "k3": (
+            ModelSpec(a3, [t], [u], Quadratic(2.0), HALF_SQUARE_GRID),
+            0.052696462895338,
+        ),
+        "k3_two_axes": (
+            ModelSpec(a3, [t], [t, u], Quadratic(4.0), kinked), -0.068423950788751
+        ),
+    }
+
+
+class TestGridMinusInner:
+    """A grid g-* is a max of affine pieces: the inner inf is an epigraph
+    program, polished on the face of g-* it ends on."""
+
+    @pytest.mark.parametrize("name", ["spin", "shifted", "k3", "k3_two_axes"])
+    def test_solves_and_matches_brute_force(self, name, monkeypatch):
+        model, reference = grid_minus_models()[name]
+        calls, original = [], ModelSpec.linear_pressure_tilted
+
+        def counted(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(ModelSpec, "linear_pressure_tilted", counted)
+        cfg = RunConfig()
+        sol = solve_flat(model, cfg)
+        assert sol.p_flat == pytest.approx(reference, abs=1e-9)
+        assert sol.equilibria
+        for e in sol.equilibria:
+            assert e.residual_plus < cfg.sc_tol
+            assert e.residual_minus < cfg.sc_tol
+        assert len(calls) <= 5000
+
+    def test_both_couplings_on_grids(self):
+        # the brute force puts the max at the vertex y+ = 1.5 of g+*
+        k3, _ = grid_minus_models()["k3"]
+        x = np.linspace(-1.0, 1.0, 9)
+        model = ModelSpec(
+            k3.alphabet, k3.plus_potentials, k3.minus_potentials,
+            GridSampled([x], 2.0 * x**2), k3.g_minus,
+        )
+        sol = solve_flat(model)
+        assert sol.p_flat == pytest.approx(0.155809059157899, abs=1e-11)
+        assert sol.equilibria
+
+
 class TestMeanField:
     def test_converges_to_self_consistent_point(self):
         m = cw_model(2.0)
@@ -597,6 +689,12 @@ class TestMeanField:
 
     def test_rejects_kinked_coupling(self):
         m = ModelSpec(A2, [SPIN], g_plus=AbsSum(1))
+        with pytest.raises(ValueError, match="differentiable"):
+            mean_field_iterate(m, [0.5])
+
+    @pytest.mark.parametrize("base", [AbsSum(1), HALF_SQUARE_GRID])
+    def test_rejects_shifted_kinked_coupling(self, base):
+        m = ModelSpec(A2, [SPIN], g_plus=LinearShift(np.array([0.1]), base))
         with pytest.raises(ValueError, match="differentiable"):
             mean_field_iterate(m, [0.5])
 
