@@ -43,8 +43,6 @@ from .measures import (
 )
 from .ruelle import (
     RPFData,
-    TransferMatrix,
-    build_transfer,
     entropy_of_gibbs,
     linear_pressure,
     normalization_residual,
@@ -69,11 +67,9 @@ __all__ = [
     "RPFData",
     "RunConfig",
     "SubdiffSet",
-    "TransferMatrix",
     "approximating_potential",
     "biconjugate",
     "birkhoff_average",
-    "build_transfer",
     "conjugate",
     "discrete_lft",
     "entropy_of_gibbs",

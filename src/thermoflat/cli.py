@@ -15,7 +15,7 @@ import numpy as np
 from . import linearizer, modelio, oracle, transport
 from .config import RunConfig
 from .measures import entropy_rate
-from .ruelle import build_transfer, normalization_residual, rpf_solve
+from .ruelle import normalization_residual, rpf_solve
 
 
 def _build_parser():
@@ -104,7 +104,7 @@ def cmd_pressure(model, doc, cfg):
     for side, pots in (("plus", model.plus_potentials),
                        ("minus", model.minus_potentials)):
         for i, phi in enumerate(pots):
-            rpf = rpf_solve(build_transfer(phi))
+            rpf = rpf_solve(phi)
             entries.append({
                 "side": side,
                 "index": i,
@@ -211,11 +211,7 @@ def cmd_delta(model, doc, cfg, args):
 
 def cmd_oracle(model, doc, cfg):
     sol = linearizer.solve_flat(model, cfg)
-    memory = max(
-        [p.memory for p in model.plus_potentials + model.minus_potentials],
-        default=1,
-    )
-    order = 0 if memory <= 1 else 1
+    order = 0 if model.memory <= 1 else 1
     direct, _ = oracle.direct_pressure(model, order=order)
     bkl, _ = oracle.bkl_pressure(model)
     return {

@@ -45,14 +45,7 @@ class RunConfig:
             raise ValueError("multistart grid must have at least 5 points")
 
     def to_dict(self):
-        return {
-            "tol": self.tol,
-            "sc_tol": self.sc_tol,
-            "cluster_radius": self.cluster_radius,
-            "value_window": self.value_window,
-            "grid": self.grid,
-            "multistart_cap": self.multistart_cap,
-            "seed": self.seed,
-            "radius_plus": self.radius_plus,
-            "radius_minus": self.radius_minus,
-        }
+        """The solver fields, without the output path `out`."""
+        out = dataclasses.asdict(self)
+        del out["out"]
+        return out

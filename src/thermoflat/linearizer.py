@@ -46,7 +46,7 @@ from scipy.optimize import (
 from .config import RunConfig
 from .convex import INFINITY, DualPoint, growth_radius
 from .measures import CylinderPotential, entropy_rate, expectation
-from .ruelle import _tilted_pressure, build_transfer, rpf_solve, stacked_tables
+from .ruelle import _tilted_pressure, rpf_solve, stacked_tables
 
 # Projected-gradient targets of the inner inf and the outer sup.  The inner
 # one sits below SINGLETON_TOL: an l1 coupling admits a minimizer on its kink
@@ -75,7 +75,12 @@ LP_OPTIONS = {
 
 
 class ModelSpec:
-    """A nonlinear model: alphabet, tilt potentials and convex couplings."""
+    """A nonlinear model: alphabet, tilt potentials and convex couplings.
+
+    `memory` is the largest potential memory (1 without potentials),
+    `tables` the flat word tables of the plus, then the minus potentials
+    padded to it, one row each, and `log_weights` the log a priori weights.
+    """
 
     def __init__(
         self,
@@ -98,10 +103,13 @@ class ModelSpec:
             raise ValueError("g_plus dimension must match the number of potentials")
         if g_minus is not None and len(self.minus_potentials) != g_minus.dim:
             raise ValueError("g_minus dimension must match the number of potentials")
-        for phi in self.plus_potentials + self.minus_potentials:
+        potentials = self.plus_potentials + self.minus_potentials
+        for phi in potentials:
             if phi.alphabet != alphabet:
                 raise ValueError("all potentials must share the model alphabet")
-        self._fast = None
+        self.memory = max([p.memory for p in potentials], default=1)
+        self.tables = stacked_tables(alphabet, potentials, self.memory)
+        self.log_weights = np.log(alphabet.weights)
 
     @property
     def n_plus(self):
@@ -123,35 +131,22 @@ class ModelSpec:
     def tau_minus_norm(self):
         return math.sqrt(sum(p.sup_norm**2 for p in self.minus_potentials))
 
-    def _fast_data(self):
-        """Cached log weights and stacked padded tables for tilt sweeps."""
-        if self._fast is not None:
-            return self._fast
-        memory = max(
-            [p.memory for p in self.plus_potentials + self.minus_potentials],
-            default=1,
-        )
-        self._fast = {
-            "memory": memory,
-            "log_w": np.log(self.alphabet.weights),
-            "both": stacked_tables(
-                self.alphabet, self.plus_potentials + self.minus_potentials, memory
-            ),
-        }
-        return self._fast
+    def tilt(self, y_plus, y_minus):
+        """The flat word table of Theta = y+ . phi+ - y- . phi- at `memory`."""
+        return np.concatenate([y_plus, -y_minus]) @ self.tables
 
     def linear_pressure_tilted(self, y_plus, y_minus):
-        """(P_L(Theta), tau+, tau-) without building potential objects.
+        """(P_L(Theta), tau+, tau-) of Theta = tilt(y+, y-), without
+        building potential objects.
 
         tau+ and tau- are the averages of the plus and minus potentials
         under the Gibbs measure of Theta (ruelle._tilted_pressure), so
         (tau+, -tau-) is the gradient of P_L in (y+, y-).
         """
-        fast = self._fast_data()
         try:
             value, tau = _tilted_pressure(
-                fast["log_w"], np.concatenate([y_plus, -y_minus]) @ fast["both"],
-                fast["both"], fast["memory"],
+                self.log_weights, self.tilt(y_plus, y_minus), self.tables,
+                self.memory,
             )
         except ArithmeticError as exc:
             raise ArithmeticError(
@@ -198,21 +193,14 @@ class GameSolution:
 
 
 def approximating_potential(model, y_plus, y_minus):
-    """Theta = sum_i y+_i phi+_i - sum_j y-_j phi-_j, padded to common memory."""
+    """Theta = sum_i y+_i phi+_i - sum_j y-_j phi-_j as a cylinder potential
+    of the model's memory: the table model.tilt(y+, y-)."""
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
     y_minus = np.atleast_1d(np.asarray(y_minus, dtype=float))
     if len(y_plus) != model.n_plus or len(y_minus) != model.n_minus:
         raise ValueError("tilt coefficient dimension mismatch")
-    memory = max(
-        [p.memory for p in model.plus_potentials + model.minus_potentials],
-        default=1,
-    )
-    theta = CylinderPotential.zero(model.alphabet, memory)
-    for c, p in zip(y_plus, model.plus_potentials):
-        theta = theta + float(c) * p
-    for c, p in zip(y_minus, model.minus_potentials):
-        theta = theta + float(-c) * p
-    return theta
+    shape = (model.alphabet.k,) * model.memory
+    return CylinderPotential(model.alphabet, model.tilt(y_plus, y_minus).reshape(shape))
 
 
 def p_nl(model, y_plus, y_minus, grad=False):
@@ -574,7 +562,7 @@ def _attach_equilibria(model, sol, pairs, cfg):
         xp = np.array(x_plus, dtype=float)
         xm = x_minus.array if x_minus is not None else np.zeros(model.n_minus)
         theta = approximating_potential(model, xp, xm)
-        rpf = rpf_solve(build_transfer(theta))
+        rpf = rpf_solve(theta)
         mu = rpf.gibbs
         res_plus = 0.0
         if model.g_plus is not None:
@@ -884,7 +872,7 @@ def mean_field_iterate(model, y0, damping=1.0, max_iters=500, step_tol=1e-10):
     trace = [y.copy()]
     for _ in range(max_iters):
         theta = approximating_potential(model, y[:np_], y[np_:])
-        mu = rpf_solve(build_transfer(theta)).gibbs
+        mu = rpf_solve(theta).gibbs
         target = np.concatenate(
             [
                 model.g_plus.gradient(model.tau_plus(mu)) if np_ else np.zeros(0),

@@ -328,15 +328,11 @@ def birkhoff_average(phi, word):
     The word is extended periodically so every one of the n window positions
     contributes; this keeps the average exactly shift-invariant on the orbit.
     """
-    n = len(word)
-    if n < phi.memory:
+    if len(word) < phi.memory:
         raise ValueError("word shorter than the potential memory")
-    word = tuple(word)
-    total = 0.0
-    for t in range(n):
-        window = tuple(word[(t + j) % n] for j in range(phi.memory))
-        total += phi.table[window]
-    return total / n
+    return float(kernels.birkhoff_averages(
+        np.asarray([word]), phi.table.ravel(), phi.memory, phi.alphabet.k
+    )[0])
 
 
 class MixtureMeasure:

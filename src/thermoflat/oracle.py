@@ -142,7 +142,7 @@ def _chain_pressure(model, tables, n, logits):
         prev = forward[-1]
         forward.append((prev[:, None] * q[np.arange(len(prev)) % k]).ravel())
     tau = tables @ forward[-1]
-    rel = log_q - np.log(model.alphabet.weights)
+    rel = log_q - model.log_weights
     row_entropy = -(q * rel).sum(axis=1)
     value = float(pi @ row_entropy)
     slope = np.zeros(len(tau))
@@ -212,10 +212,10 @@ def _direct_markov(model):
     Gibbs chain of the slopes at the best chain's averages.
     """
     k = model.alphabet.k
-    potentials = model.plus_potentials + model.minus_potentials
-    n = max(2, max(p.memory for p in potentials))
-    tables = stacked_tables(model.alphabet, potentials, n)
-    log_w = np.log(model.alphabet.weights)
+    n = max(2, model.memory)
+    tables = stacked_tables(
+        model.alphabet, model.plus_potentials + model.minus_potentials, n
+    )
     pairs = np.repeat(np.eye(k * k), k ** (n - 2), axis=1)
 
     def neg(logits):
@@ -225,7 +225,7 @@ def _direct_markov(model):
     def climb(y):
         """(value, row logits) of the L-BFGS-B climb from the Gibbs chain of
         the tilt y on the tables."""
-        _, pair = _tilted_pressure(log_w, y @ tables, pairs, n)
+        _, pair = _tilted_pressure(model.log_weights, y @ tables, pairs, n)
         # floored so that a pair law that underflows still gives finite logits
         log_q = np.log(np.maximum(pair.reshape(k, k), np.finfo(float).tiny))
         res = minimize(neg, (log_q - log_q.max(axis=1, keepdims=True)).ravel(),
@@ -335,13 +335,13 @@ def bkl_pressure(model, grid=41):
     memory-2 model.
     """
     uniq, plus_idx, minus_idx = _unique_potentials(model)
-    memory = max(p.memory for p in uniq)
-    tables = stacked_tables(model.alphabet, uniq, memory)
-    log_w = np.log(model.alphabet.weights)
+    tables = stacked_tables(model.alphabet, uniq, model.memory)
 
     def score(z, y0):
         """(g+(z+) - g-(z-) + h(z), dual minimizer); -inf when infeasible."""
-        h, y, boundary = _bkl_dual(log_w, tables, memory, z, y0, BKL_RADIUS)
+        h, y, boundary = _bkl_dual(
+            model.log_weights, tables, model.memory, z, y0, BKL_RADIUS
+        )
         if boundary:
             return -math.inf, None
         if model.g_plus is not None:

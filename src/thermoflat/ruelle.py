@@ -160,25 +160,6 @@ def _tilted_pressure(log_weights, tilt, averaged, memory):
     return value, averaged @ np.exp(log_p)
 
 
-class TransferMatrix:
-    """Log-domain matrix realization of the weighted prepend-and-sum operator.
-
-    For memory m >= 2 the states are the (m-1)-words; entry [b, b'] is
-    log(m_a exp(f(a ^ b))) when b' = (a, b_1..b_{m-2}) and -inf otherwise
-    (structural zeros appear only for m >= 3; the matrix stays primitive).
-    Memory-1 potentials reduce to the scalar sum_a m_a exp(f(a)).
-    """
-
-    def __init__(self, phi):
-        self.phi = phi
-        self.alphabet = phi.alphabet
-        self.memory = phi.memory
-        self.log_entries = _log_transfer(
-            np.log(self.alphabet.weights), phi.table.ravel(), phi.memory
-        )
-        self.dim = self.log_entries.shape[0]
-
-
 @dataclasses.dataclass
 class RPFData:
     """Perron data of a transfer matrix plus the induced Gibbs chain."""
@@ -190,10 +171,6 @@ class RPFData:
     normalized_potential: CylinderPotential
 
 
-def build_transfer(phi):
-    return TransferMatrix(phi)
-
-
 def _potential_error(layer, phi, exc):
     return ArithmeticError(
         f"{layer}: memory-{phi.memory} potential with sup-norm "
@@ -201,24 +178,28 @@ def _potential_error(layer, phi, exc):
     )
 
 
-def rpf_solve(transfer):
-    """Perron pair of the transfer matrix and the Gibbs chain it induces.
+def rpf_solve(phi):
+    """Perron pair of the transfer operator of a cylinder potential and the
+    Gibbs chain it induces.
 
-    With h and nu the right and left Perron vectors, the Gibbs measure of an
-    m-word w with first symbol a is
+    The operator is the log transfer matrix of phi's own memory
+    (_log_transfer), a 1x1 matrix at memory 1, where the Gibbs measure is
+    the product of the weights m_a exp(f(a)) / lambda.  At memory m >= 2,
+    with h and nu the right and left Perron vectors, the Gibbs measure of
+    an m-word w with first symbol a is
         P(w) = m_a exp(f(w)) h(lead) nu(trail) / lambda
     (normalized).  Both of its (m-1)-word marginals equal h nu, so the chain
     with rows P(w) / pi(lead) over the words of each lead is stationary
     under pi, the lead marginal.  The normalized potential is
     f + ln h(lead) - ln h(trail) - ln lambda.
     """
-    phi = transfer.phi
-    alphabet = transfer.alphabet
-    m = transfer.memory
+    alphabet, m = phi.alphabet, phi.memory
+    log_w = np.log(alphabet.weights)
+    log_b = _log_transfer(log_w, phi.table.ravel(), m)
 
     if m == 1:
-        log_lam = float(transfer.log_entries[0, 0])
-        log_p = np.log(alphabet.weights) + phi.table - log_lam
+        log_lam = float(log_b[0, 0])
+        log_p = log_w + phi.table - log_lam
         gibbs = MarkovMeasure.product(alphabet, np.exp(log_p))
         fbar = CylinderPotential(alphabet, phi.table - log_lam)
         return RPFData(
@@ -229,9 +210,9 @@ def rpf_solve(transfer):
             normalized_potential=fbar,
         )
 
-    k, dim = alphabet.k, transfer.dim
+    k, dim = alphabet.k, log_b.shape[0]
     try:
-        log_lam, log_h, log_nu, log_p = _word_law(transfer.log_entries, k, m)
+        log_lam, log_h, log_nu, log_p = _word_law(log_b, k, m)
     except ArithmeticError as exc:
         raise _potential_error("rpf_solve", phi, exc) from exc
 
@@ -255,12 +236,13 @@ def rpf_solve(transfer):
 
 
 def linear_pressure(phi):
-    """Topological pressure log lambda_phi of a cylinder potential."""
-    if phi.memory == 1:
-        # scalar fast path, exact closed form
-        return _log_sum_exp(np.log(phi.alphabet.weights) + phi.table)
+    """Topological pressure log lambda_phi of a cylinder potential: the
+    Perron root of its log transfer matrix.  At memory 1 that matrix is the
+    1x1 log sum_a m_a exp(f(a)), which perron returns exactly."""
     try:
-        return perron(build_transfer(phi).log_entries)[0]
+        return perron(
+            _log_transfer(np.log(phi.alphabet.weights), phi.table.ravel(), phi.memory)
+        )[0]
     except ArithmeticError as exc:
         raise _potential_error("linear_pressure", phi, exc) from exc
 

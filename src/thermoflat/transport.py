@@ -126,7 +126,7 @@ def order_parameter_distribution(model, mu):
     kinked couplings (no gradient) are rejected.
     """
     for g in (model.g_plus, model.g_minus):
-        if g is not None and not hasattr(g, "gradient"):
+        if g is not None and not g.has_gradient:
             raise ValueError("order parameters require differentiable g")
     out = []
     for w, nu in _components(mu):
@@ -276,7 +276,7 @@ def birkhoff_sampling(model, mu, n, num_samples, seed=0):
     Birkhoff averages. Returns dict of arrays keyed by side.
     """
     for g in (model.g_plus, model.g_minus):
-        if g is not None and not hasattr(g, "gradient"):
+        if g is not None and not g.has_gradient:
             raise ValueError("order parameters require differentiable g")
     paths = mu.sample_paths(n, num_samples, seed=seed)
     k = mu.alphabet.k

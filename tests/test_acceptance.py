@@ -23,7 +23,6 @@ from thermoflat.measures import (
 )
 from thermoflat.oracle import bkl_pressure, direct_pressure
 from thermoflat.ruelle import (
-    build_transfer,
     entropy_of_gibbs,
     linear_pressure,
     rpf_solve,
@@ -100,7 +99,7 @@ def test_criterion_2_entropy_duality():
         w = np.clip(rng.dirichlet(np.ones(k) * 3.0), 0.05, None)
         alphabet = AprioriAlphabet(k, w / w.sum())
         phi = CylinderPotential(alphabet, rng.normal(scale=1.5, size=(k, k)))
-        rpf = rpf_solve(build_transfer(phi))
+        rpf = rpf_solve(phi)
         worst = max(
             worst, abs(entropy_of_gibbs(rpf, phi) - entropy_rate(rpf.gibbs))
         )

@@ -19,7 +19,7 @@ from thermoflat.linearizer import (
     solve_sharp,
 )
 from thermoflat.measures import AprioriAlphabet, CylinderPotential
-from thermoflat.ruelle import linear_pressure
+from thermoflat.ruelle import linear_pressure, rpf_solve
 
 A2 = AprioriAlphabet(2)
 SPIN = CylinderPotential(A2, [1.0, -1.0], name="spin")
@@ -44,6 +44,33 @@ class TestApproximatingPotential:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             approximating_potential(cw_model(2.0), [1.0, 2.0], [])
+
+    def test_one_tilt_for_pressure_and_gibbs_measure(self):
+        # memories 1 and 2 on the plus side, 3 on the minus side, weighted
+        # alphabet: the Theta that rpf_solve and linear_pressure see is the
+        # one linear_pressure_tilted prices
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        rng = np.random.default_rng(8)
+        m = ModelSpec(
+            a3,
+            [CylinderPotential(a3, rng.standard_normal(3)),
+             CylinderPotential(a3, rng.standard_normal((3, 3)))],
+            [CylinderPotential(a3, rng.standard_normal((3, 3, 3)))],
+            Quadratic(2.0, dim=2),
+            Quadratic(1.0),
+        )
+        assert m.memory == 3
+        assert m.tables.shape == (3, 27)
+        for y_plus, y_minus in (([0.0, 0.0], [0.0]), ([0.7, -1.3], [0.4]),
+                                ([-2.0, 0.5], [-1.1]), ([1.5, 2.5], [2.0])):
+            y_plus, y_minus = np.array(y_plus), np.array(y_minus)
+            value, tau_plus, tau_minus = m.linear_pressure_tilted(y_plus, y_minus)
+            theta = approximating_potential(m, y_plus, y_minus)
+            assert theta.memory == 3
+            assert linear_pressure(theta) == pytest.approx(value, abs=1e-12)
+            gibbs = rpf_solve(theta).gibbs
+            np.testing.assert_allclose(m.tau_plus(gibbs), tau_plus, atol=1e-10)
+            np.testing.assert_allclose(m.tau_minus(gibbs), tau_minus, atol=1e-10)
 
 
 class TestPNL:

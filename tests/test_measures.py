@@ -214,6 +214,18 @@ class TestBirkhoff:
         with pytest.raises(ValueError):
             birkhoff_average(phi, [0])
 
+    def test_equals_the_window_loop(self):
+        # the sampling kernel sums the cyclic windows in the loop's order
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(21)
+        phi = CylinderPotential(a3, rng.standard_normal((3, 3, 3)))
+        for n in (3, 4, 11):
+            word = rng.integers(0, 3, size=n).tolist()
+            total = 0.0
+            for t in range(n):
+                total += phi.table[tuple(word[(t + j) % n] for j in range(3))]
+            assert birkhoff_average(phi, word) == total / n
+
 
 class TestMixture:
     def test_affine_entropy_and_expectation(self):

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import OptimizeResult, linprog
 
 from thermoflat import transport
-from thermoflat.convex import AbsSum, Quadratic
+from thermoflat.convex import AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec, p_nl, solve_flat
 from thermoflat.measures import (
     AprioriAlphabet,
@@ -157,6 +157,22 @@ class TestOrderParameters:
         mu = MarkovMeasure.product(A2, [0.5, 0.5])
         with pytest.raises(ValueError, match="differentiable"):
             order_parameter_distribution(m, mu)
+
+    @pytest.mark.parametrize("order_parameters", [
+        order_parameter_distribution,
+        lambda m, mu: birkhoff_sampling(m, mu, n=10, num_samples=5),
+    ], ids=["distribution", "birkhoff_sampling"])
+    @pytest.mark.parametrize("base", [
+        AbsSum(1),
+        GridSampled([np.linspace(-2.0, 2.0, 9)], np.linspace(-2.0, 2.0, 9) ** 2),
+    ], ids=["abs_sum", "grid"])
+    def test_shifted_kinked_coupling_rejected(self, order_parameters, base):
+        # a linear shift has a gradient method whatever its base, so the
+        # check must ask the coupling whether it is differentiable
+        m = ModelSpec(A2, [SPIN], g_plus=LinearShift(np.array([0.1]), base))
+        mu = MarkovMeasure.product(A2, [0.5, 0.5])
+        with pytest.raises(ValueError, match="differentiable"):
+            order_parameters(m, mu)
 
 
 class TestCouplings:
