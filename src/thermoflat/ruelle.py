@@ -2,18 +2,25 @@
 
 The operator of a memory-m potential is realized on functions of the
 leading m-1 coordinates as a dense matrix of entrywise logs, so large
-potentials do not overflow.  `perron` is the one eigen-solve.  It certifies
-its answer with the Collatz-Wielandt bounds: for a nonnegative matrix M and
-any positive vector h,
+potentials do not overflow.  Every Perron root and vector is certified by
+the Collatz-Wielandt bounds: for a nonnegative matrix M and any positive
+vector h,
 
     min_i (M h)_i / h_i  <=  lambda  <=  max_i (M h)_i / h_i
 
 so once that bracket on log lambda is narrower than PERRON_TOL, the returned
 Perron root is correct to PERRON_TOL / 2 (up to rounding in the log-domain
-sums).  A matrix it cannot certify raises ArithmeticError; no estimate is
-returned unchecked.  The tests certify random memory-4 tables with entries
-uniform in [-50, 50] (k = 3 and 4) and in [-300, 300] (k = 3); wider
-tables can fail, as do about 4 in 30 of the k = 4 tables in [-300, 300].
+sums).  A matrix that cannot be certified raises ArithmeticError; no
+estimate is returned unchecked.
+
+`perron` (root and right vector: the linear pressure) runs balanced dense
+`eig` rounds.  `_word_law` (root and both vectors: the Gibbs measure) takes
+the root from one `eigvals` call and both vectors from two inverse-iteration
+steps, each one batched `solve` of the shifted matrix and its transpose; a
+vector that does not certify falls back alone to `perron`'s rounds.  The
+tests certify random memory-4 tables with entries uniform in [-50, 50]
+(k = 3 and 4) and in [-300, 300] (k = 3); wider tables can fail, as do about
+4 in 30 of the k = 4 tables in [-300, 300].
 """
 
 import dataclasses
@@ -42,6 +49,26 @@ def _log_sum_exp(a, rows=False):
     return peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
 
 
+def _collatz_wielandt(log_matrix, log_vec):
+    """Log-domain power steps from log_vec until the Collatz-Wielandt
+    bracket [min, max] of log(M h) - log h is narrower than PERRON_TOL, at
+    most PERRON_STEPS of them.
+
+    Returns (log_lambda, log_vec, width): the bracket's midpoint (None when
+    no step certified), the last vector (max 0) and the last width.
+    """
+    width = np.nan
+    for _ in range(PERRON_STEPS):
+        log_mv = _log_sum_exp(log_matrix + log_vec, rows=True)
+        ratio = log_mv - log_vec
+        lo, hi = ratio.min(), ratio.max()
+        width = hi - lo
+        if width < PERRON_TOL:
+            return float(0.5 * (lo + hi)), log_vec - log_vec.max(), width
+        log_vec = log_mv - log_mv.max()
+    return None, log_vec, width
+
+
 def perron(log_matrix):
     """Perron root and right vector of a nonnegative matrix given by its logs.
 
@@ -50,13 +77,14 @@ def perron(log_matrix):
     with log_vec normalized to max 0.
 
     The top eigenvector of a dense `eig` is polished by log-domain power
-    steps until the Collatz-Wielandt bracket [min, max] of
-    log(M h) - log h is narrower than PERRON_TOL; the midpoint is returned.
-    Each further round re-runs `eig` on M balanced by the current vector,
+    steps (_collatz_wielandt) until the Collatz-Wielandt bracket is
+    narrower than PERRON_TOL; the midpoint is returned.  Each further round
+    re-runs `eig` on M balanced by the current vector,
     diag(h)^-1 M diag(h), whose Perron vector is near all ones, so that
     components many orders of magnitude below the largest come out
     accurate.  Raises ArithmeticError with the last bracket width when no
     round certifies, for example when the Perron vector has a zero entry.
+    A 1x1 matrix [[c]] gives exactly (c, [0.0]).
     """
     log_matrix = np.asarray(log_matrix, dtype=float)
     log_vec = np.zeros(log_matrix.shape[0])
@@ -70,15 +98,11 @@ def perron(log_matrix):
             vals, vecs = scipy.linalg.eig(
                 np.exp(balanced - peak), check_finite=False, overwrite_a=True
             )
-            log_vec = log_vec + np.log(np.abs(vecs[:, np.argmax(vals.real)]))
-            for _ in range(PERRON_STEPS):
-                log_mv = _log_sum_exp(log_matrix + log_vec, rows=True)
-                ratio = log_mv - log_vec
-                lo, hi = ratio.min(), ratio.max()
-                width = hi - lo
-                if width < PERRON_TOL:
-                    return float(0.5 * (lo + hi)), log_vec - log_vec.max()
-                log_vec = log_mv - log_mv.max()
+            log_lam, log_vec, width = _collatz_wielandt(
+                log_matrix, log_vec + np.log(np.abs(vecs[:, np.argmax(vals.real)]))
+            )
+            if log_lam is not None:
+                return log_lam, log_vec
             if not np.isfinite(log_vec).all():
                 break
     raise ArithmeticError(
@@ -123,9 +147,42 @@ def _word_law(log_b, k, memory):
     and left Perron vectors (each with max 0) and, for each word w in index
     order, log P(w) = log b[trail, lead] + log h(lead) + log nu(trail),
     unnormalized.  The Gibbs measure gives w the probability P(w) / sum P.
+
+    M and M.T share their spectrum, so one `eigvals` of M = exp(log_b - max)
+    gives the root lam of both.  Two inverse-iteration steps with the shift
+    sigma = lam (1 + 1e-12), each one batched `solve` of sigma I - M and its
+    transpose, give both vectors, and _collatz_wielandt certifies each.  A
+    vector that does not certify, or a LinAlgError (a singular solve), falls
+    back alone to `perron`'s balanced rounds; their error, if they fail too,
+    gets the vector's name appended.
     """
-    log_lam, log_h = perron(log_b)
-    _, log_nu = perron(log_b.T)
+    dim = log_b.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            m = np.exp(log_b - log_b.max())
+            sigma = np.linalg.eigvals(m).real.max() * (1 + 1e-12)
+            shifted = sigma * np.eye(dim) - m
+            shifted = np.stack([shifted, shifted.T])
+            x = np.linalg.solve(shifted, np.ones((2, dim, 1)))
+            x = np.linalg.solve(shifted, x / np.abs(x).max(axis=1, keepdims=True))
+            starts = np.log(np.abs(x[..., 0]))
+            starts -= starts.max(axis=1, keepdims=True)
+        except np.linalg.LinAlgError:
+            starts = (None, None)
+        pair = []
+        for log_matrix, start, side in zip(
+            (log_b, log_b.T), starts, ("right", "left")
+        ):
+            log_lam = None
+            if start is not None:
+                log_lam, log_vec, _ = _collatz_wielandt(log_matrix, start)
+            if log_lam is None:
+                try:
+                    log_lam, log_vec = perron(log_matrix)
+                except ArithmeticError as exc:
+                    raise ArithmeticError(f"{exc} ({side} vector)") from exc
+            pair.append((log_lam, log_vec))
+    (log_lam, log_h), (_, log_nu) = pair
     trail, lead = _word_maps(k, memory)
     return log_lam, log_h, log_nu, log_b[trail, lead] + log_h[lead] + log_nu[trail]
 

@@ -74,9 +74,13 @@ class TestPerron:
         assert lam == pytest.approx(np.log(ref), abs=1e-10)
 
     def test_scalar_case(self):
-        lam, vec = perron(np.array([[1.7]]))
-        assert lam == pytest.approx(1.7)
-        assert vec[0] == 0.0
+        # the memory-1 pressure is this 1x1 log-sum-exp: returned exactly
+        rng = np.random.default_rng(1)
+        scalars = rng.standard_normal(2000) * 10.0 ** rng.integers(-3, 4, 2000)
+        for c in [1.7, *scalars]:
+            lam, vec = perron(np.array([[c]]))
+            assert lam == c
+            assert vec.tolist() == [0.0]
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_wide_memory4_tables(self, k):
@@ -114,6 +118,58 @@ class TestPerron:
         logm = np.array([[0.0, 0.0], [-np.inf, -np.inf]])
         with pytest.raises(ArithmeticError, match="perron: Collatz-Wielandt"):
             perron(logm)
+
+
+class TestPerronPair:
+    @pytest.mark.parametrize("k, memory", [(2, 2), (3, 2), (3, 3), (3, 4), (4, 4)])
+    def test_both_vectors_certified_and_match_perron(self, k, memory):
+        # dense random matrices with 2, 3, 9, 27 and 64 states
+        rng = np.random.default_rng(100 + k * memory)
+        dim = k ** (memory - 1)
+        for _ in range(10):
+            log_b = rng.normal(scale=2.0, size=(dim, dim))
+            lam, log_h, log_nu, _ = ruelle._word_law(log_b, k, memory)
+            for log_matrix, log_vec in ((log_b, log_h), (log_b.T, log_nu)):
+                # each vector's own Collatz-Wielandt bracket, recomputed
+                ratio = logsumexp(log_matrix + log_vec[None, :], axis=1) - log_vec
+                assert ratio.min() - 1e-11 <= lam <= ratio.max() + 1e-11
+                assert ratio.max() - ratio.min() < 1e-10
+                ref_lam, ref_vec = perron(log_matrix)
+                assert lam == pytest.approx(ref_lam, abs=1e-12)
+                np.testing.assert_allclose(log_vec, ref_vec, rtol=0, atol=1e-12)
+
+    def test_one_eigvals_and_no_eig(self, monkeypatch):
+        table = 0.5 * np.random.default_rng(11144).standard_normal((4,) * 4)
+        log_b = memory4_log_transfer(4, table)
+        calls = {"eigvals": 0, "eig": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(np.linalg, "eigvals")
+        counted(ruelle.scipy.linalg, "eig")
+        ruelle._word_law(log_b, 4, 4)
+        assert calls == {"eigvals": 1, "eig": 0}
+
+    def test_singular_solve_falls_back_to_balanced_rounds(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        log_b = rng.normal(size=(9, 9))
+        right, left = perron(log_b), perron(log_b.T)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        lam, log_h, log_nu, _ = ruelle._word_law(log_b, 3, 3)
+        assert lam == right[0]
+        np.testing.assert_array_equal(log_h, right[1])
+        np.testing.assert_array_equal(log_nu, left[1])
 
 
 class TestLinearPressure:
@@ -273,6 +329,7 @@ class TestRPF:
         message = str(info.value)
         assert message.startswith("rpf_solve: memory-2 potential with sup-norm 1.5")
         assert "perron: Collatz-Wielandt bracket width" in message
+        assert message.endswith("(left vector)")
 
     def test_gibbs_measure_invariant_under_potential_normalization(self):
         rng = np.random.default_rng(16)
