@@ -99,7 +99,7 @@ def _serialize_solution(sol):
     return out
 
 
-def cmd_pressure(model, doc, cfg):
+def cmd_pressure(model):
     entries = []
     for side, pots in (("plus", model.plus_potentials),
                        ("minus", model.minus_potentials)):
@@ -118,8 +118,8 @@ def cmd_pressure(model, doc, cfg):
     return {"potentials": entries}
 
 
-def _scan_csv(model, cfg, sol):
-    """(y+, P_flat(y+)) samples for 1-dimensional plus duals."""
+def _scan_csv(model, sol):
+    """(y+, P_flat(y+)) samples for 1-dimensional plus duals, on sol's radii."""
     if model.g_plus is None or model.n_plus != 1:
         return None
     radius = sol.growth_radii[0]
@@ -127,19 +127,19 @@ def _scan_csv(model, cfg, sol):
     writer = csv.writer(buf)
     writer.writerow(["y_plus", "p_flat_of"])
     for t in np.linspace(-radius, radius, 201):
-        v, _ = linearizer.p_flat_of(model, np.array([t]), config=cfg)
+        v, _ = linearizer.p_flat_of(model, np.array([t]), radius=sol.growth_radii[1])
         writer.writerow([repr(float(t)), repr(float(v))])
     return buf.getvalue()
 
 
-def cmd_solve(model, doc, cfg):
+def cmd_solve(model, cfg):
     sol = linearizer.solve_flat(model, cfg)
     report = _serialize_solution(sol)
-    report["scan_csv"] = _scan_csv(model, cfg, sol)
+    report["scan_csv"] = _scan_csv(model, sol)
     return report
 
 
-def cmd_game(model, doc, cfg):
+def cmd_game(model, cfg):
     sol = linearizer.solve_game(model, cfg)
     return _serialize_solution(sol)
 
@@ -180,7 +180,7 @@ def cmd_transport(model, doc, cfg):
     }
 
 
-def cmd_delta(model, doc, cfg, args):
+def cmd_delta(model, doc, args):
     measures = doc.get("measures", {})
     name = args.measure
     if name is None:
@@ -209,7 +209,7 @@ def cmd_delta(model, doc, cfg, args):
     return report
 
 
-def cmd_oracle(model, doc, cfg):
+def cmd_oracle(model, cfg):
     sol = linearizer.solve_flat(model, cfg)
     order = 0 if model.memory <= 1 else 1
     direct, _ = oracle.direct_pressure(model, order=order)
@@ -222,12 +222,12 @@ def cmd_oracle(model, doc, cfg):
     }
 
 
-def cmd_report(model, doc, cfg, args):
+def cmd_report(model, cfg):
     return {
         "label": model.label,
-        "pressure": cmd_pressure(model, doc, cfg),
-        "game": cmd_game(model, doc, cfg),
-        "oracle": cmd_oracle(model, doc, cfg),
+        "pressure": cmd_pressure(model),
+        "game": cmd_game(model, cfg),
+        "oracle": cmd_oracle(model, cfg),
     }
 
 
@@ -242,19 +242,19 @@ def main(argv=None):
         return 2
     try:
         if args.command == "pressure":
-            report = cmd_pressure(model, doc, cfg)
+            report = cmd_pressure(model)
         elif args.command == "solve":
-            report = cmd_solve(model, doc, cfg)
+            report = cmd_solve(model, cfg)
         elif args.command == "game":
-            report = cmd_game(model, doc, cfg)
+            report = cmd_game(model, cfg)
         elif args.command == "transport":
             report = cmd_transport(model, doc, cfg)
         elif args.command == "delta":
-            report = cmd_delta(model, doc, cfg, args)
+            report = cmd_delta(model, doc, args)
         elif args.command == "oracle":
-            report = cmd_oracle(model, doc, cfg)
+            report = cmd_oracle(model, cfg)
         else:
-            report = cmd_report(model, doc, cfg, args)
+            report = cmd_report(model, cfg)
     except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,17 +10,18 @@ The search over y+ follows the plus coupling.  A grid-sampled g+ has a
 piecewise-linear conjugate, and the inf over y- of the jointly convex part
 is convex in y+, so P_flat(y+) is convex on every linearity cell of g+* and
 its sup over the search box is attained at a vertex of a cell cut to the
-box (Rockafellar, Convex Analysis, Cor. 32.3.4): the outer sup, and the
-inner sup over y+ of the min-max side, evaluate exactly those finitely many
-points (conjugate_vertices).  Otherwise, the gradient of P_L in (y+, y-) is
-(tau+, -tau-), the Gibbs averages of the tilted equilibrium, and by
-Danskin's theorem the gradient of P_flat(y+) is tau+ at the inner minimizer
-minus grad g+*(y+).  The outer sup runs L-BFGS-B on it under box bounds
-from a grid of starts.  The convex inner inf runs L-BFGS-B from y- = 0
-when g-* has a gradient on its domain box (quadratic, l1 norm and their
-linear shifts); a grid-sampled g- has a piecewise-linear conjugate, and its
-inner inf is a smooth epigraph program, solved by SLSQP and polished on the
-face of g-* it ends on (_epigraph_inf).
+box (Rockafellar, Convex Analysis, Cor. 32.3.4).  Otherwise, the gradient
+of P_L in (y+, y-) is (tau+, -tau-), the Gibbs averages of the tilted
+equilibrium, and by Danskin's theorem the gradient of P_flat(y+) is tau+
+at the inner minimizer minus grad g+*(y+).  One search (_local_maxima)
+serves the outer sup and the inner sup over y+ of the min-max side: it
+evaluates exactly those finitely many vertices (conjugate_vertices), or
+else runs L-BFGS-B under box bounds from a set of starts.  The convex
+inner inf runs L-BFGS-B from y- = 0 when g-* has a gradient on its domain
+box (quadratic, l1 norm and their linear shifts); a grid-sampled g- has a
+piecewise-linear conjugate, and its inner inf is a smooth epigraph
+program, solved by SLSQP and polished on the face of g-* it ends on
+(_epigraph_inf).
 
 The min-max side (solve_sharp) minimizes the convex S(y-) = sup over y+ of
 P_NL by a level bundle method on Danskin cuts: one HiGHS LP over the cuts
@@ -320,36 +321,14 @@ def _lbfgsb(fun, x0, lo, hi, gtol):
     return x, out, res
 
 
-def _cluster(points, values, radius, window):
-    """Merge nearby optimizers: coordinate radius + value window of the best."""
-    order = np.argsort(values)[::-1]
-    best = values[order[0]]
-    kept = []
-    for i in order:
-        if values[i] < best - window:
-            break
-        p = points[i]
-        if all(np.linalg.norm(p - q) > radius for q in kept):
-            kept.append(p)
-    kept.sort(key=lambda p: tuple(p))
-    return kept
-
-
 # -- one-sided problems -------------------------------------------------------
 
 
-def minus_radius(model, config=None):
-    cert = growth_radius(model.g_minus, model.tau_minus_norm())
-    if config is not None and config.radius_minus is not None:
-        return config.radius_minus, cert
-    return cert.safe_radius, cert
-
-
-def plus_radius(model, config=None):
-    cert = growth_radius(model.g_plus, model.tau_plus_norm())
-    if config is not None and config.radius_plus is not None:
-        return config.radius_plus, cert
-    return cert.safe_radius, cert
+def _radius(g, norm, override):
+    """(override or else the safe radius, certificate): the growth
+    certificate of g for potentials of joint sup norm `norm`."""
+    cert = growth_radius(g, norm)
+    return (cert.safe_radius if override is None else override), cert
 
 
 def _epigraph_inf(model, y_plus, lo, hi):
@@ -409,24 +388,22 @@ def _epigraph_inf(model, y_plus, lo, hi):
     return point if on_face and np.all((lo <= point) & (point <= hi)) else y
 
 
-def p_flat_of(model, y_plus, radius=None, config=None, grad=False):
+def p_flat_of(model, y_plus, radius=None, grad=False):
     """P_flat(y+) = inf over y- of P_NL(y+, y-), with its one minimizer.
 
-    The inf runs over the box [-radius, radius] cut to dom(g-*).  A
-    piecewise-linear g-* (a grid) takes _epigraph_inf; otherwise L-BFGS-B
+    The inf runs over the box [-radius, radius] (by default g-'s safe radius)
+    cut to dom(g-*).  A grid g-* takes _epigraph_inf; otherwise L-BFGS-B
     finds the root of the gradient -tau- + grad g-*(y-) from y- = 0 moved
-    into the box (see _lbfgsb).  With grad=True it also returns the Danskin
-    gradient tau+ - grad g+*(y+) at the minimizer, the gradient of P_flat,
-    which a grid g+ does not have.
+    into the box (see _lbfgsb).  With grad=True it also returns the plus
+    gradient of P_NL at the minimizer (see p_nl): tau+ - grad g+*(y+), by
+    Danskin the gradient of P_flat, or tau+ alone for a grid g+.
     """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
-    if grad and model.g_plus is not None and not model.g_plus.has_conjugate_gradient:
-        raise ValueError("no P_flat gradient for a grid-sampled plus coupling")
     if model.g_minus is None:
         value, grad_plus, _ = p_nl(model, y_plus, np.zeros(0), grad=True)
         return (value, [], grad_plus) if grad else (value, [])
     if radius is None:
-        radius, _ = minus_radius(model, config)
+        radius, _ = _radius(model.g_minus, model.tau_minus_norm(), None)
     lo, hi = _box(model.g_minus, radius)
     if model.g_minus.conjugate_pieces() is not None:
         y_minus = _epigraph_inf(model, y_plus, lo, hi)
@@ -456,57 +433,66 @@ def _start_grid(lo, hi, grid_points, cap):
     return starts
 
 
-def _multistart_max(f, lo, hi, grid_points, cap):
-    """Multistart maximization over the box [lo, hi] of f, which returns
-    (value, gradient): L-BFGS-B (_lbfgsb) from each start of
-    _start_grid(lo, hi, grid_points, cap).  Returns (points, values,
-    stats): every refined local optimum, its value, and the starts, total
-    iterations and unconverged starts with their sorted messages.
+def _local_maxima(f, lo, hi, vertices, starts, radius, window):
+    """The distinct local maxima over the box [lo, hi] of f, which returns
+    (value, gradient, *extra).
+
+    With vertices (the cell vertices of a piecewise-linear g+*, see the
+    module docstring) f is evaluated at each of them, which is exact;
+    otherwise _lbfgsb maximizes f from each start.  Returns (rows, stats):
+    the rows (point, value, gradient, *extra), best first (a stable sort),
+    down to window below the best, each more than radius from every better
+    row, and the candidates, or the starts, total iterations and unconverged
+    starts with their sorted messages.
     """
-    starts = _start_grid(lo, hi, grid_points, cap)
+    if vertices is not None:
+        found = [(y, *f(y)) for y in vertices]
+        stats = {"candidates": len(vertices)}
+    else:
 
-    def neg(y):
-        value, gradient = f(y)
-        return -value, -gradient
+        def neg(y):
+            value, gradient, *extra = f(y)
+            return -value, -gradient, *extra
 
-    results = [_lbfgsb(neg, start, lo, hi, OUTER_GTOL) for start in starts]
-    points = np.array([r[0] for r in results])
-    values = np.array([-r[1][0] for r in results])
-    failed = [r[2] for r in results if not r[2].success]
-    stats = {
-        "starts": len(starts),
-        "iterations": sum(int(r[2].nit) for r in results),
-        "unconverged": len(failed),
-        "unconverged_messages": sorted(str(r.message) for r in failed),
-    }
-    return points, values, stats
-
-
-def _vertex_max(f, candidates):
-    """f at every candidate point: the exact search when the candidates are
-    the cell vertices of a piecewise-linear g+*.  Returns (points, values,
-    stats) like _multistart_max."""
-    values = np.array([f(y) for y in candidates])
-    return candidates, values, {"candidates": len(candidates)}
+        results = [_lbfgsb(neg, start, lo, hi, OUTER_GTOL) for start in starts]
+        found = [(x, -out[0], -out[1], *out[2:]) for x, out, _ in results]
+        failed = [res for _, _, res in results if not res.success]
+        stats = {
+            "starts": len(starts),
+            "iterations": sum(int(res.nit) for _, _, res in results),
+            "unconverged": len(failed),
+            "unconverged_messages": sorted(str(res.message) for res in failed),
+        }
+    found.sort(key=lambda row: -row[1])
+    rows = []
+    for row in found:
+        if row[1] < found[0][1] - window:
+            break
+        if all(np.linalg.norm(row[0] - kept[0]) > radius for kept in rows):
+            rows.append(row)
+    return rows, stats
 
 
-def solve_flat(model, config=None, warm_starts=()):
+def solve_flat(model, config=None):
     """Populate the max-min side: P_flat, M_flat, self-consistent equilibria.
 
-    The outer sup evaluates P_flat at the cell vertices of a piecewise-
-    linear g+* (see the module docstring) and otherwise runs _multistart_max.
+    The outer sup is _local_maxima of P_flat: at the cell vertices of a
+    piecewise-linear g+* (see the module docstring), otherwise by L-BFGS-B
+    from the start grid (cfg.grid per axis, at most cfg.multistart_cap).
     """
     cfg = config or RunConfig()
     sol = GameSolution()
     diag = sol.diagnostics
     r_minus = None
     if model.g_minus is not None:
-        r_minus, cert_minus = minus_radius(model, cfg)
+        r_minus, cert_minus = _radius(
+            model.g_minus, model.tau_minus_norm(), cfg.radius_minus
+        )
         diag["growth_minus"] = dataclasses.asdict(cert_minus)
 
     if model.g_plus is None:
         # Remark-style degenerate case: pure inf over y-.
-        value, minimizers = p_flat_of(model, np.zeros(0), radius=r_minus, config=cfg)
+        value, minimizers = p_flat_of(model, np.zeros(0), radius=r_minus)
         sol.p_flat = value
         sol.m_flat = []
         sol.m_flat_of = {(): minimizers}
@@ -514,43 +500,29 @@ def solve_flat(model, config=None, warm_starts=()):
         _attach_equilibria(model, sol, [((), m) for m in minimizers], cfg)
         return sol
 
-    r_plus, cert_plus = plus_radius(model, cfg)
+    r_plus, cert_plus = _radius(model.g_plus, model.tau_plus_norm(), cfg.radius_plus)
     diag["growth_plus"] = dataclasses.asdict(cert_plus)
     sol.growth_radii = (r_plus, r_minus)
-
-    def outer(y_plus):
-        value, _, gradient = p_flat_of(
-            model, y_plus, radius=r_minus, config=cfg, grad=True
-        )
-        return value, gradient
-
     lo, hi = _box(model.g_plus, r_plus)
     vertices = model.g_plus.conjugate_vertices(lo, hi)
-    if vertices is not None:
-        points, values, diag["search"] = _vertex_max(
-            lambda y: p_flat_of(model, y, radius=r_minus, config=cfg)[0], vertices
-        )
-    else:
-        points, values, diag["search"] = _multistart_max(
-            outer, lo, hi, cfg.grid, cfg.multistart_cap
-        )
-    for w in warm_starts:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        points = np.vstack([points, w[None, :]])
-        values = np.append(values, p_flat_of(model, w, radius=r_minus, config=cfg)[0])
-    sol.p_flat = float(values.max())
-    maximizers = _cluster(points, values, cfg.cluster_radius, cfg.value_window)
-    sol.m_flat = [DualPoint(p) for p in maximizers]
-    diag["n_starts"] = len(points)
+    starts = None
+    if vertices is None:
+        starts = _start_grid(lo, hi, cfg.grid, cfg.multistart_cap)
 
+    def outer(y_plus):
+        value, inner, gradient = p_flat_of(model, y_plus, radius=r_minus, grad=True)
+        return value, gradient, inner
+
+    rows, diag["search"] = _local_maxima(
+        outer, lo, hi, vertices, starts, cfg.cluster_radius, cfg.value_window
+    )
+    sol.p_flat = float(rows[0][1])
     pairs = []
-    for x_plus in maximizers:
-        _, inner = p_flat_of(model, x_plus, radius=r_minus, config=cfg)
-        sol.m_flat_of[tuple(x_plus.tolist())] = inner
-        if inner:
-            pairs.extend((tuple(x_plus.tolist()), m) for m in inner)
-        else:
-            pairs.append((tuple(x_plus.tolist()), None))
+    for x_plus, _, _, inner in sorted(rows, key=lambda row: tuple(row[0])):
+        sol.m_flat.append(DualPoint(x_plus))
+        key = tuple(x_plus.tolist())
+        sol.m_flat_of[key] = inner
+        pairs += [(key, m) for m in inner] or [(key, None)]
     _attach_equilibria(model, sol, pairs, cfg)
     return sol
 
@@ -695,13 +667,14 @@ def solve_sharp(model, config=None, *, _flat=None):
       (that value - lower)}.
     It stops when upper - lower <= SHARP_GAP, when the master LP resolves
     no narrower bracket, or after SHARP_MAX_ITER inner sups (then with one
-    full search at the best point if none has run).  The inner sup
-    over y+ evaluates the cell vertices of a grid g+*, which is exact.
+    full search at the best point if none has run).  Each inner sup over y+
+    is the _local_maxima search that solve_flat runs, without its value
+    window: it evaluates the cell vertices of a grid g+*, which is exact.
     Otherwise L-BFGS-B runs from warm starts (the local maxima the previous
     inner sup found, or at first the max-min maximizers), and, where a
-    point is to bound P_sharp from above, also from the start grid of
-    _multistart_max (grid 9, at most 81 starts).  The bracket is rigorous
-    as far as those full searches find the global max.
+    point is to bound P_sharp from above, also from a start grid of 9
+    points per axis, at most 81 starts.  The bracket is rigorous as far as
+    those full searches find the global max.
 
     solve_game passes its max-min solution as _flat: the first iterates are
     then its inner minimizers x-*, and P_flat bounds P_sharp from below
@@ -720,8 +693,11 @@ def solve_sharp(model, config=None, *, _flat=None):
         flat.diagnostics["sharp_note"] = "one-sided model: P_sharp := P_flat"
         return flat
 
-    r_minus, _ = minus_radius(model, cfg)
-    r_plus, _ = plus_radius(model, cfg)
+    if _flat is None:
+        r_minus, _ = _radius(model.g_minus, model.tau_minus_norm(), cfg.radius_minus)
+        r_plus, _ = _radius(model.g_plus, model.tau_plus_norm(), cfg.radius_plus)
+    else:
+        r_plus, r_minus = _flat.growth_radii
     sol = GameSolution(growth_radii=(r_plus, r_minus))
     lo_plus, hi_plus = _box(model.g_plus, r_plus)
     vertices = model.g_plus.conjugate_vertices(lo_plus, hi_plus)
@@ -740,27 +716,14 @@ def solve_sharp(model, config=None, *, _flat=None):
         full = full or vertices is not None or not warm
         counts["iterations"] += 1
         counts["full_inner_sups"] += full
-        found = []
-        if vertices is not None:
-            for v in vertices:
-                value, _, slope = p_nl(model, v, y_minus, grad=True)
-                found.append((v, value, slope))
-        else:
-
-            def neg(y_plus):
-                value, grad_plus, grad_minus = p_nl(model, y_plus, y_minus, grad=True)
-                return -value, -grad_plus, grad_minus
-
-            for start in warm + (grid_starts if full else []):
-                x, out, _ = _lbfgsb(neg, start, lo_plus, hi_plus, OUTER_GTOL)
-                found.append((x, -out[0], out[2]))
-        found.sort(key=lambda row: -row[1])
-        kept = []
-        for row in found:
-            if all(np.linalg.norm(row[0] - k[0]) > cfg.cluster_radius for k in kept):
-                kept.append(row)
+        # every distinct local max gives a cut, so no value window
+        kept, _ = _local_maxima(
+            lambda y_plus: p_nl(model, y_plus, y_minus, grad=True),
+            lo_plus, hi_plus, vertices, warm + (grid_starts if full else []),
+            cfg.cluster_radius, INFINITY,
+        )
         values = np.array([k[1] for k in kept])
-        new_slopes = np.array([k[2] for k in kept])
+        new_slopes = np.array([k[3] for k in kept])
         at_cut = values
         if pieces is not None:
             at_cut = values - model.g_minus.conjugate(y_minus)
@@ -820,11 +783,11 @@ def solve_sharp(model, config=None, *, _flat=None):
         near = [np.linalg.norm(p.y_minus - m.array) for m in sol.m_sharp]
         if min(near, default=INFINITY) <= cfg.cluster_radius:
             continue
-        argmax = _cluster(
-            np.array(p.maxima), p.values, cfg.cluster_radius, cfg.value_window
-        )
+        least = p.values[0] - cfg.value_window
+        argmax = [DualPoint(x) for x, v in zip(p.maxima, p.values) if v >= least]
+        argmax.sort(key=lambda x: x.coords)
         sol.m_sharp.append(DualPoint(p.y_minus))
-        sol.m_sharp_of[tuple(p.y_minus.tolist())] = [DualPoint(x) for x in argmax]
+        sol.m_sharp_of[tuple(p.y_minus.tolist())] = argmax
     sol.diagnostics["sharp"] = {
         "lower": float(lower),
         "upper": float(upper),
@@ -893,14 +856,15 @@ def mean_field_iterate(model, y0, damping=1.0, max_iters=500, step_tol=1e-10):
 
 def decision_rule(model, solution, samples=5, spacing=1e-3):
     """Tabulate the inner minimizer x-(x+) that p_flat_of returns over M_flat
-    and a neighborhood: samples points spacing apart, each shifting every
-    coordinate of x+ by the same offset.  Where the inner inf has several
-    minimizers (a conjugate that is not strictly convex), it is one of them.
+    and a neighborhood, in the solution's minus radius: samples points spacing
+    apart, each shifting every coordinate of x+ by the same offset.  Where the
+    inner inf has several minimizers (a conjugate that is not strictly
+    convex), it is one of them.
     """
     if model.g_minus is None:
         return {tuple(x.coords): np.zeros(0) for x in solution.m_flat}
     rule = {}
-    r_minus, _ = minus_radius(model)
+    r_minus = solution.growth_radii[1]
     offsets = np.linspace(-spacing * (samples // 2), spacing * (samples // 2), samples)
     for x_plus in solution.m_flat:
         for d in offsets:

@@ -250,8 +250,8 @@ class MarkovMeasure:
         """Sample symbol paths of length n (seeded PCG64, chunk-stable).
 
         The sample budget is split into fixed-size chunks with seeds derived
-        from (seed, chunk index), so the result is independent of how chunks
-        are scheduled across workers.
+        from (seed, chunk index), so the first paths do not depend on
+        num_samples: a larger budget only appends paths.
         """
         k = self.alphabet.k
         r = max(self.order, 1)

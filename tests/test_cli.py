@@ -244,6 +244,21 @@ class TestSubcommands:
         assert coords[0] == pytest.approx(-coords[1], abs=1e-6)
         assert out["scan_csv"].startswith("y_plus,p_flat_of")
 
+    def test_solve_certifies_each_growth_radius_once(
+            self, tmp_path, capsys, monkeypatch):
+        # the scan of P_flat(y+) reuses the solve's minus radius
+        from thermoflat import linearizer
+
+        calls = []
+        original = linearizer.growth_radius
+        monkeypatch.setattr(linearizer, "growth_radius",
+                            lambda *a: calls.append(a) or original(*a))
+        path = write_model(tmp_path, TWO_SIDED)
+        assert run_cli(["solve", path]) == 0
+        assert len(calls) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["scan_csv"].splitlines()) == 202
+
     def test_subcritical_single_maximizer(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CW2))
         doc["plus"]["g"]["beta"] = 0.5

@@ -1,9 +1,10 @@
-"""Static checks on the package source: no unused module-level import and
-no private module-level function or class that nothing references.
+"""Static checks on the package source: no unused module-level import, no
+private module-level function or class that nothing references, and no
+module-level function with a parameter its body never reads.
 
 There is no linter among the test dependencies, so this is the check that
-keeps deleted code from coming back half-way (an import left behind, or a
-helper whose last caller is gone).
+keeps deleted code from coming back half-way (an import left behind, a
+helper whose last caller is gone, or an argument nothing reads any more).
 """
 
 import ast
@@ -76,3 +77,21 @@ def test_no_unreferenced_private_definition():
                    for _, stmt, refs in statements if stmt is not node):
             unreferenced.append(f"{module}:{node.lineno} {node.name}")
     assert not unreferenced, f"private definitions never used: {unreferenced}"
+
+
+def test_no_unused_parameter_of_module_level_function():
+    # methods may ignore a parameter their interface passes (the abstract
+    # ConvexSpec methods), and nested callbacks one their caller passes
+    unused = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)}
+            unused += [f"{path.name}:{node.lineno} {node.name}({a.arg})"
+                       for a in params if a.arg not in read]
+    assert not unused, f"parameters never read: {unused}"

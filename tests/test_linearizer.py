@@ -408,6 +408,18 @@ class TestPFlatOf:
         assert x_minus.coords[0] == pytest.approx(0.1, abs=1e-12)
         assert v == pytest.approx(-0.01 / 3.0, abs=1e-14)
 
+    def test_grid_plus_gradient_is_tau_plus_at_the_minimizer(self):
+        # a grid g+* has no gradient, so the plus gradient of P_NL at the
+        # inner minimizer is tau+ alone (see p_nl)
+        g_plus = GridSampled([GRID_X], 1.5 * GRID_X**2)
+        m = ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0))
+        for y in (-1.3, 0.0, 0.4, 2.25):
+            v, (x_minus,), gradient = p_flat_of(m, [y], grad=True)
+            value, grad_plus, _ = p_nl(m, [y], x_minus.array, grad=True)
+            assert v == value
+            np.testing.assert_array_equal(gradient, grad_plus)
+            assert gradient[0] == pytest.approx(math.tanh(y - x_minus.coords[0]))
+
     def test_no_minus_side(self):
         v, mins = p_flat_of(cw_model(2.0), [0.5])
         assert mins == []
