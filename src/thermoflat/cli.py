@@ -18,6 +18,13 @@ from .measures import entropy_rate
 from .ruelle import normalization_residual, rpf_solve
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="thermoflat",
@@ -39,8 +46,9 @@ def _build_parser():
         if name == "delta":
             p.add_argument("--measure", type=str, default=None,
                            help="named entry under \"measures\" in the model file")
-            p.add_argument("--birkhoff-n", type=int, default=0,
-                           help="also evaluate the finite-n approximant")
+            p.add_argument("--birkhoff-n", type=_non_negative_int, default=0,
+                           help="also evaluate the finite-n approximant "
+                                "(0: off)")
     return parser
 
 

@@ -2,9 +2,19 @@
 
 State selection uses "first index whose cumulative weight exceeds u", so
 paths are a fixed function of the uniform draws.
+
+Birkhoff averages are whole-array passes over blocks of rows: each block
+builds all window indices at once and sums the window values with a
+cumulative sum, which adds left to right, in the same order as a running
+``acc += value`` over window positions, so the averages do not depend on the
+block size.
 """
 
 import numpy as np
+
+# rows per block of birkhoff_averages: bounds its temporaries to a few
+# (ROW_BLOCK, n) arrays, whatever the number of paths
+ROW_BLOCK = 512
 
 
 def sample_state_paths(start_cum, trans_cum, uniforms):
@@ -38,13 +48,23 @@ def birkhoff_averages(symbols, table, memory, k):
     symbols: (num, n) symbol indices in [0, k).
     table:   flat potential table of length k**memory, C order.
     Returns (num,) averages over all n cyclic window positions.
+
+    The window at position t reads symbols (t + j) % n, j < memory: column t
+    of the j-th left rotation of the row.  Rows go in blocks of ROW_BLOCK;
+    each block sums its n window values with a cumulative sum from a zero
+    start, so every average is bitwise the sum 0.0 + v_0 + ... + v_{n-1} in
+    that order, divided by n.
     """
     symbols = np.asarray(symbols)
     num, n = symbols.shape
     acc = np.zeros(num, dtype=np.float64)
-    for t in range(n):
-        idx = np.zeros(num, dtype=np.int64)
-        for j in range(memory):
-            idx = idx * k + symbols[:, (t + j) % n]
-        acc += table[idx]
+    for lo in range(0, num, ROW_BLOCK):
+        block = symbols[lo : lo + ROW_BLOCK].astype(np.int64, copy=False)
+        idx = block
+        for j in range(1, memory):
+            idx = idx * k + np.roll(block, -j, axis=1)
+        vals = table[idx]
+        np.cumsum(vals, axis=1, out=vals)
+        # the zero start makes an all -0.0 sum +0.0, as a running sum does
+        acc[lo : lo + ROW_BLOCK] += vals[:, -1]
     return acc / n

@@ -252,6 +252,12 @@ class MarkovMeasure:
         The sample budget is split into fixed-size chunks with seeds derived
         from (seed, chunk index), so the first paths do not depend on
         num_samples: a larger budget only appends paths.
+
+        Order 0 draws every symbol from the one distribution: a chunk is
+        written straight into the output as the count of cumulative weights
+        <= u below the last one, the rule of searchsorted(side="right")
+        capped at k - 1.  Order >= 1 runs the state chain and expands its
+        states into symbols.
         """
         k = self.alphabet.k
         r = max(self.order, 1)
@@ -264,30 +270,26 @@ class MarkovMeasure:
             trans_cum[:, -1] = 1.0
         draws = 1 + (n - r)
         chunk = 1024
-        out = np.empty((num_samples, n), dtype=np.int64)
-        pos = 0
+        out = np.zeros((num_samples, n), dtype=np.int64)
         for ci, lo in enumerate(range(0, num_samples, chunk)):
             size = min(chunk, num_samples - lo)
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
             )
             uniforms = rng.random((size, draws))
+            block = out[lo : lo + size]
             if self.order == 0:
-                # i.i.d. symbols: every draw looks up the one distribution
-                states = np.searchsorted(start_cum, uniforms, side="right")
-                np.minimum(states, k - 1, out=states)
-            else:
-                states = kernels.sample_state_paths(start_cum, trans_cum, uniforms)
+                for c in start_cum[:-1]:
+                    block += uniforms >= c
+                continue
+            states = kernels.sample_state_paths(start_cum, trans_cum, uniforms)
             # expand: initial state contributes its r symbols, then one per step
-            syms = np.empty((size, n), dtype=np.int64)
             first = states[:, 0]
             for j in range(r):
-                syms[:, r - 1 - j] = first % k
+                block[:, r - 1 - j] = first % k
                 first = first // k
             if draws > 1:
-                syms[:, r:] = states[:, 1:] % k
-            out[pos : pos + size] = syms
-            pos += size
+                block[:, r:] = states[:, 1:] % k
         return out
 
 

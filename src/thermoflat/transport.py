@@ -57,40 +57,53 @@ def delta_functional(model_or_potentials, mu, func, side="plus"):
     return total
 
 
+def _distinct_rows(a):
+    """np.unique(a, axis=0, return_inverse=True) for float rows, by one
+    lexsort: the distinct rows in lexicographic order and the index of each
+    row of a among them."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def delta_via_birkhoff(potentials, mu, func, n):
     """Exact finite-n approximant: E_mu[F(n-step cyclic Birkhoff averages)].
 
     Enumerates all k^n words (capped); non-increasing in n for convex F by
-    Jensen on the two-block split.
+    Jensen on the two-block split.  The averages of the words are computed
+    once; a mixture sums its components' approximants with its weights.
     """
     potentials = list(potentials)
-    if isinstance(mu, MixtureMeasure):
-        return sum(
-            w * delta_via_birkhoff(potentials, nu, func, n)
-            for w, nu in zip(mu.weights, mu.components)
-        )
+    if any(p.alphabet != mu.alphabet for p in potentials):
+        raise ValueError("measure and potential alphabets differ")
+    if n < 1:
+        raise ValueError("word length must be >= 1")
     k = mu.alphabet.k
     if k**n > _WORD_CAP:
         raise ValueError("word enumeration too large; reduce n")
-    probs = mu.word_probs(n).ravel()
-    # enumerate all words as digit arrays
-    words = np.array(
-        np.unravel_index(np.arange(k**n), (k,) * n), dtype=np.int64
-    ).T
+    # row w is the word with C-order index w, as digits
+    words = np.indices((k,) * n).reshape(n, -1).T
     averages = np.stack(
-        [
-            kernels.birkhoff_averages(
-                np.ascontiguousarray(words), p.table.ravel(), p.memory, k
-            )
-            for p in potentials
-        ],
+        [kernels.birkhoff_averages(words, p.table.ravel(), p.memory, k)
+         for p in potentials],
         axis=1,
     )
-    # F once per distinct row of averages, weighted by its total probability
-    mask = probs > 0
-    rows, inverse = np.unique(averages[mask], axis=0, return_inverse=True)
-    weights = np.bincount(inverse.ravel(), weights=probs[mask], minlength=len(rows))
-    return float(np.dot(weights, [func(a) for a in rows]))
+
+    def expect(nu):
+        if isinstance(nu, MixtureMeasure):
+            return sum(w * expect(c) for w, c in zip(nu.weights, nu.components))
+        # F once per distinct row of averages, weighted by its total probability
+        probs = nu.word_probs(n).ravel()
+        mask = probs > 0
+        rows, inverse = _distinct_rows(averages[mask])
+        weights = np.bincount(inverse, weights=probs[mask], minlength=len(rows))
+        return float(np.dot(weights, [func(a) for a in rows]))
+
+    return expect(mu)
 
 
 def affine_pressure_flat(model, mu):
@@ -278,6 +291,8 @@ def birkhoff_sampling(model, mu, n, num_samples, seed=0):
     for g in (model.g_plus, model.g_minus):
         if g is not None and not g.has_gradient:
             raise ValueError("order parameters require differentiable g")
+    if mu.alphabet != model.alphabet:
+        raise ValueError("measure and potential alphabets differ")
     paths = mu.sample_paths(n, num_samples, seed=seed)
     k = mu.alphabet.k
     out = {}

@@ -368,6 +368,19 @@ class TestSubcommands:
         assert out["delta_plus"] == pytest.approx(0.6**2)
         assert out["f_flat"] == pytest.approx(out["f_sharp"])
 
+    def test_delta_rejects_negative_birkhoff_n(self, tmp_path, capsys):
+        # a negative word length used to exit 0 without the approximant
+        doc = json.loads(json.dumps(CW2))
+        doc["measures"] = {"biased": {"order": 0, "stationary": [0.8, 0.2]}}
+        path = write_model(tmp_path, doc)
+        with pytest.raises(SystemExit) as info:
+            run_cli(["delta", path, "--measure", "biased", "--birkhoff-n", "-3"])
+        assert info.value.code == 2
+        assert "--birkhoff-n: must be >= 0, got -3" in capsys.readouterr().err
+        assert run_cli(["delta", path, "--measure", "biased",
+                        "--birkhoff-n", "0"]) == 0
+        assert "delta_plus_birkhoff_n" not in json.loads(capsys.readouterr().out)
+
     def test_oracle_agreement(self, tmp_path, capsys):
         path = write_model(tmp_path, CW2)
         assert run_cli(["oracle", path]) == 0

@@ -1,6 +1,25 @@
 import numpy as np
+import pytest
 
-from thermoflat.kernels import sample_state_paths
+from thermoflat.kernels import ROW_BLOCK, birkhoff_averages, sample_state_paths
+
+
+def window_loop_averages(symbols, table, memory, k):
+    """The reference: one running sum over the n cyclic window positions."""
+    symbols = np.asarray(symbols)
+    num, n = symbols.shape
+    acc = np.zeros(num, dtype=np.float64)
+    for t in range(n):
+        idx = np.zeros(num, dtype=np.int64)
+        for j in range(memory):
+            idx = idx * k + symbols[:, (t + j) % n]
+        acc += table[idx]
+    return acc / n
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSamplePaths:
@@ -13,3 +32,25 @@ class TestSamplePaths:
         np.testing.assert_array_equal(
             sample_state_paths(start, rows, u), [[1, 0, 0, 1]]
         )
+
+
+class TestBirkhoffAverages:
+    @pytest.mark.parametrize("memory", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bitwise_equal_to_the_window_loop(self, memory, k):
+        # n < memory wraps a window around the word more than once; the row
+        # count spans several blocks and ends in a partial one
+        rng = np.random.default_rng(100 * memory + k)
+        table = rng.standard_normal(k**memory) * 10.0 ** rng.uniform(-4, 4, k**memory)
+        for n in (1, 2, 3, 7, 37):
+            symbols = rng.integers(0, k, size=(2 * ROW_BLOCK + 3, n))
+            assert_bitwise_equal(
+                birkhoff_averages(symbols, table, memory, k),
+                window_loop_averages(symbols, table, memory, k),
+            )
+
+    def test_negative_zero_table_sums_to_positive_zero(self):
+        # a running sum from 0.0 never yields -0.0, so neither may the kernel
+        symbols = np.zeros((3, 5), dtype=np.int64)
+        got = birkhoff_averages(symbols, np.array([-0.0, 1.0]), 1, 2)
+        assert_bitwise_equal(got, np.zeros(3))

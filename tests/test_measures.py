@@ -176,21 +176,27 @@ class TestSampling:
     def test_product_paths_match_the_tiled_chain(self):
         # an order-0 measure draws each symbol by one lookup in its
         # distribution: the same paths as the chain whose every row is that
-        # distribution, over two chunks of the sample budget
-        a3 = AprioriAlphabet(3)
-        mu = MarkovMeasure.product(a3, [0.2, 0.5, 0.3])
+        # distribution, over two chunks of the sample budget; symbols of
+        # weight zero, first, inside or last, are never drawn
         n, num, seed = 40, 1500, 9
-        start_cum = np.cumsum(mu.stationary)
-        start_cum[-1] = 1.0
-        trans_cum = np.tile(start_cum, (3, 1))
-        chunks = []
-        for ci, lo in enumerate(range(0, num, 1024)):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-            )
-            uniforms = rng.random((min(1024, num - lo), n))
-            chunks.append(sample_state_paths(start_cum, trans_cum, uniforms))
-        np.testing.assert_array_equal(mu.sample_paths(n, num, seed), np.vstack(chunks))
+        for weights in ([0.2, 0.5, 0.3], [0.0, 0.5, 0.5], [0.4, 0.0, 0.6],
+                        [0.3, 0.7, 0.0], [0.1, 0.3, 0.0, 0.4, 0.2]):
+            k = len(weights)
+            mu = MarkovMeasure.product(AprioriAlphabet(k), weights)
+            start_cum = np.cumsum(mu.stationary)
+            start_cum[-1] = 1.0
+            trans_cum = np.tile(start_cum, (k, 1))
+            chunks = []
+            for ci, lo in enumerate(range(0, num, 1024)):
+                rng = np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+                )
+                uniforms = rng.random((min(1024, num - lo), n))
+                chunks.append(sample_state_paths(start_cum, trans_cum, uniforms))
+            paths = mu.sample_paths(n, num, seed)
+            np.testing.assert_array_equal(paths, np.vstack(chunks))
+            drawn = np.bincount(paths.ravel(), minlength=k)
+            np.testing.assert_array_equal(drawn == 0, np.asarray(weights) == 0)
 
     def test_markov_empirical_transitions(self):
         q = np.array([[0.9, 0.1], [0.3, 0.7]])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, linprog
 
-from thermoflat import transport
+from thermoflat import kernels, transport
 from thermoflat.convex import AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec, p_nl, solve_flat
 from thermoflat.measures import (
@@ -92,6 +92,60 @@ class TestDeltaBirkhoff:
         mu = MarkovMeasure.product(A2, [0.5, 0.5])
         with pytest.raises(ValueError, match="too large"):
             delta_via_birkhoff([SPIN], mu, square, 22)
+
+    def test_grouping_matches_np_unique(self):
+        # two potentials with tied averages, on measures with words of
+        # probability zero: F is called on np.unique's rows, in its order,
+        # and the value is the reference sum to the last bit
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(3)
+        pots = [CylinderPotential(a3, [1.0, 0.0, -1.0]),
+                CylinderPotential(a3, rng.integers(-1, 2, (3, 3)).astype(float))]
+        chain = MarkovMeasure.from_transitions(
+            a3, np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.6, 0.4]]))
+        product = MarkovMeasure.product(a3, [0.7, 0.0, 0.3])
+        n = 6
+        words = np.array(np.unravel_index(np.arange(3**n), (3,) * n)).T
+        averages = np.stack(
+            [kernels.birkhoff_averages(words, p.table.ravel(), p.memory, 3)
+             for p in pots], axis=1)
+
+        def reference(nu):
+            probs = nu.word_probs(n).ravel()
+            mask = probs > 0
+            assert not mask.all()
+            rows, inverse = np.unique(averages[mask], axis=0, return_inverse=True)
+            assert len(rows) < mask.sum()
+            got_rows, got_inverse = transport._distinct_rows(averages[mask])
+            np.testing.assert_array_equal(got_rows, rows)
+            np.testing.assert_array_equal(got_inverse, inverse.ravel())
+            weights = np.bincount(inverse.ravel(), weights=probs[mask],
+                                  minlength=len(rows))
+            return rows, float(np.dot(weights, [f(a) for a in rows]))
+
+        def f(z):
+            return float(z[0] ** 2 + z[0] * z[1] + 2.0 * z[1] ** 2)
+
+        for nu in (chain, product):
+            rows, want = reference(nu)
+            seen = []
+
+            def recording_f(z):
+                seen.append(z)
+                return f(z)
+
+            assert delta_via_birkhoff(pots, nu, recording_f, n) == want
+            np.testing.assert_array_equal(np.array(seen), rows)
+        mix = MixtureMeasure([(0.4, chain), (0.6, product)])
+        assert delta_via_birkhoff(pots, mix, f, n) == (
+            0.4 * reference(chain)[1] + 0.6 * reference(product)[1])
+
+    def test_alphabet_mismatch_rejected(self):
+        # k=2 words read the wrong entries of a k=3 table
+        phi = CylinderPotential(AprioriAlphabet(3), np.arange(9.0).reshape(3, 3))
+        mu = MarkovMeasure.product(A2, [0.5, 0.5])
+        with pytest.raises(ValueError, match="alphabets differ"):
+            delta_via_birkhoff([phi], mu, square, 4)
 
     def test_mixture_splits(self):
         mu1 = MarkovMeasure.product(A2, [0.9, 0.1])
@@ -332,6 +386,14 @@ class TestBirkhoffSampling:
         xs = out["plus"][:, 0]
         se = xs.std(ddof=1) / math.sqrt(len(xs))
         assert abs(xs.mean() - ystar) < 4 * se
+
+    def test_alphabet_mismatch_rejected(self):
+        a3 = AprioriAlphabet(3)
+        phi = CylinderPotential(a3, np.arange(9.0).reshape(3, 3))
+        m = ModelSpec(a3, [phi], g_plus=Quadratic(1.0))
+        mu = MarkovMeasure.product(A2, [0.5, 0.5])
+        with pytest.raises(ValueError, match="alphabets differ"):
+            birkhoff_sampling(m, mu, 10, 5)
 
     def test_deterministic_in_seed(self):
         m = cw_model(2.0)
