@@ -217,8 +217,8 @@ def cmd_delta(model, doc, args):
     return report
 
 
-def cmd_oracle(model, cfg):
-    sol = linearizer.solve_flat(model, cfg)
+def cmd_oracle(model, sol):
+    """Both oracles against the flat value of the solution `sol`."""
     order = 0 if model.memory <= 1 else 1
     direct, _ = oracle.direct_pressure(model, order=order)
     bkl, _ = oracle.bkl_pressure(model)
@@ -231,11 +231,12 @@ def cmd_oracle(model, cfg):
 
 
 def cmd_report(model, cfg):
+    sol = linearizer.solve_game(model, cfg)
     return {
         "label": model.label,
         "pressure": cmd_pressure(model),
-        "game": cmd_game(model, cfg),
-        "oracle": cmd_oracle(model, cfg),
+        "game": _serialize_solution(sol),
+        "oracle": cmd_oracle(model, sol),
     }
 
 
@@ -260,7 +261,7 @@ def main(argv=None):
         elif args.command == "delta":
             report = cmd_delta(model, doc, args)
         elif args.command == "oracle":
-            report = cmd_oracle(model, cfg)
+            report = cmd_oracle(model, linearizer.solve_flat(model, cfg))
         else:
             report = cmd_report(model, cfg)
     except (ValueError, TypeError, KeyError) as exc:

@@ -6,7 +6,10 @@ Two independent routes to the same number:
     order-1 Markov chains by L-BFGS-B over their row logits, from the
     chains of tilted Gibbs measures;
   * the constrained-entropy route: h(z) as a Legendre transform of the
-    linear pressure, then a grid maximum of g+(z+) - g-(z-) + h(z).
+    linear pressure, a grid maximum of g+(z+) - g-(z-) + h(z) to pick a
+    tilt y, then a polish over y.  At z = tau(y), the Gibbs averages of the
+    tilt, h(z) = P_L(y) - y . z exactly (Legendre duality), so the value
+    returned is that of an achievable average and cannot be overstated.
 Both take linear pressures and Gibbs averages from ruelle._tilted_pressure.
 Neither touches the max-min solver, so they can arbitrate it.
 """
@@ -321,21 +324,35 @@ def bkl_entropy(alphabet, potentials, z, radius=BKL_RADIUS):
 
 
 def bkl_pressure(model, grid=41):
-    """Grid maximum of g+(z+) - g-(z-) + h(z) over achievable averages.
+    """Maximum of g+(z+) - g-(z-) + h(z) over achievable averages z.
 
-    z ranges over a box bounded by the sup norms of the merged potentials;
-    infeasible z (boundary-flagged entropy) are skipped.  A grid of `grid`
-    points per axis, then a 13-point grid on three cells around its best
-    node, then a Nelder-Mead polish.  Each dual solve of a grid node starts
-    from the minimizer at its neighbouring node (the previous one along
-    the last axis that moved), and each polish solve from the best node's.
-    A stopped L-BFGS-B bounds the inf from above, so a start it leaves too
-    early overstates h: starting the polish solves from the last point the
-    polish evaluated put the value 1.5e-7 above P_flat on a three-symbol
-    memory-2 model.
+    Returns (value, z).  z first ranges over a box bounded by the sup norms
+    of the merged potentials; infeasible z (boundary-flagged entropy) are
+    skipped.  A grid of `grid` points per axis, then a 13-point grid on
+    three cells around its best node, each node scored by a dual solve
+    (_bkl_dual) that starts from the minimizer at its neighbouring node
+    (the previous one along the last axis that moved).  A stopped L-BFGS-B
+    bounds the inf from above, so a grid score can overstate h; the grid
+    only picks the best node's dual minimizer y as the start of the polish.
+
+    The polish is Nelder-Mead over the tilt y in the box |y_i| <= BKL_RADIUS,
+    maximizing P_L(y) - y . tau + g+(tau+) - g-(tau-) with tau = tau(y) the
+    Gibbs averages of the tilt.  P_L is convex and differentiable with
+    gradient tau, so h(tau(y)) = P_L(y) - y . tau(y): each point costs one
+    Perron pair and no dual solve, and the value returned, at z = tau(y)
+    of the polished y, is exact up to Perron rounding.
     """
     uniq, plus_idx, minus_idx = _unique_potentials(model)
     tables = stacked_tables(model.alphabet, uniq, model.memory)
+
+    def coupling(z):
+        """g+(z+) - g-(z-)."""
+        value = 0.0
+        if model.g_plus is not None:
+            value += model.g_plus.value(z[plus_idx])
+        if model.g_minus is not None:
+            value -= model.g_minus.value(z[minus_idx])
+        return value
 
     def score(z, y0):
         """(g+(z+) - g-(z-) + h(z), dual minimizer); -inf when infeasible."""
@@ -344,11 +361,7 @@ def bkl_pressure(model, grid=41):
         )
         if boundary:
             return -math.inf, None
-        if model.g_plus is not None:
-            h += model.g_plus.value(z[plus_idx])
-        if model.g_minus is not None:
-            h -= model.g_minus.value(z[minus_idx])
-        return h, y
+        return h + coupling(z), y
 
     def grid_max(axes):
         """Best (value, z, minimizer) over the product of the axes."""
@@ -381,11 +394,18 @@ def bkl_pressure(model, grid=41):
         for z0, s in zip(best_z, spacing)
     ])
     if fine[0] > best:
-        best, best_z, best_y = fine
+        best_y = fine[2]
 
-    # continuous polish off the grid
-    res = minimize(lambda z: -score(z, best_y)[0], best_z, method="Nelder-Mead",
+    def polish(y):
+        """(P_L(y) - y . tau + g+(tau+) - g-(tau-), tau) at the tilt y, tau
+        the Gibbs averages: the score of z = tau(y), whose h(z) is
+        P_L(y) - y . tau exactly; -inf outside the box."""
+        if np.any(np.abs(y) > BKL_RADIUS):
+            return -math.inf, None
+        value, tau = _tilted_pressure(model.log_weights, y @ tables, tables,
+                                      model.memory)
+        return float(value - y @ tau + coupling(tau)), tau
+
+    res = minimize(lambda y: -polish(y)[0], best_y, method="Nelder-Mead",
                    options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-    if -res.fun > best and np.isfinite(res.fun):
-        best, best_z = -float(res.fun), res.x
-    return best, best_z
+    return polish(res.x)

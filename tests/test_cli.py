@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from thermoflat import cli, modelio
+from thermoflat import cli, linearizer, modelio
 from thermoflat.convex import LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec
 from thermoflat.measures import AprioriAlphabet, CylinderPotential
@@ -211,6 +211,24 @@ class TestDeterminism:
         assert run_cli(["game", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["gap"] >= -1e-8
+
+    def test_report_solves_flat_side_once(self, tmp_path, monkeypatch):
+        # the oracle section reads P_flat off the game's solution
+        calls = []
+        solve_flat = linearizer.solve_flat
+
+        def counted(*args):
+            calls.append(args)
+            return solve_flat(*args)
+
+        monkeypatch.setattr(linearizer, "solve_flat", counted)
+        path = write_model(tmp_path, TWO_SIDED)
+        out1 = tmp_path / "a.json"
+        out2 = tmp_path / "b.json"
+        assert run_cli(["report", path, "--out", str(out1)]) == 0
+        assert len(calls) == 1
+        assert run_cli(["report", path, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_report_reparses_losslessly(self, tmp_path):
         path = write_model(tmp_path, CW2)

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused module-level import, no
-private module-level function or class that nothing references, and no
-module-level function with a parameter its body never reads.
+private module-level function or class that nothing references, no
+module-level function with a parameter its body never reads, and no import
+of the max-min solver by the oracles that judge it.
 
 There is no linter among the test dependencies, so this is the check that
 keeps deleted code from coming back half-way (an import left behind, a
@@ -95,3 +96,16 @@ def test_no_unused_parameter_of_module_level_function():
             unused += [f"{path.name}:{node.lineno} {node.name}({a.arg})"
                        for a in params if a.arg not in read]
     assert not unused, f"parameters never read: {unused}"
+
+
+def test_oracle_does_not_import_the_solver():
+    # the oracles arbitrate the max-min solver, so they share none of its
+    # code; solving the bkl duals with its L-BFGS-B helper overstated bkl
+    imported = []
+    for node in ast.walk(_tree(PACKAGE / "oracle.py")):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            imported += [module + [alias.name] for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name.split(".") for alias in node.names]
+    assert not [m for m in imported if "linearizer" in m], imported

@@ -143,6 +143,16 @@ class TestBKLPressure:
         assert v == pytest.approx(sol.p_flat, abs=1e-6)
 
 
+def best_orbit_square(m):
+    """Largest squared average of the memory-2 plus table over the periodic
+    orbits of period at most 3."""
+    table = m.plus_potentials[0].table
+    return max(
+        np.mean([table[c[i], c[(i + 1) % len(c)]] for i in range(len(c))]) ** 2
+        for n in (1, 2, 3) for c in itertools.product(range(3), repeat=n)
+    )
+
+
 def three_symbol_memory2(seed, scale=1.0):
     a3 = AprioriAlphabet(3)
     table = scale * np.random.default_rng(seed).standard_normal((3, 3))
@@ -213,13 +223,9 @@ class TestThreeSymbolMemory2:
         # the best periodic orbit, whose entropy relative to the uniform
         # a priori measure is -log 3
         m = three_symbol_memory2(3, scale=30.0)
-        table = m.plus_potentials[0].table
-        orbit = max(
-            np.mean([table[c[i], c[(i + 1) % len(c)]] for i in range(len(c))]) ** 2
-            for n in (1, 2, 3) for c in itertools.product(range(3), repeat=n)
-        )
         v, _ = direct_pressure(m, order=1)
-        assert v == pytest.approx(0.75 * orbit - math.log(3), abs=1e-6)
+        assert v == pytest.approx(0.75 * best_orbit_square(m) - math.log(3),
+                                  abs=1e-6)
 
     def test_bkl_matches_solver(self):
         # the bkl search reaches tilts where some words carry almost no
@@ -229,3 +235,34 @@ class TestThreeSymbolMemory2:
         assert sol.p_flat == pytest.approx(2.0254008866, abs=1e-10)
         v, _ = bkl_pressure(m)
         assert v == pytest.approx(sol.p_flat, abs=1e-8)
+
+    def test_bkl_polish_runs_no_dual_solve(self, monkeypatch):
+        # 41 coarse and 13 refinement nodes; the polish over the tilt
+        # prices each point by one Perron pair
+        calls = []
+        dual = oracle._bkl_dual
+
+        def counted(*args):
+            calls.append(args)
+            return dual(*args)
+
+        monkeypatch.setattr(oracle, "_bkl_dual", counted)
+        bkl_pressure(three_symbol_memory2(3))
+        assert len(calls) == 41 + 13
+
+    @pytest.mark.parametrize("m", [cw_model(2.0), three_symbol_memory2(3)],
+                             ids=["curie_weiss", "k3_memory2"])
+    def test_bkl_value_is_legendre_exact(self, m):
+        # the value returned is g+(z) + h(z) at an achievable average z
+        v, z = bkl_pressure(m)
+        h, boundary = bkl_entropy(m.alphabet, m.plus_potentials, z)
+        assert not boundary
+        assert v == pytest.approx(m.g_plus.value(z) + h, abs=1e-9)
+
+    def test_bkl_on_wide_table(self):
+        # relative entropy <= 0 bounds the sup by the best orbit's 0.75 c^2;
+        # the order-1 chains attain it
+        m = three_symbol_memory2(3, scale=30.0)
+        v, _ = bkl_pressure(m)
+        assert v <= 0.75 * best_orbit_square(m)
+        assert v == pytest.approx(direct_pressure(m, order=1)[0], abs=1e-6)
