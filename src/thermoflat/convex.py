@@ -130,6 +130,11 @@ class ConvexSpec:
     # True when gradient (of g itself) is defined everywhere.
     has_gradient = False
 
+    def gradient_many(self, xs):
+        """The gradient of g at each row of xs, as rows."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        return np.array([self.gradient(row) for row in xs])
+
     # True when conjugate_gradient is defined on all of conjugate_box.
     has_conjugate_gradient = False
 
@@ -184,6 +189,9 @@ class Quadratic(ConvexSpec):
 
     def gradient(self, x):
         return self.beta * self._check_dim(x)
+
+    def gradient_many(self, xs):
+        return self.beta * np.atleast_2d(np.asarray(xs, dtype=float))
 
     has_conjugate_gradient = True
 
@@ -405,6 +413,9 @@ class LinearShift(ConvexSpec):
 
     def gradient(self, x):
         return self.base.gradient(x) + self.slope
+
+    def gradient_many(self, xs):
+        return self.base.gradient_many(xs) + self.slope
 
     @property
     def has_gradient(self):

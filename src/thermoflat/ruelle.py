@@ -14,11 +14,13 @@ sums).  A matrix that cannot be certified raises ArithmeticError; no
 estimate is returned unchecked.
 
 `perron` (root and right vector: the linear pressure) runs balanced dense
-`eig` rounds.  `_word_law` (root and both vectors: the Gibbs measure) takes
-the root from one `eigvals` call and both vectors from two inverse-iteration
-steps, each one batched `solve` of the shifted matrix and its transpose; a
-vector that does not certify falls back alone to `perron`'s rounds.  The
-tests certify random memory-4 tables with entries uniform in [-50, 50]
+`eig` rounds.  `_word_law` (root and both vectors: the Gibbs measure) finds
+both vectors by Noda's iteration, inverse iteration shifted by the current
+Collatz-Wielandt upper bound, each step one batched `solve` of the shifted
+matrix and its transpose.  A pair on which it stalls takes the root from one
+`eigvals` call and both vectors from two inverse-iteration steps; a vector
+that does not certify falls back alone to `perron`'s rounds.  The tests
+certify random memory-4 tables with entries uniform in [-50, 50]
 (k = 3 and 4) and in [-300, 300] (k = 3); wider tables can fail, as do about
 4 in 30 of the k = 4 tables in [-300, 300].
 """
@@ -36,6 +38,12 @@ from .measures import CylinderPotential, MarkovMeasure
 PERRON_TOL = 1e-11
 PERRON_STEPS = 16
 PERRON_ROUNDS = 3
+# Noda iteration for a Perron pair: linear-domain power steps before it,
+# at most this many Noda steps, and the relative width of the shared
+# Collatz-Wielandt bracket at which it stops.
+NODA_WARMUP = 3
+NODA_STEPS = 12
+NODA_TOL = 1e-13
 
 
 def _log_sum_exp(a, rows=False):
@@ -139,6 +147,31 @@ def _log_transfer(log_weights, table, memory):
     return log_b
 
 
+def _noda_pair(m):
+    """Right and left Perron vectors of a nonnegative matrix m, as the rows
+    of a (2, D) array with max 1, by Noda's iteration on m and m.T at once
+    (see _word_law); None when it stalls or is not done after NODA_STEPS."""
+    dim = m.shape[0]
+    pair = np.stack([m, m.T])
+    x = np.ones((2, dim, 1))
+    for _ in range(NODA_WARMUP):
+        x = pair @ x
+        x /= x.max(axis=1, keepdims=True)
+    shift = (1 + 1e-12) * np.eye(dim)
+    gap = np.inf
+    for step in range(NODA_STEPS + 1):
+        ratio = (pair @ x) / x
+        sigma = ratio.max(axis=1).min()
+        lo = ratio.min(axis=1).max()
+        if sigma - lo <= NODA_TOL * sigma:
+            return x[..., 0]
+        last, gap = gap, np.log(sigma / lo)
+        if step == NODA_STEPS or not gap <= 0.5 * last or gap == np.inf:
+            return None
+        x = np.abs(np.linalg.solve(sigma * shift - pair, x))
+        x /= x.max(axis=1, keepdims=True)
+
+
 def _word_law(log_b, k, memory):
     """Perron data of a memory >= 2 log transfer matrix and the law of its
     Gibbs measure on memory-words.
@@ -148,24 +181,35 @@ def _word_law(log_b, k, memory):
     order, log P(w) = log b[trail, lead] + log h(lead) + log nu(trail),
     unnormalized.  The Gibbs measure gives w the probability P(w) / sum P.
 
-    M and M.T share their spectrum, so one `eigvals` of M = exp(log_b - max)
-    gives the root lam of both.  Two inverse-iteration steps with the shift
-    sigma = lam (1 + 1e-12), each one batched `solve` of sigma I - M and its
-    transpose, give both vectors, and _collatz_wielandt certifies each.  A
+    M and M.T share their spectrum, so one shift serves both vectors of
+    M = exp(log_b - max).  After NODA_WARMUP power steps from ones, Noda's
+    iteration (Numer. Math. 17, 1971) takes the shift sigma, the smaller of
+    the right and left Collatz-Wielandt maxima (both upper bounds on the
+    root), and makes one batched `solve` of sigma (1 + 1e-12) I - M and its
+    transpose.  It stops once sigma is within NODA_TOL (relative) of lo, the
+    larger of the two minima.  A step that does not at least halve
+    log(sigma / lo) (an inf or NaN bracket, or vectors spanning too many
+    orders of magnitude for the linear domain) stalls it; a stalled pair, or
+    one not done after NODA_STEPS steps, takes the root lam from one
+    `eigvals` of M and both vectors from two inverse-iteration steps with
+    sigma = lam (1 + 1e-12).  _collatz_wielandt certifies each vector.  A
     vector that does not certify, or a LinAlgError (a singular solve), falls
     back alone to `perron`'s balanced rounds; their error, if they fail too,
     gets the vector's name appended.
     """
     dim = log_b.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             m = np.exp(log_b - log_b.max())
-            sigma = np.linalg.eigvals(m).real.max() * (1 + 1e-12)
-            shifted = sigma * np.eye(dim) - m
-            shifted = np.stack([shifted, shifted.T])
-            x = np.linalg.solve(shifted, np.ones((2, dim, 1)))
-            x = np.linalg.solve(shifted, x / np.abs(x).max(axis=1, keepdims=True))
-            starts = np.log(np.abs(x[..., 0]))
+            x = _noda_pair(m)
+            if x is None:
+                sigma = np.linalg.eigvals(m).real.max() * (1 + 1e-12)
+                shifted = sigma * np.eye(dim) - m
+                shifted = np.stack([shifted, shifted.T])
+                x = np.linalg.solve(shifted, np.ones((2, dim, 1)))
+                x = np.linalg.solve(shifted, x / np.abs(x).max(axis=1, keepdims=True))
+                x = x[..., 0]
+            starts = np.log(np.abs(x))
             starts -= starts.max(axis=1, keepdims=True)
         except np.linalg.LinAlgError:
             starts = (None, None)

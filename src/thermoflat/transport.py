@@ -309,5 +309,5 @@ def birkhoff_sampling(model, mu, n, num_samples, seed=0):
             ],
             axis=1,
         )
-        out[side] = np.array([g.gradient(a) for a in avgs])
+        out[side] = g.gradient_many(avgs)
     return out

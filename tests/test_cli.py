@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermoflat
 from thermoflat import cli, linearizer, modelio
 from thermoflat.convex import LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec
@@ -437,10 +440,17 @@ class TestSubcommands:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_model(tmp_path, CW2)
+        # the child imports the same package as this process
+        source = str(Path(thermoflat.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, env.get("PYTHONPATH")])
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "thermoflat.cli", "pressure", path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "pressure"

@@ -138,9 +138,8 @@ class TestPerronPair:
                 assert lam == pytest.approx(ref_lam, abs=1e-12)
                 np.testing.assert_allclose(log_vec, ref_vec, rtol=0, atol=1e-12)
 
-    def test_one_eigvals_and_no_eig(self, monkeypatch):
-        table = 0.5 * np.random.default_rng(11144).standard_normal((4,) * 4)
-        log_b = memory4_log_transfer(4, table)
+    @staticmethod
+    def count_eigen_calls(monkeypatch):
         calls = {"eigvals": 0, "eig": 0}
 
         def counted(module, name):
@@ -154,8 +153,40 @@ class TestPerronPair:
 
         counted(np.linalg, "eigvals")
         counted(ruelle.scipy.linalg, "eig")
+        return calls
+
+    def test_no_eigvals_and_no_eig(self, monkeypatch):
+        # Noda's iteration converges on its own on this 64-state table
+        table = 0.5 * np.random.default_rng(11144).standard_normal((4,) * 4)
+        log_b = memory4_log_transfer(4, table)
+        calls = self.count_eigen_calls(monkeypatch)
         ruelle._word_law(log_b, 4, 4)
+        assert calls == {"eigvals": 0, "eig": 0}
+
+    def test_stalled_noda_takes_one_eigvals(self, monkeypatch):
+        # the second table of the stream: its Perron vectors span too many
+        # orders of magnitude for linear-domain Noda steps to halve the bracket
+        rng = np.random.default_rng(50)
+        rng.uniform(-50.0, 50.0, (3,) * 4)
+        log_b = memory4_log_transfer(3, rng.uniform(-50.0, 50.0, (3,) * 4))
+        right, left = perron(log_b), perron(log_b.T)
+        calls = self.count_eigen_calls(monkeypatch)
+        lam, log_h, log_nu, _ = ruelle._word_law(log_b, 3, 4)
         assert calls == {"eigvals": 1, "eig": 0}
+        assert lam == pytest.approx(right[0], abs=1e-12)
+        np.testing.assert_allclose(log_h, right[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_nu, left[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_pair_certifies_random_memory4_tables_up_to_50(self, k):
+        rng = np.random.default_rng(50)
+        for _ in range(30):
+            log_b = memory4_log_transfer(k, rng.uniform(-50.0, 50.0, (k,) * 4))
+            lam, log_h, log_nu, _ = ruelle._word_law(log_b, k, 4)
+            for log_matrix, log_vec in ((log_b, log_h), (log_b.T, log_nu)):
+                ratio = logsumexp(log_matrix + log_vec[None, :], axis=1) - log_vec
+                assert ratio.min() - 1e-11 <= lam <= ratio.max() + 1e-11
+                assert ratio.max() - ratio.min() < 1e-10
 
     def test_singular_solve_falls_back_to_balanced_rounds(self, monkeypatch):
         rng = np.random.default_rng(7)

@@ -401,3 +401,18 @@ class TestBirkhoffSampling:
         a = birkhoff_sampling(m, mu, 100, 50, seed=3)["plus"]
         b = birkhoff_sampling(m, mu, 100, 50, seed=3)["plus"]
         np.testing.assert_array_equal(a, b)
+
+    def test_gradients_equal_the_per_row_loop(self):
+        # gradient_many's closed forms against g.gradient row by row
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        rng = np.random.default_rng(21)
+        plus = [CylinderPotential(a3, rng.normal(size=(3, 3))),
+                CylinderPotential(a3, rng.normal(size=3))]
+        g = LinearShift([0.3, -0.7], Quadratic(1.7, dim=2))
+        m = ModelSpec(a3, plus, g_plus=g)
+        mu = MarkovMeasure.product(a3, [0.5, 0.2, 0.3])
+        out = birkhoff_sampling(m, mu, n=50, num_samples=40, seed=5)["plus"]
+        paths = mu.sample_paths(50, 40, seed=5)
+        avgs = np.stack([kernels.birkhoff_averages(paths, p.table.ravel(), p.memory, 3)
+                         for p in plus], axis=1)
+        np.testing.assert_array_equal(out, np.array([g.gradient(a) for a in avgs]))
