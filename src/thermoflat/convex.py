@@ -5,11 +5,11 @@ samples of a convex function (up to two axes), and a linear shift of any of
 these.  Conjugates may be +infinity outside their domain; the INFINITY
 sentinel below is always produced deliberately, never by overflow.  Every
 kind but the grid has a conjugate that is smooth on a box domain, and gives
-its gradient there (`conjugate_gradient`, `conjugate_box`).  A grid stands
-for the lower convex envelope of its samples, so its conjugate is a max of
-affine functions, linear on finitely many cells; `conjugate_pieces` gives
-those affine functions and `conjugate_vertices` the vertices of the cells
-cut to a box.
+its gradient and Hessian there (`conjugate_gradient`, `conjugate_hessian`,
+`conjugate_box`).  A grid stands for the lower convex envelope of its
+samples, so its conjugate is a max of affine functions, linear on finitely
+many cells; `conjugate_pieces` gives those affine functions and
+`conjugate_vertices` the vertices of the cells cut to a box.
 """
 
 import dataclasses
@@ -135,10 +135,13 @@ class ConvexSpec:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return np.array([self.gradient(row) for row in xs])
 
-    # True when conjugate_gradient is defined on all of conjugate_box.
+    # True when conjugate_gradient and conjugate_hessian hold on conjugate_box.
     has_conjugate_gradient = False
 
     def conjugate_gradient(self, y):
+        raise NotImplementedError
+
+    def conjugate_hessian(self, y):
         raise NotImplementedError
 
     def conjugate_box(self):
@@ -198,6 +201,9 @@ class Quadratic(ConvexSpec):
     def conjugate_gradient(self, y):
         return self._check_dim(y) / self.beta
 
+    def conjugate_hessian(self, y):
+        return np.eye(len(self._check_dim(y))) / self.beta
+
 
 class AbsSum(ConvexSpec):
     """g(x) = sum_i |x_i|; conjugate is the indicator of the sup-norm ball."""
@@ -234,6 +240,9 @@ class AbsSum(ConvexSpec):
 
     def conjugate_gradient(self, y):
         return np.zeros_like(self._check_dim(y))
+
+    def conjugate_hessian(self, y):
+        return np.diag(np.zeros_like(self._check_dim(y)))
 
     def conjugate_box(self):
         return np.full(self.dim, -1.0), np.full(self.dim, 1.0)
@@ -427,6 +436,9 @@ class LinearShift(ConvexSpec):
 
     def conjugate_gradient(self, y):
         return self.base.conjugate_gradient(self._check_dim(y) - self.slope)
+
+    def conjugate_hessian(self, y):
+        return self.base.conjugate_hessian(self._check_dim(y) - self.slope)
 
     def conjugate_box(self):
         lo, hi = self.base.conjugate_box()

@@ -16,12 +16,13 @@ equilibrium, and by Danskin's theorem the gradient of P_flat(y+) is tau+
 at the inner minimizer minus grad g+*(y+).  One search (_local_maxima)
 serves the outer sup and the inner sup over y+ of the min-max side: it
 evaluates exactly those finitely many vertices (conjugate_vertices), or
-else runs L-BFGS-B under box bounds from a set of starts.  The convex
-inner inf runs L-BFGS-B from y- = 0 when g-* has a gradient on its domain
-box (quadratic, l1 norm and their linear shifts); a grid-sampled g- has a
-piecewise-linear conjugate, and its inner inf is a smooth epigraph
-program, solved by SLSQP and polished on the face of g-* it ends on
-(_epigraph_inf).
+else runs a projected Newton search (_newton) under box bounds from a set of
+starts, on the Hessian of P_L in the tilt, the Green-Kubo covariance of the
+tilted Gibbs measure (ruelle._tilted_pressure).  The convex inner inf runs
+it from y- = 0 when g-* has a gradient on its domain box (quadratic, l1
+norm and their linear shifts); a grid-sampled g- has a piecewise-linear
+conjugate, and its inner inf is a smooth epigraph program, solved by SLSQP
+and polished on the face of g-* it ends on (_epigraph_inf).
 
 The min-max side (solve_sharp) minimizes the convex S(y-) = sup over y+ of
 P_NL by a level bundle method on Danskin cuts: one HiGHS LP over the cuts
@@ -36,13 +37,7 @@ import math
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import (
-    LbfgsInvHessProduct,
-    OptimizeResult,
-    linprog,
-    minimize,
-    nnls,
-)
+from scipy.optimize import linprog, minimize, nnls
 
 from .config import RunConfig
 from .convex import INFINITY, DualPoint, growth_radius
@@ -51,12 +46,12 @@ from .ruelle import _tilted_pressure, rpf_solve, stacked_tables
 
 # Projected-gradient targets of the inner inf and the outer sup.  The inner
 # one sits below SINGLETON_TOL: an l1 coupling admits a minimizer on its kink
-# only when |tau-| there is within SINGLETON_TOL of 0.  Then the L-BFGS-B
-# options, and the number of gradient-only polish steps after it.
+# only when |tau-| there is within SINGLETON_TOL of 0.  Then the Newton
+# search's caps on steps and on halvings of one step.
 INNER_GTOL = 1e-13
 OUTER_GTOL = 1e-9
-LBFGSB_OPTIONS = {"ftol": 1e-12, "maxiter": 200, "maxls": 10}
-POLISH_STEPS = 4
+NEWTON_STEPS = 100
+NEWTON_HALVINGS = 30
 # SLSQP options of the epigraph inner inf for a grid g-: tight enough that
 # its active pieces are those at the minimizer, which the face polish then
 # reaches.  On the grid-minus test models SLSQP stopped up to 2e-3 from the
@@ -80,7 +75,8 @@ class ModelSpec:
 
     `memory` is the largest potential memory (1 without potentials),
     `tables` the flat word tables of the plus, then the minus potentials
-    padded to it, one row each, and `log_weights` the log a priori weights.
+    padded to it, one row each (`signed`: the minus rows negated), and
+    `log_weights` the log a priori weights; `evaluations` counts P_L calls.
     """
 
     def __init__(
@@ -111,6 +107,9 @@ class ModelSpec:
         self.memory = max([p.memory for p in potentials], default=1)
         self.tables = stacked_tables(alphabet, potentials, self.memory)
         self.log_weights = np.log(alphabet.weights)
+        n = self.n_plus
+        self.signed = np.vstack([self.tables[:n], -self.tables[n:]])
+        self.evaluations = 0
 
     @property
     def n_plus(self):
@@ -136,25 +135,27 @@ class ModelSpec:
         """The flat word table of Theta = y+ . phi+ - y- . phi- at `memory`."""
         return np.concatenate([y_plus, -y_minus]) @ self.tables
 
-    def linear_pressure_tilted(self, y_plus, y_minus):
+    def linear_pressure_tilted(self, y_plus, y_minus, hessian=False):
         """(P_L(Theta), tau+, tau-) of Theta = tilt(y+, y-), without
-        building potential objects.
+        building potential objects, and with hessian=True the Hessian of P_L.
 
         tau+ and tau- are the averages of the plus and minus potentials
         under the Gibbs measure of Theta (ruelle._tilted_pressure), so
-        (tau+, -tau-) is the gradient of P_L in (y+, y-).
+        (tau+, -tau-), the averages of the signed rows, is the gradient of
+        P_L in (y+, y-), and their covariance its Hessian.
         """
+        self.evaluations += 1
         try:
-            value, tau = _tilted_pressure(
-                self.log_weights, self.tilt(y_plus, y_minus), self.tables,
-                self.memory,
+            value, tau, *cov = _tilted_pressure(
+                self.log_weights, self.tilt(y_plus, y_minus), self.signed,
+                self.memory, hessian,
             )
         except ArithmeticError as exc:
             raise ArithmeticError(
                 f"linear_pressure_tilted at y+ = {np.asarray(y_plus).tolist()}, "
                 f"y- = {np.asarray(y_minus).tolist()}: {exc}"
             ) from exc
-        return value, tau[: self.n_plus], tau[self.n_plus :]
+        return value, tau[: self.n_plus], -tau[self.n_plus :], *cov
 
     def direct_pressure_of(self, mu):
         """P(mu) = entropy - g_minus(tau_minus) + g_plus(tau_plus)."""
@@ -204,32 +205,40 @@ def approximating_potential(model, y_plus, y_minus):
     return CylinderPotential(model.alphabet, model.tilt(y_plus, y_minus).reshape(shape))
 
 
-def p_nl(model, y_plus, y_minus, grad=False):
+def p_nl(model, y_plus, y_minus, grad=False, hess=False):
     """P_NL = P_L(Theta) + g-*(y-) - g+*(y+); +inf outside dom(g-*).
 
     With grad=True returns (value, grad_plus, grad_minus), the gradient
-    (tau+ - grad g+*(y+), -tau- + grad g-*(y-)).  A coupling without a
-    conjugate gradient (a grid) adds no term to its side, which then holds
-    the P_L term alone; so does the minus side outside dom(g-*).
+    (tau+ - grad g+*(y+), -tau- + grad g-*(y-)), and hess=True adds the
+    Hessian in (y+, y-) of the same terms.  A coupling without a conjugate
+    gradient (a grid) adds no term to its side, which then holds the P_L
+    terms alone; so does the minus side outside dom(g-*).
     """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
     y_minus = np.atleast_1d(np.asarray(y_minus, dtype=float))
     if len(y_plus) != model.n_plus or len(y_minus) != model.n_minus:
         raise ValueError("tilt coefficient dimension mismatch")
-    value, grad_plus, grad_minus = model.linear_pressure_tilted(y_plus, y_minus)
+    value, grad_plus, grad_minus, *hessian = model.linear_pressure_tilted(
+        y_plus, y_minus, hess
+    )
+    grad, n = grad or hess, model.n_plus
     grad_minus = -grad_minus
     if model.g_minus is not None:
         c = model.g_minus.conjugate(y_minus)
         if c == INFINITY:
-            return (INFINITY, grad_plus, grad_minus) if grad else INFINITY
+            return (INFINITY, grad_plus, grad_minus, *hessian) if grad else INFINITY
         value += c
         if grad and model.g_minus.has_conjugate_gradient:
             grad_minus += model.g_minus.conjugate_gradient(y_minus)
+            for h in hessian:
+                h[n:, n:] += model.g_minus.conjugate_hessian(y_minus)
     if model.g_plus is not None:
         value -= model.g_plus.conjugate(y_plus)
         if grad and model.g_plus.has_conjugate_gradient:
             grad_plus -= model.g_plus.conjugate_gradient(y_plus)
-    return (value, grad_plus, grad_minus) if grad else value
+            for h in hessian:
+                h[:n, :n] -= model.g_plus.conjugate_hessian(y_plus)
+    return (value, grad_plus, grad_minus, *hessian) if grad else value
 
 
 def _box(g, radius):
@@ -238,87 +247,61 @@ def _box(g, radius):
     return np.maximum(lo, -radius), np.minimum(hi, radius)
 
 
-def _projected(x, gradient, lo, hi):
-    """The gradient without the components that push x out of the box."""
-    out = ((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0))
-    return np.where(out, 0.0, gradient)
+def _free(x, gradient, lo, hi):
+    """The coordinates the box leaves free: off its faces, or descending into it."""
+    return ~(((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0)))
 
 
-class _Stationary(Exception):
-    """Ends an L-BFGS-B run at an evaluated point that meets its gtol."""
+def _modified_inverse(h):
+    """The inverse of the symmetric h with each eigenvalue made positive, as
+    |lambda| floored at 1e-10 max |lambda|; zero for a zero or non-finite h."""
+    if not (np.isfinite(h).all() and h.any()):
+        return np.zeros_like(h)
+    lam, vec = np.linalg.eigh(h)
+    return (vec / np.maximum(np.abs(lam), 1e-10 * np.abs(lam).max())) @ vec.T
 
 
-def _lbfgsb(fun, x0, lo, hi, gtol):
-    """Minimize fun over the box [lo, hi] from x0.
+def _newton(fun, x0, lo, hi, gtol):
+    """Minimize fun over the box [lo, hi] from x0 by projected Newton steps.
 
-    fun(x) returns (value, gradient, *extra).  L-BFGS-B stops at the first
-    point it evaluates whose projected gradient is below gtol and whose
-    value is within rounding of the least so far, even one its line search
-    would reject because the value differences there sink into rounding.
-    That happens about sqrt(eps) from a minimizer, while the gradient keeps
-    its relative precision; when L-BFGS-B stops on it before reaching gtol,
-    up to POLISH_STEPS quasi-Newton steps on the L-BFGS curvature pairs
-    follow, each kept only when it shrinks the projected gradient without
-    raising the value beyond rounding.  Returns (x, fun(x), scipy result).
+    fun(x) returns (value, gradient, Hessian, *extra).  Each step is a
+    modified Newton step (_modified_inverse; Nocedal & Wright, Numerical
+    Optimization, 2006, sec. 3.4) on the free coordinates (_free), or the
+    gradient step where the Hessian is of no use or the box cuts the step
+    into an ascent.  Halvings of the step clipped to the box run until
+    Armijo's test passes or, where values differ by rounding (about
+    sqrt(eps) from a minimizer, while the gradient keeps its precision), the
+    value is within 1e-12 (relative) with a smaller projected gradient.
+    Returns (x, fun(x), steps, message) once the projected gradient is at
+    most gtol, message None, or else naming why it stopped.
     """
-    seen, least, iterations = {}, INFINITY, 0
-
-    def wrapped(x):
-        nonlocal least
-        out = fun(x)
-        seen[x.tobytes()] = out
-        # only where values differ by rounding can the line search reject a
-        # point that meets gtol
-        rounding = abs(out[0] - least) <= 1e-12 * max(1.0, abs(least))
-        least = min(least, out[0])
-        if rounding and np.abs(_projected(x, out[1], lo, hi)).max() <= gtol:
-            raise _Stationary(x.copy(), out)
-        return out[0], out[1]
-
-    def count(intermediate_result):
-        nonlocal iterations
-        iterations += 1
-
-    try:
-        res = minimize(
-            wrapped,
-            np.clip(x0, lo, hi),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options=dict(LBFGSB_OPTIONS, gtol=gtol),
-            callback=count,
-        )
-    except _Stationary as stop:
-        x, out = stop.args
-        return x, out, OptimizeResult(
-            x=x, success=True, nit=iterations,
-            message="projected gradient below gtol",
-        )
-    x = res.x
-    out = seen.get(x.tobytes()) or fun(x)
-    pg = _projected(x, out[1], lo, hi)
-    sk, yk = list(res.hess_inv.sk), list(res.hess_inv.yk)
-    for _ in range(POLISH_STEPS):
-        if np.abs(pg).max(initial=0.0) <= gtol:
+    x = np.clip(x0, lo, hi)
+    out = fun(x)
+    for steps in range(NEWTON_STEPS + 1):
+        free = _free(x, out[1], lo, hi)
+        gradient = np.where(free, out[1], 0.0)
+        norm = np.abs(gradient).max(initial=0.0)
+        if norm <= gtol or steps == NEWTON_STEPS:
             break
-        inv_hess = LbfgsInvHessProduct(
-            np.reshape(sk, (-1, len(x))), np.reshape(yk, (-1, len(x)))
-        )
-        trial = np.clip(x - inv_hess.matvec(pg), lo, hi)
-        new = fun(trial)
-        step, change = trial - x, new[1] - out[1]
-        curvature = step @ change
-        if curvature > 0:
-            sk.append(step)
-            yk.append(change)
-        new_pg = _projected(trial, new[1], lo, hi)
-        slack = 1e-12 * max(1.0, abs(out[0]))
-        if np.abs(new_pg).max() < np.abs(pg).max() and new[0] <= out[0] + slack:
-            x, out, pg = trial, new, new_pg
-        elif curvature <= 0:
-            break
-    return x, out, res
+        step = -gradient
+        hess = out[2] if free.all() else out[2][np.ix_(free, free)]
+        step[free] = _modified_inverse(hess) @ step[free]
+        step = np.clip(x + step, lo, hi) - x
+        if gradient @ step >= 0:  # no Newton step, or the box made it ascend
+            step = np.clip(x - gradient, lo, hi) - x
+        for _ in range(NEWTON_HALVINGS):
+            trial = np.clip(x + step, lo, hi)
+            new = fun(trial)
+            rounding = abs(new[0] - out[0]) <= 1e-12 * max(1.0, abs(out[0]))
+            pg = np.abs(new[1][_free(trial, new[1], lo, hi)]).max(initial=0.0)
+            if new[0] <= out[0] + 1e-4 * (gradient @ step) or rounding and pg < norm:
+                break
+            step = step / 2
+        else:
+            return x, out, steps, f"line search failed at projected gradient {norm:.3g}"
+        x, out = trial, new
+    cap = f"iteration cap of {NEWTON_STEPS} steps at projected gradient {norm:.3g}"
+    return x, out, steps, None if norm <= gtol else cap
 
 
 # -- one-sided problems -------------------------------------------------------
@@ -341,11 +324,11 @@ def _epigraph_inf(model, y_plus, lo, hi):
     short of the minimizer, but an admissible equilibrium needs tau- on a
     grid node to SINGLETON_TOL.  So its point is projected onto the face
     where the pieces with positive KKT multipliers are equal, and, unless
-    that face is one vertex, _lbfgsb polishes P_L + x_a.y - v_a along it,
-    in a null-space basis of the differences of its nodes.  That point is
-    kept if it stays in the box and on the face; otherwise SLSQP's is.  A
-    nonzero SLSQP status is no failure: every point of the box bounds the
-    inf from above.
+    that face is one vertex, _newton polishes P_L + x_a.y - v_a along it,
+    in a null-space basis B of the differences of its nodes, on the Hessian
+    B^T H-- B.  That point is kept, with B, if it stays in the box and on
+    the face; otherwise SLSQP's is.  A nonzero SLSQP status is no failure:
+    every point of the box bounds the inf from above.
     """
     x, v = model.g_minus.conjugate_pieces()
     n = model.n_minus
@@ -377,48 +360,57 @@ def _epigraph_inf(model, y_plus, lo, hi):
 
         def along(t):
             face = point + basis @ t
-            value, _, tau_minus = model.linear_pressure_tilted(y_plus, face)
-            return value + x[a] @ face - v[a], basis.T @ (x[a] - tau_minus)
+            value, _, tau_minus, h = model.linear_pressure_tilted(y_plus, face, True)
+            return (value + x[a] @ face - v[a], basis.T @ (x[a] - tau_minus),
+                    basis.T @ h[-n:, -n:] @ basis)
 
         free = np.full(basis.shape[1], np.inf)
-        t, _, _ = _lbfgsb(along, np.zeros(len(free)), -free, free, INNER_GTOL)
+        t, *_ = _newton(along, np.zeros(len(free)), -free, free, INNER_GTOL)
         point = point + basis @ t
     level = x[a] @ point - v[a]
     on_face = (x @ point - v).max() <= level + 1e-12 * max(1.0, abs(level))
-    return point if on_face and np.all((lo <= point) & (point <= hi)) else y
+    return (point if on_face and np.all((lo <= point) & (point <= hi)) else y), basis
 
 
-def p_flat_of(model, y_plus, radius=None, grad=False):
+def p_flat_of(model, y_plus, radius=None, grad=False, hess=False):
     """P_flat(y+) = inf over y- of P_NL(y+, y-), with its one minimizer.
 
     The inf runs over the box [-radius, radius] (by default g-'s safe radius)
-    cut to dom(g-*).  A grid g-* takes _epigraph_inf; otherwise L-BFGS-B
+    cut to dom(g-*).  A grid g-* takes _epigraph_inf; otherwise _newton
     finds the root of the gradient -tau- + grad g-*(y-) from y- = 0 moved
-    into the box (see _lbfgsb).  With grad=True it also returns the plus
-    gradient of P_NL at the minimizer (see p_nl): tau+ - grad g+*(y+), by
-    Danskin the gradient of P_flat, or tau+ alone for a grid g+.
+    into the box.  With grad=True it also returns the plus gradient of P_NL
+    at the minimizer (see p_nl): tau+ - grad g+*(y+), by Danskin the
+    gradient of P_flat, or tau+ alone for a grid g+.  hess=True adds its
+    Hessian H++ - H+- B (B^T H-- B)^-1 B^T H-+ from P_NL's Hessian H, B a
+    basis of the free coordinates (_free) or grid face of the minimizer.
     """
     y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
+    n, minimizers, basis = len(y_plus), [], np.zeros((0, 0))
     if model.g_minus is None:
-        value, grad_plus, _ = p_nl(model, y_plus, np.zeros(0), grad=True)
-        return (value, [], grad_plus) if grad else (value, [])
-    if radius is None:
-        radius, _ = _radius(model.g_minus, model.tau_minus_norm(), None)
-    lo, hi = _box(model.g_minus, radius)
-    if model.g_minus.conjugate_pieces() is not None:
-        y_minus = _epigraph_inf(model, y_plus, lo, hi)
-        value, grad_plus, _ = p_nl(model, y_plus, y_minus, grad=True)
+        value, grad_plus, _, h = p_nl(model, y_plus, np.zeros(0), True, True)
     else:
+        if radius is None:
+            radius, _ = _radius(model.g_minus, model.tau_minus_norm(), None)
+        lo, hi = _box(model.g_minus, radius)
+        if model.g_minus.conjugate_pieces() is not None:
+            y_minus, basis = _epigraph_inf(model, y_plus, lo, hi)
+            value, grad_plus, _, h = p_nl(model, y_plus, y_minus, True, True)
+        else:
 
-        def inner(y):
-            value, grad_plus, grad_minus = p_nl(model, y_plus, y, grad=True)
-            return value, grad_minus, grad_plus
+            def inner(y):
+                value, grad_plus, grad_minus, h = p_nl(model, y_plus, y, True, True)
+                return value, grad_minus, h[n:, n:], grad_plus, h
 
-        y_minus, (value, _, grad_plus), _ = _lbfgsb(
-            inner, np.zeros(model.n_minus), lo, hi, INNER_GTOL
-        )
-    minimizers = [DualPoint(y_minus)]
-    return (value, minimizers, grad_plus) if grad else (value, minimizers)
+            y_minus, (value, grad_minus, _, grad_plus, h), _, _ = _newton(
+                inner, np.zeros(model.n_minus), lo, hi, INNER_GTOL
+            )
+            basis = np.eye(model.n_minus)[:, _free(y_minus, grad_minus, lo, hi)]
+        minimizers = [DualPoint(y_minus)]
+    if not hess:
+        return (value, minimizers, grad_plus) if grad else (value, minimizers)
+    cross = h[:n, n:] @ basis
+    schur = cross @ _modified_inverse(basis.T @ h[n:, n:] @ basis) @ cross.T
+    return value, minimizers, grad_plus, h[:n, :n] - schur
 
 
 def _start_grid(lo, hi, grid_points, cap):
@@ -435,15 +427,15 @@ def _start_grid(lo, hi, grid_points, cap):
 
 def _local_maxima(f, lo, hi, vertices, starts, radius, window):
     """The distinct local maxima over the box [lo, hi] of f, which returns
-    (value, gradient, *extra).
+    (value, gradient, Hessian, *extra).
 
     With vertices (the cell vertices of a piecewise-linear g+*, see the
     module docstring) f is evaluated at each of them, which is exact;
-    otherwise _lbfgsb maximizes f from each start.  Returns (rows, stats):
+    otherwise _newton maximizes f from each start.  Returns (rows, stats):
     the rows (point, value, gradient, *extra), best first (a stable sort),
     down to window below the best, each more than radius from every better
-    row, and the candidates, or the starts, total iterations and unconverged
-    starts with their sorted messages.
+    row, and the candidates, or the starts, total Newton steps and
+    unconverged starts with their sorted messages.
     """
     if vertices is not None:
         found = [(y, *f(y)) for y in vertices]
@@ -451,18 +443,19 @@ def _local_maxima(f, lo, hi, vertices, starts, radius, window):
     else:
 
         def neg(y):
-            value, gradient, *extra = f(y)
-            return -value, -gradient, *extra
+            value, gradient, hess, *extra = f(y)
+            return -value, -gradient, -hess, *extra
 
-        results = [_lbfgsb(neg, start, lo, hi, OUTER_GTOL) for start in starts]
-        found = [(x, -out[0], -out[1], *out[2:]) for x, out, _ in results]
-        failed = [res for _, _, res in results if not res.success]
+        results = [_newton(neg, start, lo, hi, OUTER_GTOL) for start in starts]
+        found = [(x, -out[0], -out[1], *out[2:]) for x, out, _, _ in results]
+        failed = sorted(message for *_, message in results if message is not None)
         stats = {
             "starts": len(starts),
-            "iterations": sum(int(res.nit) for _, _, res in results),
+            "iterations": sum(steps for _, _, steps, _ in results),
             "unconverged": len(failed),
-            "unconverged_messages": sorted(str(res.message) for res in failed),
+            "unconverged_messages": failed,
         }
+    found = [row[:3] + row[4:] for row in found]  # without the Hessians
     found.sort(key=lambda row: -row[1])
     rows = []
     for row in found:
@@ -477,8 +470,9 @@ def solve_flat(model, config=None):
     """Populate the max-min side: P_flat, M_flat, self-consistent equilibria.
 
     The outer sup is _local_maxima of P_flat: at the cell vertices of a
-    piecewise-linear g+* (see the module docstring), otherwise by L-BFGS-B
-    from the start grid (cfg.grid per axis, at most cfg.multistart_cap).
+    piecewise-linear g+* (see the module docstring), otherwise by the Newton
+    search from the start grid (cfg.grid per axis, at most
+    cfg.multistart_cap), which counts its linear-pressure evaluations.
     """
     cfg = config or RunConfig()
     sol = GameSolution()
@@ -510,12 +504,15 @@ def solve_flat(model, config=None):
         starts = _start_grid(lo, hi, cfg.grid, cfg.multistart_cap)
 
     def outer(y_plus):
-        value, inner, gradient = p_flat_of(model, y_plus, radius=r_minus, grad=True)
-        return value, gradient, inner
+        value, inner, gradient, hess = p_flat_of(model, y_plus, r_minus, True, True)
+        return value, gradient, hess, inner
 
+    before = model.evaluations
     rows, diag["search"] = _local_maxima(
         outer, lo, hi, vertices, starts, cfg.cluster_radius, cfg.value_window
     )
+    if starts is not None:
+        diag["search"]["evaluations"] = model.evaluations - before
     sol.p_flat = float(rows[0][1])
     pairs = []
     for x_plus, _, _, inner in sorted(rows, key=lambda row: tuple(row[0])):
@@ -670,10 +667,10 @@ def solve_sharp(model, config=None, *, _flat=None):
     full search at the best point if none has run).  Each inner sup over y+
     is the _local_maxima search that solve_flat runs, without its value
     window: it evaluates the cell vertices of a grid g+*, which is exact.
-    Otherwise L-BFGS-B runs from warm starts (the local maxima the previous
-    inner sup found, or at first the max-min maximizers), and, where a
-    point is to bound P_sharp from above, also from a start grid of 9
-    points per axis, at most 81 starts.  The bracket is rigorous as far as
+    Otherwise the Newton search runs from warm starts (the local maxima the
+    previous inner sup found, or at first the max-min maximizers), and,
+    where a point is to bound P_sharp from above, also from a start grid of
+    9 points per axis, at most 81 starts.  The bracket is rigorous as far as
     those full searches find the global max.
 
     solve_game passes its max-min solution as _flat: the first iterates are
@@ -681,7 +678,8 @@ def solve_sharp(model, config=None, *, _flat=None):
     (weak duality), so S(x-*) <= P_flat + SHARP_GAP stops the search there.
     Otherwise the first iterate is y- = 0 moved into the box.
     diagnostics["sharp"] gives the bracket (lower, upper), the inner sups
-    (iterations), the cuts, the full_inner_sups and why it stopped
+    (iterations), the full_inner_sups, their linear-pressure evaluations,
+    the cuts and why it stopped
     ("bracket", "weak_duality", "lp_resolution" when the master LP resolves
     no narrower bracket, or "iteration_cap").
     """
@@ -708,6 +706,7 @@ def solve_sharp(model, config=None, *, _flat=None):
     slopes, offsets = np.zeros((0, model.n_minus)), np.zeros(0)
     points = []  # one _InnerSup per point of the y- box, in order
     counts = {"iterations": 0, "full_inner_sups": 0}
+    before = model.evaluations
 
     def inner_sup(y_minus, full):
         """The local maxima of P_NL(., y-); their cuts join the model."""
@@ -716,11 +715,14 @@ def solve_sharp(model, config=None, *, _flat=None):
         full = full or vertices is not None or not warm
         counts["iterations"] += 1
         counts["full_inner_sups"] += full
+        def plus_side(y_plus):
+            value, grad_plus, grad_minus, h = p_nl(model, y_plus, y_minus, True, True)
+            return value, grad_plus, h[: len(y_plus), : len(y_plus)], grad_minus
+
         # every distinct local max gives a cut, so no value window
         kept, _ = _local_maxima(
-            lambda y_plus: p_nl(model, y_plus, y_minus, grad=True),
-            lo_plus, hi_plus, vertices, warm + (grid_starts if full else []),
-            cfg.cluster_radius, INFINITY,
+            plus_side, lo_plus, hi_plus, vertices,
+            warm + (grid_starts if full else []), cfg.cluster_radius, INFINITY,
         )
         values = np.array([k[1] for k in kept])
         new_slopes = np.array([k[3] for k in kept])
@@ -792,6 +794,7 @@ def solve_sharp(model, config=None, *, _flat=None):
         "lower": float(lower),
         "upper": float(upper),
         **counts,
+        "evaluations": model.evaluations - before,
         "cuts": len(offsets),
         "stop": stop,
     }

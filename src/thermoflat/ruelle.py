@@ -239,15 +239,22 @@ def stacked_tables(alphabet, potentials, memory):
     ).reshape(-1, alphabet.k**memory)
 
 
-def _tilted_pressure(log_weights, tilt, averaged, memory):
-    """(P_L, tau): the linear pressure of a flat memory-word table `tilt`
-    and the Gibbs averages of the rows of `averaged`, flat tables over the
-    same words.
+def _tilted_pressure(log_weights, tilt, averaged, memory, hessian=False):
+    """(P_L, tau), or with hessian=True (P_L, tau, H): the linear pressure of
+    a flat memory-word table `tilt`, the Gibbs averages of the rows of
+    `averaged`, flat tables over the same words, and their asymptotic
+    covariance.  When `tilt` is y . averaged, tau and H are the gradient
+    and Hessian of P_L in y.
 
     Memory 1: the Gibbs measure is the product of the softmax weights of
-    the table; memory >= 2: its law on words comes from the Perron pair
-    (_word_law), whose ArithmeticError passes through unchanged.  When
-    `tilt` is y . averaged, tau is the gradient of P_L in y.
+    the table, its words i.i.d., and H their covariance; memory >= 2: its
+    law P on words comes from the Perron pair (_word_law), whose
+    ArithmeticError passes through unchanged, and H is the Green-Kubo sum
+    (Parry & Pollicott, Asterisque 187-188, 1990) A diag(P) A^T + X + X^T of
+    the centred rows A, X = (A P) u(trail).  u = (I - Q + 1 pi)^-1 c sums the
+    correlations of the chain Q[lead, trail] = P / pi(lead) on the
+    (memory-1)-words, pi its law, c(s) = E[A | lead = s]; a state whose pi
+    underflows to 0 has an empty row of Q and c = 0, so it drops out.
     """
     if memory == 1:
         log_p = log_weights + tilt
@@ -258,7 +265,25 @@ def _tilted_pressure(log_weights, tilt, averaged, memory):
             _log_transfer(log_weights, tilt, memory), len(log_weights), memory
         )
         log_p -= _log_sum_exp(log_p)
-    return value, averaged @ np.exp(log_p)
+    p = np.exp(log_p)
+    tau = averaged @ p
+    if not hessian:
+        return value, tau
+    centred = averaged - tau[:, None]
+    weighted = centred * p
+    cov = weighted @ centred.T
+    if memory > 1:
+        k = len(log_weights)
+        trail, lead = _word_maps(k, memory)
+        # words grouped by lead: row s of the reshape holds the words s ^ c
+        pi = p.reshape(-1, k).sum(axis=1)
+        mass = np.where(pi > 0, pi, 1.0)
+        lhs = np.eye(len(pi)) + pi  # I - Q + 1 pi
+        lhs[lead, trail] -= p / mass[lead]
+        c = weighted.reshape(len(tau), -1, k).sum(axis=2).T / mass[:, None]
+        cross = weighted @ np.linalg.solve(lhs, c)[trail]
+        cov += cross + cross.T
+    return value, tau, cov
 
 
 @dataclasses.dataclass

@@ -394,6 +394,44 @@ class TestConjugateGradient:
         assert not LinearShift(np.array([0.1]), GridSampled([grid], grid**2)).has_conjugate_gradient
 
 
+class TestConjugateHessian:
+    @pytest.mark.parametrize(
+        "g, y",
+        [
+            (Quadratic(1.7, dim=2), [0.6, 1.1]),
+            (AbsSum(dim=2), [0.3, -0.5]),
+            (LinearShift(np.array([0.2, -0.4]), Quadratic(0.8, dim=2)), [-0.9, 0.4]),
+            (LinearShift(np.array([0.1, 0.3]), AbsSum(dim=2)), [0.5, 0.2]),
+        ],
+        ids=["quadratic", "abs_sum", "shifted_quadratic", "shifted_abs_sum"],
+    )
+    def test_matches_finite_differences_of_the_gradient(self, g, y):
+        y, h = np.array(y), 1e-6
+        fd = np.column_stack([
+            (g.conjugate_gradient(y + h * e) - g.conjugate_gradient(y - h * e)) / (2 * h)
+            for e in np.eye(2)
+        ])
+        hess = g.conjugate_hessian(y)
+        assert hess.shape == (2, 2)
+        np.testing.assert_allclose(hess, fd, atol=1e-8)
+
+    def test_closed_forms(self):
+        np.testing.assert_array_equal(
+            Quadratic(4.0, dim=3).conjugate_hessian(np.ones(3)), np.eye(3) / 4.0
+        )
+        np.testing.assert_array_equal(AbsSum(dim=2).conjugate_hessian(np.zeros(2)), 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Quadratic(1.0, dim=2).conjugate_hessian(np.ones(3))
+
+    def test_exists_exactly_with_the_gradient(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        for g in (GridSampled([grid], grid**2),
+                  LinearShift(np.array([0.1]), GridSampled([grid], grid**2))):
+            assert not g.has_conjugate_gradient
+            with pytest.raises(NotImplementedError):
+                g.conjugate_hessian(np.zeros(1))
+
+
 class TestSubdiffSet:
     def test_distance_inside_and_outside(self):
         sd = SubdiffSet(np.array([-1.0]), np.array([1.0]))

@@ -346,9 +346,12 @@ class TestSharpBundle:
         first = solve_game(m, RunConfig(grid=9)).diagnostics["sharp"]
         assert first == solve_game(m, RunConfig(grid=9)).diagnostics["sharp"]
         assert set(first) == {
-            "lower", "upper", "iterations", "cuts", "full_inner_sups", "stop"
+            "lower", "upper", "iterations", "cuts", "full_inner_sups",
+            "evaluations", "stop",
         }
         assert 1 <= first["full_inner_sups"] <= first["iterations"] <= first["cuts"]
+        # every inner sup evaluates P_NL at least once per start
+        assert first["evaluations"] >= first["cuts"]
 
     def test_game_solves_the_flat_side_once(self, monkeypatch):
         import thermoflat.linearizer as lin
@@ -715,6 +718,141 @@ class TestGridMinusInner:
         sol = solve_flat(model)
         assert sol.p_flat == pytest.approx(0.155809059157899, abs=1e-11)
         assert sol.equilibria
+
+
+def central_jacobian(f, y, h=1e-6):
+    """Central differences of the vector function f at y, one column per
+    coordinate."""
+    return np.column_stack([(f(y + h * e) - f(y - h * e)) / (2 * h) for e in np.eye(len(y))])
+
+
+class TestNewtonSearch:
+    """One projected Newton search serves every smooth search: the inner inf,
+    the local maxima over y+ and the face polish of a grid g-*."""
+
+    def test_p_nl_hessian_matches_finite_differences(self):
+        # memory 3 on a weighted alphabet, two plus potentials and one minus
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        rng = np.random.default_rng(4)
+        model = ModelSpec(
+            a3,
+            [CylinderPotential(a3, rng.standard_normal((3, 3, 3))),
+             CylinderPotential(a3, rng.standard_normal(3))],
+            [CylinderPotential(a3, rng.standard_normal((3, 3)))],
+            Quadratic(2.0, dim=2),
+            LinearShift(np.array([0.3]), Quadratic(1.5)),
+        )
+        y = np.array([0.4, -0.7, 0.2])
+
+        def gradient(z):
+            return np.concatenate(p_nl(model, z[:2], z[2:], grad=True)[1:])
+
+        value, grad_plus, grad_minus, hess = p_nl(model, y[:2], y[2:], True, True)
+        assert value == p_nl(model, y[:2], y[2:])
+        np.testing.assert_array_equal(np.concatenate([grad_plus, grad_minus]), gradient(y))
+        np.testing.assert_allclose(hess, central_jacobian(gradient, y), atol=1e-8)
+        np.testing.assert_allclose(hess, hess.T, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "build, y_plus",
+        [
+            (lambda: ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), AbsSum(1)), [0.5]),
+            (lambda: ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), AbsSum(1)), [2.0]),
+            (two_minus_game, [0.8]),
+            (lambda: grid_minus_models()["k3_two_axes"][0], [0.93]),
+        ],
+        ids=["abs_sum_inside", "abs_sum_on_face", "two_minus", "grid_minus"],
+    )
+    def test_p_flat_hessian_is_the_derivative_of_its_gradient(self, build, y_plus):
+        # the Schur complement over the minimizer's free coordinates (or the
+        # face of g-* it ends on)
+        model = build()
+        _, _, _, hess = p_flat_of(model, y_plus, grad=True, hess=True)
+
+        def gradient(y):
+            return p_flat_of(model, y, grad=True)[2]
+
+        fd = central_jacobian(gradient, np.array(y_plus, dtype=float))
+        np.testing.assert_allclose(hess, fd, atol=1e-8)
+
+    def test_abs_sum_p_flat_hessian_in_closed_form(self):
+        # inf over |y-| <= 1 of log cosh(y+ - y-) - y+^2/6: y- = clip(y+)
+        model = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), AbsSum(1))
+        assert p_flat_of(model, [0.5], grad=True, hess=True)[3][0, 0] == pytest.approx(
+            -1.0 / 3.0, abs=1e-12
+        )
+        assert p_flat_of(model, [2.0], grad=True, hess=True)[3][0, 0] == pytest.approx(
+            1.0 / math.cosh(1.0) ** 2 - 1.0 / 3.0, abs=1e-12
+        )
+
+    def test_modified_steps_descend_where_the_function_is_not_convex(self):
+        import thermoflat.linearizer as lin
+
+        def quartic(x):
+            return x[0] ** 4 - x[0] ** 2, 4 * x[0] ** 3 - 2 * x, np.array([[12 * x[0] ** 2 - 2]])
+
+        # f'' < 0 at the start; the minimum is at 1/sqrt(2)
+        x, out, steps, message = lin._newton(quartic, np.array([0.1]), -5.0, 5.0, 1e-12)
+        assert message is None
+        assert x[0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert 0 < steps < 20
+        # a box face that blocks the descent is a stationary point
+        x, _, _, message = lin._newton(quartic, np.array([0.1]), -0.5, 0.5, 1e-12)
+        assert message is None
+        assert x[0] == 0.5
+
+    def test_messages_name_why_it_stopped(self, monkeypatch):
+        import thermoflat.linearizer as lin
+
+        def inconsistent(x):
+            # a gradient that no step of a constant function can shrink
+            return 0.0, np.ones(1), np.eye(1)
+
+        *_, message = lin._newton(inconsistent, np.zeros(1), -np.inf, np.inf, 1e-12)
+        assert message == "line search failed at projected gradient 1"
+
+        def quartic(x):
+            return x[0] ** 4, 4 * x ** 3, np.array([[12 * x[0] ** 2]])
+
+        monkeypatch.setattr(lin, "NEWTON_STEPS", 2)
+        x, _, steps, message = lin._newton(quartic, np.array([1.0]), -2.0, 2.0, 1e-12)
+        assert steps == 2
+        assert message == f"iteration cap of 2 steps at projected gradient {4 * x[0] ** 3:.3g}"
+
+    def test_diagnostics_count_the_pressure_evaluations(self, monkeypatch):
+        calls, original = [], ModelSpec.linear_pressure_tilted
+
+        def counted(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(ModelSpec, "linear_pressure_tilted", counted)
+        sol = solve_game(
+            ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0)), RunConfig(grid=9)
+        )
+        search, sharp = sol.diagnostics["search"], sol.diagnostics["sharp"]
+        assert search["unconverged"] == 0
+        assert search["evaluations"] > 0 and sharp["evaluations"] > 0
+        assert search["evaluations"] + sharp["evaluations"] == len(calls)
+
+    def test_two_plus_potentials_game(self, monkeypatch):
+        # every full inner sup over the two plus coordinates runs 81 starts
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(0)
+        plus = [CylinderPotential(a3, t) for t in rng.standard_normal((2, 3))]
+        minus = [CylinderPotential(a3, t) for t in rng.standard_normal((3, 3))]
+        model = ModelSpec(a3, plus, minus, Quadratic(4.0, dim=2), Quadratic(1.0, dim=3))
+        calls, original = [], ModelSpec.linear_pressure_tilted
+
+        def counted(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(ModelSpec, "linear_pressure_tilted", counted)
+        sol = solve_game(model, RunConfig(grid=9))
+        assert sol.p_flat == pytest.approx(-0.5031605120823289, abs=1e-9)
+        assert sol.p_sharp == pytest.approx(-0.45032126091980607, abs=1e-9)
+        assert len(calls) <= 5000
 
 
 class TestMeanField:

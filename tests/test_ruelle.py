@@ -271,6 +271,51 @@ class TestTiltedPressure:
             assert tau[i] == pytest.approx(fd / (2 * step), abs=1e-8)
 
 
+    @pytest.mark.parametrize("memory", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hessian_is_the_derivative_of_tau(self, k, memory):
+        # the Green-Kubo covariance against central differences of tau
+        rng = np.random.default_rng(10 * k + memory)
+        tables = rng.normal(size=(3, k**memory))
+        log_w = np.log(rng.dirichlet(np.ones(k)))
+        y = 0.5 * rng.normal(size=3)
+        value, tau, hess = _tilted_pressure(log_w, y @ tables, tables, memory, True)
+        plain_value, plain_tau = _tilted_pressure(log_w, y @ tables, tables, memory)
+        assert value == plain_value
+        np.testing.assert_array_equal(tau, plain_tau)
+        step = 1e-6
+        fd = np.column_stack([
+            (_tilted_pressure(log_w, (y + e) @ tables, tables, memory)[1]
+             - _tilted_pressure(log_w, (y - e) @ tables, tables, memory)[1]) / (2 * step)
+            for e in np.eye(3) * step
+        ])
+        np.testing.assert_allclose(hess, fd, atol=1e-9)
+        np.testing.assert_allclose(hess, hess.T, atol=1e-15)
+        assert np.linalg.eigvalsh(hess).min() > -1e-12
+
+    def test_hessian_with_a_state_of_zero_mass(self):
+        # every word through symbol 2 has weight about e^-1000, so the
+        # chain's state 2 has mass 0.0 in floating point
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(3, 3))
+        base[2, :] = base[:, 2] = -1000.0
+        tables = np.vstack([base.ravel(), rng.normal(size=(2, 9))])
+        log_w = np.log(a3.weights)
+        y = np.array([1.0, 0.3, -0.2])
+        _, _, _, log_p = ruelle._word_law(_log_transfer(log_w, y @ tables, 2), 3, 2)
+        assert np.exp(log_p - log_p.max()).reshape(3, 3)[2].sum() == 0.0
+        _, _, hess = _tilted_pressure(log_w, y @ tables, tables, 2, True)
+        assert np.isfinite(hess).all()
+        step = 1e-6
+        fd = np.column_stack([
+            (_tilted_pressure(log_w, (y + e) @ tables, tables, 2)[1]
+             - _tilted_pressure(log_w, (y - e) @ tables, tables, 2)[1]) / (2 * step)
+            for e in np.eye(3) * step
+        ])
+        np.testing.assert_allclose(hess, fd, atol=1e-9)
+
+
 class TestRPF:
     def test_memory1_gibbs_is_tilted_product(self):
         rpf = rpf_solve(2.0 * SPIN)
