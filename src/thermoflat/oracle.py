@@ -6,11 +6,13 @@ Two independent routes to the same number:
     order-1 Markov chains by L-BFGS-B over their row logits, from the
     chains of tilted Gibbs measures;
   * the constrained-entropy route: h(z) as a Legendre transform of the
-    linear pressure, a grid maximum of g+(z+) - g-(z-) + h(z) to pick a
-    tilt y, then a polish over y.  At z = tau(y), the Gibbs averages of the
-    tilt, h(z) = P_L(y) - y . z exactly (Legendre duality), so the value
+    linear pressure, and the max of g+(z+) - g-(z-) + h(z) by an ascent
+    over the tilt y.  At z = tau(y), the Gibbs averages of the tilt,
+    h(z) = P_L(y) - y . z exactly (Legendre duality), so no dual solve is
+    needed, the Hessian of P_L gives the exact gradient, and the value
     returned is that of an achievable average and cannot be overstated.
-Both take linear pressures and Gibbs averages from ruelle._tilted_pressure.
+Both take linear pressures, Gibbs averages and their covariance from
+ruelle._tilted_pressure.
 Neither touches the max-min solver, so they can arbitrate it.
 """
 
@@ -24,14 +26,14 @@ from .convex import growth_radius
 from .measures import MarkovMeasure
 from .ruelle import _log_sum_exp, _tilted_pressure, stacked_tables
 
-# Order-1 direct oracle: L-BFGS-B runs from at most MARKOV_STARTS tilted
-# Gibbs chains, then once more from the slope tilt of the best chain.
-# Constrained-entropy dual: the box |y_i| <= BKL_RADIUS and
-# the L-BFGS-B options of each solve.
+# Both oracles run L-BFGS-B from at most MARKOV_STARTS tilts, then once more
+# from the slope tilt of the best point: the order-1 direct oracle over row
+# logits, the constrained-entropy route over the tilt in the box
+# |y_i| <= BKL_RADIUS, which also bounds its dual solves (bkl_entropy).
 MARKOV_STARTS = 9
 MARKOV_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 BKL_RADIUS = 60.0
-BKL_OPTIONS = {"ftol": 1e-14, "gtol": 1e-12, "maxiter": 500}
+BKL_OPTIONS = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500}
 
 
 def _simplex_grid(k, resolution):
@@ -283,129 +285,103 @@ def _unique_potentials(model):
     return uniq, plus_idx, minus_idx
 
 
-def _bkl_dual(log_w, tables, memory, z, y0, radius):
-    """inf over the box |y_i| <= radius of P_L(y . tables) - y . z by one
-    L-BFGS-B run from y0, on the value and its gradient tau(y) - z.
-    Returns (value, minimizer, boundary_flag)."""
-
-    def objective(y):
-        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
-        return value - float(y @ z), tau - z
-
-    try:
-        res = minimize(objective, y0, jac=True, method="L-BFGS-B",
-                       bounds=[(-radius, radius)] * len(z), options=BKL_OPTIONS)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
-    boundary = bool(np.any(np.abs(res.x) > radius - 1e-6))
-    return float(res.fun), res.x, boundary
-
-
 def bkl_entropy(alphabet, potentials, z, radius=BKL_RADIUS):
     """h(z) = inf_y { P_L(sum_i y_i phi_i) - y . z }.
 
     The maximal entropy among shift-invariant measures with constrained
-    averages tau(mu) = z, by convex duality against the linear pressure.
-    Returns (value, boundary_flag); boundary_flag True means the bounded
-    search hit its box, i.e. z sits on or outside the achievable set and the
-    value is an upper bound only.
+    averages tau(mu) = z, by convex duality against the linear pressure:
+    one L-BFGS-B run from y = 0 over the box |y_i| <= radius, on the value
+    and its gradient tau(y) - z.  Returns (value, boundary_flag);
+    boundary_flag True means the bounded search hit its box, i.e. z sits on
+    or outside the achievable set and the value is an upper bound only.
     """
     potentials = list(potentials)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (len(potentials),):
         raise ValueError("constraint dimension mismatch")
     memory = max(p.memory for p in potentials)
-    value, _, boundary = _bkl_dual(
-        np.log(alphabet.weights), stacked_tables(alphabet, potentials, memory),
-        memory, z,
-        np.zeros(len(z)), radius,
-    )
-    return value, boundary
+    log_w = np.log(alphabet.weights)
+    tables = stacked_tables(alphabet, potentials, memory)
+
+    def objective(y):
+        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
+        return value - float(y @ z), tau - z
+
+    try:
+        res = minimize(objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
+                       bounds=[(-radius, radius)] * len(z), options=BKL_OPTIONS)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
+    return float(res.fun), bool(np.any(np.abs(res.x) > radius - 1e-6))
 
 
-def bkl_pressure(model, grid=41):
+def _bkl_objective(model, tables, plus_idx, minus_idx, y):
+    """(F, dF/dy, tau, s) at the tilt y of the merged tables.
+
+    F = P_L(y) - y . tau + g+(tau+) - g-(tau-), with tau = tau(y) the Gibbs
+    averages of the tilt: by Legendre duality P_L(y) - y . tau is h(tau)
+    exactly, so F is the constrained-entropy score of the achievable
+    average tau.  s is the coupling slope at tau on the merged coordinates,
+    the midpoints of the subdifferentials of g+ and of -g- summed over the
+    plus and minus indices (dg+ - dg- on a shared potential).  With H the
+    Hessian of P_L, dF/dy = H (s - y).
+    """
+    p_l, tau, hess = _tilted_pressure(model.log_weights, y @ tables, tables,
+                                      model.memory, hessian=True)
+    value = p_l - y @ tau
+    slope = np.zeros(len(tau))
+    if model.g_plus is not None:
+        value += model.g_plus.value(tau[plus_idx])
+        np.add.at(slope, plus_idx, model.g_plus.subdiff(tau[plus_idx]).midpoint)
+    if model.g_minus is not None:
+        value -= model.g_minus.value(tau[minus_idx])
+        np.subtract.at(slope, minus_idx,
+                       model.g_minus.subdiff(tau[minus_idx]).midpoint)
+    return float(value), hess @ (slope - y), tau, slope
+
+
+def bkl_pressure(model):
     """Maximum of g+(z+) - g-(z-) + h(z) over achievable averages z.
 
-    Returns (value, z).  z first ranges over a box bounded by the sup norms
-    of the merged potentials; infeasible z (boundary-flagged entropy) are
-    skipped.  A grid of `grid` points per axis, then a 13-point grid on
-    three cells around its best node, each node scored by a dual solve
-    (_bkl_dual) that starts from the minimizer at its neighbouring node
-    (the previous one along the last axis that moved).  A stopped L-BFGS-B
-    bounds the inf from above, so a grid score can overstate h; the grid
-    only picks the best node's dual minimizer y as the start of the polish.
-
-    The polish is Nelder-Mead over the tilt y in the box |y_i| <= BKL_RADIUS,
-    maximizing P_L(y) - y . tau + g+(tau+) - g-(tau-) with tau = tau(y) the
-    Gibbs averages of the tilt.  P_L is convex and differentiable with
-    gradient tau, so h(tau(y)) = P_L(y) - y . tau(y): each point costs one
-    Perron pair and no dual solve, and the value returned, at z = tau(y)
-    of the polished y, is exact up to Perron rounding.
+    Returns (value, z).  Multistart L-BFGS-B ascent of F (_bkl_objective)
+    over the tilt y of the merged potentials in the box |y_i| <= BKL_RADIUS:
+    each point costs one Perron pair with its Hessian and no dual solve.
+    The starts are the tilts of _tilt_starts on the merged coordinates; a
+    start whose Perron solve raises is skipped.  F is not concave, and its
+    critical points with H nonsingular are the tilts y = s(tau(y)), so one
+    more climb starts from the slope tilt of the best point.  The value
+    returned is F at the best tilt evaluated, at z = tau of that tilt: an
+    achievable average, so it cannot overstate beyond Perron rounding.
     """
     uniq, plus_idx, minus_idx = _unique_potentials(model)
     tables = stacked_tables(model.alphabet, uniq, model.memory)
+    best = [-math.inf, None, None]  # F, tau, slope at the best tilt
 
-    def coupling(z):
-        """g+(z+) - g-(z-)."""
-        value = 0.0
-        if model.g_plus is not None:
-            value += model.g_plus.value(z[plus_idx])
-        if model.g_minus is not None:
-            value -= model.g_minus.value(z[minus_idx])
-        return value
+    def neg(y):
+        value, grad, tau, slope = _bkl_objective(model, tables, plus_idx,
+                                                 minus_idx, y)
+        if value > best[0]:
+            best[:] = value, tau, slope
+        return -value, -grad
 
-    def score(z, y0):
-        """(g+(z+) - g-(z-) + h(z), dual minimizer); -inf when infeasible."""
-        h, y, boundary = _bkl_dual(
-            model.log_weights, tables, model.memory, z, y0, BKL_RADIUS
+    def climb(y):
+        minimize(neg, y, jac=True, method="L-BFGS-B",
+                 bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(y), options=BKL_OPTIONS)
+
+    failures = []
+    for start in _tilt_starts(model, MARKOV_STARTS):
+        y = np.zeros(len(uniq))
+        np.add.at(y, plus_idx + minus_idx, start)
+        try:
+            climb(y)
+        except ArithmeticError as exc:
+            failures.append(f"tilt {y.tolist()}: {exc}")
+    if best[1] is None:
+        raise ArithmeticError(
+            "bkl_pressure: every start tilt failed; " + "; ".join(failures)
         )
-        if boundary:
-            return -math.inf, None
-        return h + coupling(z), y
-
-    def grid_max(axes):
-        """Best (value, z, minimizer) over the product of the axes."""
-        best = (-math.inf, None, None)
-        minimizers = {}
-        for idx in itertools.product(*(range(len(a)) for a in axes)):
-            moved = [i for i, j in enumerate(idx) if j > 0]
-            prev = None
-            if moved:
-                prev = list(idx)
-                prev[moved[-1]] -= 1
-                prev = minimizers.get(tuple(prev))
-            z = np.array([a[j] for a, j in zip(axes, idx)])
-            val, y = score(z, np.zeros(len(z)) if prev is None else prev)
-            if y is not None:
-                minimizers[idx] = y
-            if val > best[0]:
-                best = (val, z, y)
-        return best
-
-    bounds = [p.sup_norm for p in uniq]
-    best, best_z, best_y = grid_max(
-        [np.linspace(-b, b, grid) if b > 0 else np.zeros(1) for b in bounds]
-    )
-    if best_z is None:
-        raise ArithmeticError("no feasible constraint point found")
-    spacing = [2 * b / (grid - 1) if b > 0 else 0.0 for b in bounds]
-    fine = grid_max([
-        np.linspace(z0 - 1.5 * s, z0 + 1.5 * s, 13) if s > 0 else np.array([z0])
-        for z0, s in zip(best_z, spacing)
-    ])
-    if fine[0] > best:
-        best_y = fine[2]
-
-    def polish(y):
-        """(P_L(y) - y . tau + g+(tau+) - g-(tau-), tau) at the tilt y, tau
-        the Gibbs averages: the score of z = tau(y), whose h(z) is
-        P_L(y) - y . tau exactly; -inf outside the box."""
-        if np.any(np.abs(y) > BKL_RADIUS):
-            return -math.inf, None
-        value, tau = _tilted_pressure(model.log_weights, y @ tables, tables,
-                                      model.memory)
-        return float(value - y @ tau + coupling(tau)), tau
-
-    res = minimize(lambda y: -polish(y)[0], best_y, method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-    return polish(res.x)
+    try:
+        climb(best[2])
+    except ArithmeticError:
+        pass
+    return best[0], best[1]

@@ -15,8 +15,10 @@ from thermoflat.oracle import (
     bkl_pressure,
     direct_pressure,
 )
+from thermoflat.ruelle import stacked_tables
 
 A2 = AprioriAlphabet(2)
+A3 = AprioriAlphabet(3)
 SPIN = CylinderPotential(A2, [1.0, -1.0], name="spin")
 
 
@@ -135,12 +137,28 @@ class TestBKLPressure:
         assert len(z) == 1
         assert v == pytest.approx(sol.p_flat, abs=1e-6)
 
+    def test_three_potentials(self):
+        # three constraint coordinates on memory 3; P_flat from solve_flat,
+        # hard-coded to keep the test fast
+        v, _ = bkl_pressure(three_potentials())
+        assert v == pytest.approx(4.05747937247405, abs=1e-8)
+
     def test_external_field_model(self):
         g = LinearShift(np.array([0.3]), Quadratic(2.0))
         m = ModelSpec(A2, [SPIN], g_plus=g)
         sol = solve_flat(m)
         v, _ = bkl_pressure(m)
         assert v == pytest.approx(sol.p_flat, abs=1e-6)
+
+
+def three_potentials():
+    """Memory-2 and memory-1 plus potentials and a memory-3 minus potential
+    on a weighted three-letter alphabet."""
+    rng = np.random.default_rng(4)
+    a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+    t1, t2, t3 = (CylinderPotential(a3, rng.standard_normal(shape))
+                  for shape in [(3, 3), (3,), (3, 3, 3)])
+    return ModelSpec(a3, [t1, t2], [t3], Quadratic(2.0, dim=2), Quadratic(1.0))
 
 
 def best_orbit_square(m):
@@ -157,6 +175,42 @@ def three_symbol_memory2(seed, scale=1.0):
     a3 = AprioriAlphabet(3)
     table = scale * np.random.default_rng(seed).standard_normal((3, 3))
     return ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
+
+
+class TestBKLObjective:
+    @pytest.mark.parametrize("m", [
+        cw_model(2.0),
+        ModelSpec(A3, [CylinderPotential(A3, [0.4, -1.0, 0.7])],
+                  [CylinderPotential(A3, [1.0, 0.2, -0.5])],
+                  Quadratic(2.0), Quadratic(1.0)),
+        ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0)),
+        three_symbol_memory2(3),
+        three_potentials(),
+    ], ids=["memory1", "memory1_two_sided", "shared", "memory2", "memory3_two_sided"])
+    def test_gradient_matches_finite_differences(self, m):
+        # dF/dy = H (s - y); on a shared potential the merged slope is
+        # dg+ - dg-
+        uniq, plus_idx, minus_idx = oracle._unique_potentials(m)
+        tables = stacked_tables(m.alphabet, uniq, m.memory)
+
+        def objective(y):
+            return oracle._bkl_objective(m, tables, plus_idx, minus_idx, y)
+
+        y = np.random.default_rng(1).uniform(-1.0, 1.0, len(uniq))
+        _, grad, _, _ = objective(y)
+        step = 1e-5
+        fd = [(objective(y + e)[0] - objective(y - e)[0]) / (2 * step)
+              for e in step * np.eye(len(y))]
+        np.testing.assert_allclose(grad, fd, atol=1e-7)
+        assert np.abs(grad).max() > 1e-3
+
+
+def two_plus_potentials(seed):
+    rng = np.random.default_rng(seed)
+    tables = rng.standard_normal((2, 3, 3))
+    a3 = AprioriAlphabet(3)
+    return ModelSpec(a3, [CylinderPotential(a3, t) for t in tables],
+                     g_plus=Quadratic(rng.uniform(0.5, 3.0, 2)[0], dim=2))
 
 
 class TestThreeSymbolMemory2:
@@ -210,13 +264,15 @@ class TestThreeSymbolMemory2:
     def test_direct_order1_on_two_plus_potentials(self, seed):
         # the multistart alone stops 1.4e-8 and 7.4e-7 short; the climb
         # from the slope tilt of its best chain closes the gap
-        rng = np.random.default_rng(seed)
-        tables = rng.standard_normal((2, 3, 3))
-        a3 = AprioriAlphabet(3)
-        m = ModelSpec(a3, [CylinderPotential(a3, t) for t in tables],
-                      g_plus=Quadratic(rng.uniform(0.5, 3.0, 2)[0], dim=2))
+        m = two_plus_potentials(seed)
         v, _ = direct_pressure(m, order=1)
         assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_bkl_on_two_plus_potentials(self, seed):
+        m = two_plus_potentials(seed)
+        v, _ = bkl_pressure(m)
+        assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-8)
 
     def test_direct_order1_skips_failed_starts(self):
         # the Perron solves at the outer start tilts fail; the optimum is
@@ -237,18 +293,19 @@ class TestThreeSymbolMemory2:
         assert v == pytest.approx(sol.p_flat, abs=1e-8)
 
     def test_bkl_polish_runs_no_dual_solve(self, monkeypatch):
-        # 41 coarse and 13 refinement nodes; the polish over the tilt
-        # prices each point by one Perron pair
+        # the ascent over the tilt prices each point by one Perron pair with
+        # its Hessian; a dual solve would take pairs without the Hessian
         calls = []
-        dual = oracle._bkl_dual
+        tilted = oracle._tilted_pressure
 
-        def counted(*args):
-            calls.append(args)
-            return dual(*args)
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("hessian", False))
+            return tilted(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_bkl_dual", counted)
+        monkeypatch.setattr(oracle, "_tilted_pressure", counted)
         bkl_pressure(three_symbol_memory2(3))
-        assert len(calls) == 41 + 13
+        assert all(calls)
+        assert 0 < len(calls) <= 400
 
     @pytest.mark.parametrize("m", [cw_model(2.0), three_symbol_memory2(3)],
                              ids=["curie_weiss", "k3_memory2"])
