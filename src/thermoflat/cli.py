@@ -7,6 +7,7 @@ full effective configuration.
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 
@@ -35,11 +36,7 @@ def _build_parser():
                  "report"):
         p = sub.add_parser(name)
         p.add_argument("model", help="model JSON file (schema thermoflat/1)")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--sc-tol", type=float, default=None)
         p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--multistart", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--radius-plus", type=float, default=None)
         p.add_argument("--radius-minus", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
@@ -54,24 +51,14 @@ def _build_parser():
 
 def _effective_config(args, doc):
     """File-level config section, overridden by command-line flags."""
+    names = [field.name for field in dataclasses.fields(RunConfig)]
     base = dict(doc.get("config", {}))
-    overrides = {
-        "tol": args.tol,
-        "sc_tol": args.sc_tol,
-        "grid": args.grid,
-        "multistart_cap": args.multistart,
-        "seed": args.seed,
-        "radius_plus": args.radius_plus,
-        "radius_minus": args.radius_minus,
-        "out": args.out,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
-    allowed = set(RunConfig().__dict__)
-    unknown = set(base) - allowed
+    unknown = set(base) - set(names)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for name in names:
+        if getattr(args, name) is not None:
+            base[name] = getattr(args, name)
     return RunConfig(**base)
 
 
@@ -219,8 +206,7 @@ def cmd_delta(model, doc, args):
 
 def cmd_oracle(model, sol):
     """Both oracles against the flat value of the solution `sol`."""
-    order = 0 if model.memory <= 1 else 1
-    direct, _ = oracle.direct_pressure(model, order=order)
+    direct, _ = oracle.direct_pressure(model)
     bkl, _ = oracle.bkl_pressure(model)
     return {
         "p_flat": sol.p_flat,
@@ -270,10 +256,11 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    report = {"command": args.command, "config": cfg.to_dict(), **report}
+    report = {"command": args.command, "config": dataclasses.asdict(cfg),
+              **report}
     text = modelio.dumps_report(report)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

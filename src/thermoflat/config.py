@@ -19,33 +19,31 @@ GROWTH_START_RADIUS = 1.0
 GROWTH_MARGIN = 1.0
 GROWTH_MAX_DOUBLINGS = 40
 
+# Local-maximum search over y+: at most MULTISTART_CAP starts; maxima within
+# CLUSTER_RADIUS of a better one are dropped, and the outer sup keeps those
+# within VALUE_WINDOW of the best.
+CLUSTER_RADIUS = 1e-4
+VALUE_WINDOW = 1e-8
+MULTISTART_CAP = 289
+
+# Equilibrium admission: self-consistency residuals below SC_TOL, and a
+# direct pressure within ADMISSION_TOL of P_flat.
+SC_TOL = 1e-6
+ADMISSION_TOL = 1e-6
+
 # Potential memory cap (state space k**(memory-1) stays desk-scale).
 MEMORY_CAP = 4
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Solver knobs; defaults are echoed into every CLI report."""
+    """The solver settings a caller may change; echoed into every CLI
+    report."""
 
-    tol: float = 1e-8
-    sc_tol: float = 1e-6
-    cluster_radius: float = 1e-4
-    value_window: float = 1e-8
     grid: int = 17
-    multistart_cap: int = 289
-    seed: int = 0
     radius_plus: float | None = None
     radius_minus: float | None = None
-    out: str | None = None
 
     def __post_init__(self):
-        if self.tol <= 0 or self.sc_tol <= 0 or self.cluster_radius <= 0:
-            raise ValueError("tolerances must be positive")
         if self.grid < 5:
             raise ValueError("multistart grid must have at least 5 points")
-
-    def to_dict(self):
-        """The solver fields, without the output path `out`."""
-        out = dataclasses.asdict(self)
-        del out["out"]
-        return out

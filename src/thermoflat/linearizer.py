@@ -39,7 +39,8 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize, nnls
 
-from .config import RunConfig
+from .config import (ADMISSION_TOL, CLUSTER_RADIUS, MULTISTART_CAP, SC_TOL,
+                     VALUE_WINDOW, RunConfig)
 from .convex import INFINITY, DualPoint, growth_radius
 from .measures import CylinderPotential, entropy_rate, expectation
 from .ruelle import _tilted_pressure, rpf_solve, stacked_tables
@@ -472,7 +473,7 @@ def solve_flat(model, config=None):
     The outer sup is _local_maxima of P_flat: at the cell vertices of a
     piecewise-linear g+* (see the module docstring), otherwise by the Newton
     search from the start grid (cfg.grid per axis, at most
-    cfg.multistart_cap), which counts its linear-pressure evaluations.
+    MULTISTART_CAP), which counts its linear-pressure evaluations.
     """
     cfg = config or RunConfig()
     sol = GameSolution()
@@ -491,7 +492,7 @@ def solve_flat(model, config=None):
         sol.m_flat = []
         sol.m_flat_of = {(): minimizers}
         sol.growth_radii = (None, r_minus)
-        _attach_equilibria(model, sol, [((), m) for m in minimizers], cfg)
+        _attach_equilibria(model, sol, [((), m) for m in minimizers])
         return sol
 
     r_plus, cert_plus = _radius(model.g_plus, model.tau_plus_norm(), cfg.radius_plus)
@@ -501,7 +502,7 @@ def solve_flat(model, config=None):
     vertices = model.g_plus.conjugate_vertices(lo, hi)
     starts = None
     if vertices is None:
-        starts = _start_grid(lo, hi, cfg.grid, cfg.multistart_cap)
+        starts = _start_grid(lo, hi, cfg.grid, MULTISTART_CAP)
 
     def outer(y_plus):
         value, inner, gradient, hess = p_flat_of(model, y_plus, r_minus, True, True)
@@ -509,7 +510,7 @@ def solve_flat(model, config=None):
 
     before = model.evaluations
     rows, diag["search"] = _local_maxima(
-        outer, lo, hi, vertices, starts, cfg.cluster_radius, cfg.value_window
+        outer, lo, hi, vertices, starts, CLUSTER_RADIUS, VALUE_WINDOW
     )
     if starts is not None:
         diag["search"]["evaluations"] = model.evaluations - before
@@ -520,11 +521,11 @@ def solve_flat(model, config=None):
         key = tuple(x_plus.tolist())
         sol.m_flat_of[key] = inner
         pairs += [(key, m) for m in inner] or [(key, None)]
-    _attach_equilibria(model, sol, pairs, cfg)
+    _attach_equilibria(model, sol, pairs)
     return sol
 
 
-def _attach_equilibria(model, sol, pairs, cfg):
+def _attach_equilibria(model, sol, pairs):
     """Build Gibbs measures for optimizer pairs and admit self-consistent ones."""
     rejected = []
     for x_plus, x_minus in pairs:
@@ -548,9 +549,9 @@ def _attach_equilibria(model, sol, pairs, cfg):
             residual_minus=float(res_minus),
             p_value=float(p_value),
         )
-        admitted = res_plus < cfg.sc_tol and res_minus < cfg.sc_tol
+        admitted = res_plus < SC_TOL and res_minus < SC_TOL
         if admitted and sol.p_flat is not None:
-            admitted = abs(p_value - sol.p_flat) < max(cfg.tol, 1e-6)
+            admitted = abs(p_value - sol.p_flat) < ADMISSION_TOL
         if admitted:
             sol.equilibria.append(record)
         else:
@@ -722,7 +723,7 @@ def solve_sharp(model, config=None, *, _flat=None):
         # every distinct local max gives a cut, so no value window
         kept, _ = _local_maxima(
             plus_side, lo_plus, hi_plus, vertices,
-            warm + (grid_starts if full else []), cfg.cluster_radius, INFINITY,
+            warm + (grid_starts if full else []), CLUSTER_RADIUS, INFINITY,
         )
         values = np.array([k[1] for k in kept])
         new_slopes = np.array([k[3] for k in kept])
@@ -780,12 +781,12 @@ def solve_sharp(model, config=None, *, _flat=None):
 
     sol.p_sharp = float(upper)
     for p in sorted(points, key=lambda p: tuple(p.y_minus)):
-        if not p.full or p.values[0] > upper + cfg.value_window:
+        if not p.full or p.values[0] > upper + VALUE_WINDOW:
             continue
         near = [np.linalg.norm(p.y_minus - m.array) for m in sol.m_sharp]
-        if min(near, default=INFINITY) <= cfg.cluster_radius:
+        if min(near, default=INFINITY) <= CLUSTER_RADIUS:
             continue
-        least = p.values[0] - cfg.value_window
+        least = p.values[0] - VALUE_WINDOW
         argmax = [DualPoint(x) for x, v in zip(p.maxima, p.values) if v >= least]
         argmax.sort(key=lambda x: x.coords)
         sol.m_sharp.append(DualPoint(p.y_minus))

@@ -1,10 +1,11 @@
 """Brute-force oracles for the nonlinear pressure.
 
 Two independent routes to the same number:
-  * direct variational search over explicit measure families, maximizing
-    h - g-(tau-) + g+(tau+): product measures on refined simplex grids, or
-    order-1 Markov chains by L-BFGS-B over their row logits, from the
-    chains of tilted Gibbs measures;
+  * direct variational search over an explicit measure family, maximizing
+    h - g-(tau-) + g+(tau+): a memory-1 model attains its sup at a product
+    measure, searched on a refined simplex grid; every other model is
+    searched over order-1 Markov chains by L-BFGS-B on their row logits,
+    from the chains of tilted Gibbs measures;
   * the constrained-entropy route: h(z) as a Legendre transform of the
     linear pressure, and the max of g+(z+) - g-(z-) + h(z) by an ascent
     over the tilt y.  At z = tau(y), the Gibbs averages of the tilt,
@@ -34,6 +35,10 @@ MARKOV_STARTS = 9
 MARKOV_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 BKL_RADIUS = 60.0
 BKL_OPTIONS = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500}
+# The product search of a memory-1 model: a simplex grid of PRODUCT_STEPS
+# steps, then PRODUCT_ROUNDS refinements, each 10 times finer.
+PRODUCT_STEPS = 41
+PRODUCT_ROUNDS = 3
 
 
 def _simplex_grid(k, resolution):
@@ -51,26 +56,24 @@ def _entropy_guard(p):
     return np.clip(p, 1e-300, None)
 
 
-def direct_pressure(model, resolution=41, order=0, rounds=3):
-    """Sup of the direct pressure over a measure family.
+def direct_pressure(model):
+    """Sup of the direct pressure over the measure family of the model.
 
-    order 0 searches product measures on a simplex grid of `resolution`
-    steps, refined `rounds` times.  order 1 searches all one-step Markov
-    chains with positive entries by L-BFGS-B over their row logits, from
-    tilted Gibbs chains (_direct_markov); `resolution` and `rounds` serve
-    order 0 only.  Returns (value, best measure), the value being the
+    A memory-1 model attains its sup at a product measure, so it searches
+    product measures on the simplex grid (_direct_product).  Every other
+    model searches all one-step Markov chains with positive entries by
+    L-BFGS-B over their row logits, from tilted Gibbs chains
+    (_direct_markov).  Returns (value, best measure), the value being the
     direct pressure of that measure.
     """
-    if resolution < 11:
-        raise ValueError("oracle resolution below 11 is rejected as too coarse")
-    if order == 0:
-        return _direct_product(model, resolution, rounds)
-    if order == 1:
-        return _direct_markov(model)
-    raise ValueError("oracle supports order 0 and 1 only")
+    if model.memory <= 1:
+        return _direct_product(model)
+    return _direct_markov(model)
 
 
-def _direct_product(model, resolution, rounds):
+def _direct_product(model):
+    """Product measures on a simplex grid of PRODUCT_STEPS steps, refined
+    PRODUCT_ROUNDS times around the best point."""
     k = model.alphabet.k
 
     def value_of(p):
@@ -78,14 +81,14 @@ def _direct_product(model, resolution, rounds):
         return model.direct_pressure_of(mu)
 
     best_p, best_v = None, -math.inf
-    for p in _simplex_grid(k, resolution):
+    for p in _simplex_grid(k, PRODUCT_STEPS):
         if p.min() < 0:
             continue
         v = value_of(_entropy_guard(p))
         if v > best_v:
             best_v, best_p = v, p
-    spacing = 1.0 / resolution
-    for _ in range(rounds):
+    spacing = 1.0 / PRODUCT_STEPS
+    for _ in range(PRODUCT_ROUNDS):
         # refine on a box of 3 coarse cells at 10x density
         base = best_p[:-1]
         lo = base - 1.5 * spacing

@@ -63,22 +63,19 @@ def regression_suite():
         A2, [[1.0, -1.0], [-1.0, 1.0]], name="nn-ising"
     )
     return [
-        ("subcritical cw", cw_model(0.5), 0),
-        ("supercritical cw", cw_model(2.0), 0),
+        ("subcritical cw", cw_model(0.5)),
+        ("supercritical cw", cw_model(2.0)),
         (
             "cw with external field",
             ModelSpec(A2, [SPIN], g_plus=LinearShift(np.array([0.3]), Quadratic(2.0))),
-            0,
         ),
         (
             "attraction plus repulsion",
             ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0)),
-            0,
         ),
         (
             "memory-2 ising type",
             ModelSpec(A2, [ising2], g_plus=Quadratic(1.2)),
-            1,
         ),
     ]
 
@@ -108,9 +105,9 @@ def test_criterion_2_entropy_duality():
 
 @criterion("criterion 03 bogoliubov exactness against oracles")
 def test_criterion_3_bogoliubov_exactness():
-    for name, model, order in regression_suite():
+    for name, model in regression_suite():
         sol = solve_flat(model)
-        direct, _ = direct_pressure(model, order=order)
+        direct, _ = direct_pressure(model)
         bkl, _ = bkl_pressure(model)
         assert abs(sol.p_flat - direct) < 1e-5, name
         assert abs(sol.p_flat - bkl) < 1e-4, name
@@ -136,7 +133,7 @@ def test_criterion_4_phase_structure():
 
 @criterion("criterion 05 weak duality and decoupling")
 def test_criterion_5_weak_duality():
-    models = [m for _, m, _ in regression_suite()]
+    models = [m for _, m in regression_suite()]
     for model in models:
         sol = solve_game(model)
         assert sol.gap >= -1e-8

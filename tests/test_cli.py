@@ -125,13 +125,30 @@ class TestExitCodes:
 
     def test_bad_flag_value(self, tmp_path, capsys):
         path = write_model(tmp_path, CW2)
-        assert run_cli(["solve", path, "--tol", "-1"]) == 2
+        assert run_cli(["solve", path, "--grid", "3"]) == 2
 
     def test_unknown_config_key(self, tmp_path, capsys):
         doc = dict(CW2)
         doc["config"] = {"bogus": 1}
         path = write_model(tmp_path, doc)
         assert run_cli(["solve", path]) == 2
+
+    def test_removed_config_key_is_named(self, tmp_path, capsys):
+        doc = dict(CW2)
+        doc["config"] = {"grid": 9, "seed": 5}
+        path = write_model(tmp_path, doc)
+        assert run_cli(["solve", path]) == 2
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+    def test_model_file_cannot_choose_output_path(self, tmp_path, capsys):
+        # the output path is the caller's --out, never the model file's
+        target = tmp_path / "chosen.json"
+        doc = dict(CW2)
+        doc["config"] = {"out": str(target)}
+        path = write_model(tmp_path, doc)
+        assert run_cli(["solve", path]) == 2
+        assert "unknown config keys: ['out']" in capsys.readouterr().err
+        assert not target.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_uncertified_perron_solve_is_solver_error(self, tmp_path, capsys):
@@ -410,10 +427,10 @@ class TestSubcommands:
 
     def test_config_echoed(self, tmp_path, capsys):
         path = write_model(tmp_path, CW2)
-        assert run_cli(["solve", path, "--grid", "21", "--seed", "5"]) == 0
+        assert run_cli(["solve", path, "--grid", "21"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["config"]["grid"] == 21
-        assert out["config"]["seed"] == 5
+        assert out["config"] == {"grid": 21, "radius_minus": None,
+                                 "radius_plus": None}
 
     def test_flags_override_file_config(self, tmp_path, capsys):
         doc = dict(CW2)

@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused module-level import, no
 private module-level function or class that nothing references, no
-module-level function with a parameter its body never reads, and no import
-of the max-min solver by the oracles that judge it.
+module-level function with a parameter its body never reads, no RunConfig
+field that nothing reads, and no import of the max-min solver by the oracles
+that judge it.
 
 There is no linter among the test dependencies, so this is the check that
 keeps deleted code from coming back half-way (an import left behind, a
@@ -109,3 +110,18 @@ def test_oracle_does_not_import_the_solver():
         elif isinstance(node, ast.Import):
             imported += [alias.name.split(".") for alias in node.names]
     assert not [m for m in imported if "linearizer" in m], imported
+
+
+def test_every_run_config_field_is_read():
+    # a setting nothing reads only changes the echoed config of a report;
+    # the CLI copying its flag `args.<field>` into the config is no read
+    fields = [stmt.target.id
+              for node in _tree(PACKAGE / "config.py").body
+              if isinstance(node, ast.ClassDef) and node.name == "RunConfig"
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    read = {sub.attr for path in MODULES if path.name != "config.py"
+            for sub in ast.walk(_tree(path))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            and not (isinstance(sub.value, ast.Name) and sub.value.id == "args")}
+    unread = [f for f in fields if f not in read]
+    assert fields and not unread, f"RunConfig fields nothing reads: {unread}"

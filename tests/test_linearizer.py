@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import logsumexp
 
-from thermoflat.config import RunConfig
+from thermoflat.config import SC_TOL, RunConfig
 from thermoflat.convex import INFINITY, AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import (
     ModelSpec,
@@ -437,11 +437,10 @@ class TestPerronLayer:
         a3 = AprioriAlphabet(3)
         table = np.random.default_rng(2).standard_normal((3, 3, 3))
         model = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(3.0))
-        cfg = RunConfig()
-        sol = solve_flat(model, cfg)
+        sol = solve_flat(model)
         assert sol.equilibria
         for e in sol.equilibria:
-            assert e.residual_plus <= cfg.sc_tol
+            assert e.residual_plus <= SC_TOL
             assert e.p_value == pytest.approx(sol.p_flat, abs=1e-6)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -491,13 +490,12 @@ class TestGradientSearch:
         # P_NL = log cosh(y+ - y-) - y+^2/6 with |y-| <= 1: P_flat = 0 at
         # y+ = y- = 0, admitted only if tau- there is within SINGLETON_TOL of 0
         m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), AbsSum(1))
-        cfg = RunConfig()
-        sol = solve_flat(m, cfg)
+        sol = solve_flat(m)
         assert sol.p_flat == pytest.approx(0.0, abs=1e-8)
         assert sol.equilibria
         for e in sol.equilibria:
-            assert e.residual_plus <= cfg.sc_tol
-            assert e.residual_minus <= cfg.sc_tol
+            assert e.residual_plus <= SC_TOL
+            assert e.residual_minus <= SC_TOL
 
     def test_three_minus_potentials_match_one(self):
         # the inf of |y-|^2/2 under sum y- = s is s^2/6, the conjugate of
@@ -519,12 +517,11 @@ class TestGradientSearch:
         rng = np.random.default_rng(5)
         plus, *minus = [CylinderPotential(a3, rng.standard_normal(3)) for _ in range(3)]
         model = ModelSpec(a3, [plus], minus, Quadratic(3.0), Quadratic(1.0, dim=2))
-        cfg = RunConfig()
-        sol = solve_flat(model, cfg)
+        sol = solve_flat(model)
         assert sol.equilibria
         for e in sol.equilibria:
-            assert e.residual_plus <= cfg.sc_tol
-            assert e.residual_minus <= cfg.sc_tol
+            assert e.residual_plus <= SC_TOL
+            assert e.residual_minus <= SC_TOL
             assert e.p_value == pytest.approx(sol.p_flat, abs=1e-6)
 
     def test_search_diagnostics_are_deterministic(self):
@@ -629,10 +626,9 @@ class TestGridSearch:
             [CylinderPotential(a3, t) for t in tables],
             g_plus=GridSampled([ax, ax], values),
         )
-        cfg = RunConfig(grid=9)
-        sol = solve_flat(model, cfg)
+        sol = solve_flat(model, RunConfig(grid=9))
         for e in sol.equilibria:
-            assert e.residual_plus <= cfg.sc_tol
+            assert e.residual_plus <= SC_TOL
 
         nodes, flat = np.stack([a.ravel(), b.ravel()], axis=1), values.ravel()
         log3 = np.log(np.full(3, 1.0 / 3.0))
@@ -698,13 +694,12 @@ class TestGridMinusInner:
             return original(self, *args)
 
         monkeypatch.setattr(ModelSpec, "linear_pressure_tilted", counted)
-        cfg = RunConfig()
-        sol = solve_flat(model, cfg)
+        sol = solve_flat(model)
         assert sol.p_flat == pytest.approx(reference, abs=1e-9)
         assert sol.equilibria
         for e in sol.equilibria:
-            assert e.residual_plus < cfg.sc_tol
-            assert e.residual_minus < cfg.sc_tol
+            assert e.residual_plus < SC_TOL
+            assert e.residual_minus < SC_TOL
         assert len(calls) <= 5000
 
     def test_both_couplings_on_grids(self):
@@ -903,7 +898,5 @@ class TestValidation:
             ModelSpec(A2, [SPIN], g_plus=Quadratic(1.0, dim=2))
 
     def test_run_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(tol=-1.0)
         with pytest.raises(ValueError):
             RunConfig(grid=3)

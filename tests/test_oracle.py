@@ -27,10 +27,6 @@ def cw_model(beta):
 
 
 class TestDirectPressure:
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError, match="resolution"):
-            direct_pressure(cw_model(2.0), resolution=5)
-
     def test_subcritical_zero(self):
         v, mu = direct_pressure(cw_model(0.5))
         assert v == pytest.approx(0.0, abs=1e-8)
@@ -49,8 +45,8 @@ class TestDirectPressure:
         rng = np.random.default_rng(21)
         phi = CylinderPotential(A2, rng.normal(size=(2, 2)))
         m = ModelSpec(A2, [phi], g_plus=Quadratic(1.2))
-        v0, _ = direct_pressure(m, order=0)
-        v1, _ = direct_pressure(m, order=1)
+        v0, _ = oracle._direct_product(m)
+        v1, _ = direct_pressure(m)
         assert v1 >= v0 - 1e-9
 
     def test_chain_gradient_matches_finite_differences(self):
@@ -88,11 +84,7 @@ class TestDirectPressure:
 
         monkeypatch.setattr(oracle, "_tilted_pressure", fail)
         with pytest.raises(ArithmeticError, match="every start chain failed"):
-            direct_pressure(three_symbol_memory2(3), order=1)
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            direct_pressure(cw_model(1.0), order=2)
+            direct_pressure(three_symbol_memory2(3))
 
 
 class TestBKLEntropy:
@@ -217,21 +209,21 @@ class TestThreeSymbolMemory2:
     def test_direct_order1_matches_solver(self):
         # a memory-2 potential has order-1 Gibbs chains, so the order-1
         # family attains P_flat
-        v, mu = direct_pressure(three_symbol_memory2(3), order=1)
+        v, mu = direct_pressure(three_symbol_memory2(3))
         assert v == pytest.approx(2.0254008866271, abs=1e-5)
         assert mu.order == 1
 
     @pytest.mark.parametrize("seed", range(100, 105))
     def test_direct_order1_on_random_tables(self, seed):
         m = three_symbol_memory2(seed)
-        v, _ = direct_pressure(m, order=1)
+        v, _ = direct_pressure(m)
         assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-5)
 
     def test_direct_order1_on_wide_table(self):
         # the Gibbs chains of the outer start tilts have pair probabilities
         # that underflow to 0; the optimum is a nearly deterministic chain
         m = three_symbol_memory2(3, scale=5.0)
-        v, _ = direct_pressure(m, order=1)
+        v, _ = direct_pressure(m)
         assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-5)
 
     @pytest.mark.parametrize("g", [
@@ -243,7 +235,7 @@ class TestThreeSymbolMemory2:
         a3 = AprioriAlphabet(3)
         table = np.random.default_rng(3).standard_normal((3, 3))
         m = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=g)
-        v, _ = direct_pressure(m, order=1)
+        v, _ = direct_pressure(m)
         assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-5)
 
     def test_direct_order1_off_diagonal_optimum(self):
@@ -257,7 +249,7 @@ class TestThreeSymbolMemory2:
         sol = solve_flat(m)
         assert sol.equilibria[0].x_plus[0] == pytest.approx(
             -sol.equilibria[0].x_plus[1])
-        v, _ = direct_pressure(m, order=1)
+        v, _ = direct_pressure(m)
         assert v == pytest.approx(sol.p_flat, abs=1e-5)
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -265,7 +257,7 @@ class TestThreeSymbolMemory2:
         # the multistart alone stops 1.4e-8 and 7.4e-7 short; the climb
         # from the slope tilt of its best chain closes the gap
         m = two_plus_potentials(seed)
-        v, _ = direct_pressure(m, order=1)
+        v, _ = direct_pressure(m)
         assert v == pytest.approx(solve_flat(m).p_flat, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -279,7 +271,7 @@ class TestThreeSymbolMemory2:
         # the best periodic orbit, whose entropy relative to the uniform
         # a priori measure is -log 3
         m = three_symbol_memory2(3, scale=30.0)
-        v, _ = direct_pressure(m, order=1)
+        v, _ = direct_pressure(m)
         assert v == pytest.approx(0.75 * best_orbit_square(m) - math.log(3),
                                   abs=1e-6)
 
@@ -322,4 +314,4 @@ class TestThreeSymbolMemory2:
         m = three_symbol_memory2(3, scale=30.0)
         v, _ = bkl_pressure(m)
         assert v <= 0.75 * best_orbit_square(m)
-        assert v == pytest.approx(direct_pressure(m, order=1)[0], abs=1e-6)
+        assert v == pytest.approx(direct_pressure(m)[0], abs=1e-6)
