@@ -37,8 +37,6 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("model", help="model JSON file (schema thermoflat/1)")
         p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--radius-plus", type=float, default=None)
-        p.add_argument("--radius-minus", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
         if name == "delta":
             p.add_argument("--measure", type=str, default=None,
@@ -113,24 +111,24 @@ def cmd_pressure(model):
     return {"potentials": entries}
 
 
-def _scan_csv(model, sol):
-    """(y+, P_flat(y+)) samples for 1-dimensional plus duals, on sol's radii."""
+def _scan_csv(model):
+    """(y+, P_flat(y+)) at 201 points across the search box over y+, for a
+    1-dimensional plus dual."""
     if model.g_plus is None or model.n_plus != 1:
         return None
-    radius = sol.growth_radii[0]
+    (lo,), (hi,) = model.box_plus
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["y_plus", "p_flat_of"])
-    for t in np.linspace(-radius, radius, 201):
-        v, _ = linearizer.p_flat_of(model, np.array([t]), radius=sol.growth_radii[1])
+    for t in np.linspace(lo, hi, 201):
+        v, _ = linearizer.p_flat_of(model, np.array([t]))
         writer.writerow([repr(float(t)), repr(float(v))])
     return buf.getvalue()
 
 
 def cmd_solve(model, cfg):
-    sol = linearizer.solve_flat(model, cfg)
-    report = _serialize_solution(sol)
-    report["scan_csv"] = _scan_csv(model, sol)
+    report = _serialize_solution(linearizer.solve_flat(model, cfg))
+    report["scan_csv"] = _scan_csv(model)
     return report
 
 

@@ -41,8 +41,6 @@ class RunConfig:
     report."""
 
     grid: int = 17
-    radius_plus: float | None = None
-    radius_minus: float | None = None
 
     def __post_init__(self):
         if self.grid < 5:

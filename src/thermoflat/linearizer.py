@@ -33,6 +33,7 @@ through the self-consistency residuals x_pm in subdiff(g_pm, tau_pm(mu)).
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -78,6 +79,7 @@ class ModelSpec:
     `tables` the flat word tables of the plus, then the minus potentials
     padded to it, one row each (`signed`: the minus rows negated), and
     `log_weights` the log a priori weights; `evaluations` counts P_L calls.
+    The growth certificates and search boxes are made once, on first use.
     """
 
     def __init__(
@@ -126,11 +128,42 @@ class ModelSpec:
     def tau_minus(self, mu):
         return np.array([expectation(mu, p) for p in self.minus_potentials])
 
-    def tau_plus_norm(self):
-        return math.sqrt(sum(p.sup_norm**2 for p in self.plus_potentials))
+    @functools.cached_property
+    def growth_plus(self):
+        """g+'s growth certificate (convex.growth_radius) at the joint sup
+        norm of the plus potentials, a bound on |tau+|; None without g+."""
+        norm = math.sqrt(sum(p.sup_norm**2 for p in self.plus_potentials))
+        return None if self.g_plus is None else growth_radius(self.g_plus, norm)
 
-    def tau_minus_norm(self):
-        return math.sqrt(sum(p.sup_norm**2 for p in self.minus_potentials))
+    @functools.cached_property
+    def growth_minus(self):
+        """g-'s growth certificate, as growth_plus; None without g-."""
+        norm = math.sqrt(sum(p.sup_norm**2 for p in self.minus_potentials))
+        return None if self.g_minus is None else growth_radius(self.g_minus, norm)
+
+    @functools.cached_property
+    def box_plus(self):
+        """(lo, hi), the search box over y+: dom(g+*) cut to [-r, r] in each
+        coordinate, r the certified growth radius of g+.  Read-only, as
+        every search over y+ shares it."""
+        r = self.growth_plus.safe_radius
+        box = np.clip(self.g_plus.conjugate_box(), -r, r)
+        box.flags.writeable = False
+        return tuple(box)
+
+    @functools.cached_property
+    def box_minus(self):
+        """(lo, hi), the search box over y-, as box_plus."""
+        r = self.growth_minus.safe_radius
+        box = np.clip(self.g_minus.conjugate_box(), -r, r)
+        box.flags.writeable = False
+        return tuple(box)
+
+    @property
+    def growth_radii(self):
+        """(r+, r-), the certified growth radii; None for an absent coupling."""
+        return tuple(None if c is None else c.safe_radius
+                     for c in (self.growth_plus, self.growth_minus))
 
     def tilt(self, y_plus, y_minus):
         """The flat word table of Theta = y+ . phi+ - y- . phi- at `memory`."""
@@ -242,12 +275,6 @@ def p_nl(model, y_plus, y_minus, grad=False, hess=False):
     return (value, grad_plus, grad_minus, *hessian) if grad else value
 
 
-def _box(g, radius):
-    """Search box: [-radius, radius]^dim cut to the domain box of g*."""
-    lo, hi = g.conjugate_box()
-    return np.maximum(lo, -radius), np.minimum(hi, radius)
-
-
 def _free(x, gradient, lo, hi):
     """The coordinates the box leaves free: off its faces, or descending into it."""
     return ~(((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0)))
@@ -308,13 +335,6 @@ def _newton(fun, x0, lo, hi, gtol):
 # -- one-sided problems -------------------------------------------------------
 
 
-def _radius(g, norm, override):
-    """(override or else the safe radius, certificate): the growth
-    certificate of g for potentials of joint sup norm `norm`."""
-    cert = growth_radius(g, norm)
-    return (cert.safe_radius if override is None else override), cert
-
-
 def _epigraph_inf(model, y_plus, lo, hi):
     """The minimizer over the box [lo, hi] of P_L(y+, y-) + g-*(y-) for a
     piecewise-linear g-*(y) = max_i x_i.y - v_i.
@@ -373,13 +393,13 @@ def _epigraph_inf(model, y_plus, lo, hi):
     return (point if on_face and np.all((lo <= point) & (point <= hi)) else y), basis
 
 
-def p_flat_of(model, y_plus, radius=None, grad=False, hess=False):
+def p_flat_of(model, y_plus, grad=False, hess=False):
     """P_flat(y+) = inf over y- of P_NL(y+, y-), with its one minimizer.
 
-    The inf runs over the box [-radius, radius] (by default g-'s safe radius)
-    cut to dom(g-*).  A grid g-* takes _epigraph_inf; otherwise _newton
-    finds the root of the gradient -tau- + grad g-*(y-) from y- = 0 moved
-    into the box.  With grad=True it also returns the plus gradient of P_NL
+    The inf runs over the model's search box over y- (ModelSpec.box_minus,
+    certified once per model).  A grid g-* takes _epigraph_inf; otherwise
+    _newton finds the root of the gradient -tau- + grad g-*(y-) from y- = 0
+    moved into the box.  With grad=True it also returns the plus gradient of P_NL
     at the minimizer (see p_nl): tau+ - grad g+*(y+), by Danskin the
     gradient of P_flat, or tau+ alone for a grid g+.  hess=True adds its
     Hessian H++ - H+- B (B^T H-- B)^-1 B^T H-+ from P_NL's Hessian H, B a
@@ -390,9 +410,7 @@ def p_flat_of(model, y_plus, radius=None, grad=False, hess=False):
     if model.g_minus is None:
         value, grad_plus, _, h = p_nl(model, y_plus, np.zeros(0), True, True)
     else:
-        if radius is None:
-            radius, _ = _radius(model.g_minus, model.tau_minus_norm(), None)
-        lo, hi = _box(model.g_minus, radius)
+        lo, hi = model.box_minus
         if model.g_minus.conjugate_pieces() is not None:
             y_minus, basis = _epigraph_inf(model, y_plus, lo, hi)
             value, grad_plus, _, h = p_nl(model, y_plus, y_minus, True, True)
@@ -470,42 +488,37 @@ def _local_maxima(f, lo, hi, vertices, starts, radius, window):
 def solve_flat(model, config=None):
     """Populate the max-min side: P_flat, M_flat, self-consistent equilibria.
 
-    The outer sup is _local_maxima of P_flat: at the cell vertices of a
-    piecewise-linear g+* (see the module docstring), otherwise by the Newton
-    search from the start grid (cfg.grid per axis, at most
-    MULTISTART_CAP), which counts its linear-pressure evaluations.
+    The outer sup is _local_maxima of P_flat over the model's search box
+    over y+ (ModelSpec.box_plus): at the cell vertices of a piecewise-linear
+    g+* (see the module docstring), otherwise by the Newton search from the
+    start grid (cfg.grid per axis, at most MULTISTART_CAP), which counts its
+    linear-pressure evaluations.  The growth certificates that make the
+    search boxes go into diagnostics, their radii into growth_radii.
     """
     cfg = config or RunConfig()
-    sol = GameSolution()
+    sol = GameSolution(growth_radii=model.growth_radii)
     diag = sol.diagnostics
-    r_minus = None
     if model.g_minus is not None:
-        r_minus, cert_minus = _radius(
-            model.g_minus, model.tau_minus_norm(), cfg.radius_minus
-        )
-        diag["growth_minus"] = dataclasses.asdict(cert_minus)
+        diag["growth_minus"] = dataclasses.asdict(model.growth_minus)
 
     if model.g_plus is None:
         # Remark-style degenerate case: pure inf over y-.
-        value, minimizers = p_flat_of(model, np.zeros(0), radius=r_minus)
+        value, minimizers = p_flat_of(model, np.zeros(0))
         sol.p_flat = value
         sol.m_flat = []
         sol.m_flat_of = {(): minimizers}
-        sol.growth_radii = (None, r_minus)
         _attach_equilibria(model, sol, [((), m) for m in minimizers])
         return sol
 
-    r_plus, cert_plus = _radius(model.g_plus, model.tau_plus_norm(), cfg.radius_plus)
-    diag["growth_plus"] = dataclasses.asdict(cert_plus)
-    sol.growth_radii = (r_plus, r_minus)
-    lo, hi = _box(model.g_plus, r_plus)
+    diag["growth_plus"] = dataclasses.asdict(model.growth_plus)
+    lo, hi = model.box_plus
     vertices = model.g_plus.conjugate_vertices(lo, hi)
     starts = None
     if vertices is None:
         starts = _start_grid(lo, hi, cfg.grid, MULTISTART_CAP)
 
     def outer(y_plus):
-        value, inner, gradient, hess = p_flat_of(model, y_plus, r_minus, True, True)
+        value, inner, gradient, hess = p_flat_of(model, y_plus, True, True)
         return value, gradient, hess, inner
 
     before = model.evaluations
@@ -655,7 +668,7 @@ def solve_sharp(model, config=None, *, _flat=None):
     P_NL(y+, y-_k) + (-tau-(y+, y-_k) + grad g-*(y-_k)).(y- - y-_k), which
     lies below S whether or not y+ is the global max.  A level bundle
     (Lemarechal, Nemirovskii & Nesterov, Math. Prog. 69, 1995) minimizes S
-    over the box [-r-, r-] cut to dom(g-*):
+    over the model's search box over y- (ModelSpec.box_minus):
     - the min of the cuts over the box, one HiGHS LP, bounds P_sharp from
       below (a grid g-* stays out of the cuts and enters that LP exactly,
       as its affine pieces; an abs_sum g-* is the box);
@@ -666,13 +679,13 @@ def solve_sharp(model, config=None, *, _flat=None):
     It stops when upper - lower <= SHARP_GAP, when the master LP resolves
     no narrower bracket, or after SHARP_MAX_ITER inner sups (then with one
     full search at the best point if none has run).  Each inner sup over y+
-    is the _local_maxima search that solve_flat runs, without its value
-    window: it evaluates the cell vertices of a grid g+*, which is exact.
-    Otherwise the Newton search runs from warm starts (the local maxima the
-    previous inner sup found, or at first the max-min maximizers), and,
-    where a point is to bound P_sharp from above, also from a start grid of
-    9 points per axis, at most 81 starts.  The bracket is rigorous as far as
-    those full searches find the global max.
+    is the _local_maxima search that solve_flat runs, over the same box,
+    without its value window: it evaluates the cell vertices of a grid g+*,
+    which is exact.  Otherwise the Newton search runs from warm starts (the
+    local maxima the previous inner sup found, or at first the max-min
+    maximizers), and, where a point is to bound P_sharp from above, also
+    from a start grid of 9 points per axis, at most 81 starts.  The bracket
+    is rigorous as far as those full searches find the global max.
 
     solve_game passes its max-min solution as _flat: the first iterates are
     then its inner minimizers x-*, and P_flat bounds P_sharp from below
@@ -692,16 +705,11 @@ def solve_sharp(model, config=None, *, _flat=None):
         flat.diagnostics["sharp_note"] = "one-sided model: P_sharp := P_flat"
         return flat
 
-    if _flat is None:
-        r_minus, _ = _radius(model.g_minus, model.tau_minus_norm(), cfg.radius_minus)
-        r_plus, _ = _radius(model.g_plus, model.tau_plus_norm(), cfg.radius_plus)
-    else:
-        r_plus, r_minus = _flat.growth_radii
-    sol = GameSolution(growth_radii=(r_plus, r_minus))
-    lo_plus, hi_plus = _box(model.g_plus, r_plus)
+    sol = GameSolution(growth_radii=model.growth_radii)
+    lo_plus, hi_plus = model.box_plus
     vertices = model.g_plus.conjugate_vertices(lo_plus, hi_plus)
     grid_starts = list(_start_grid(lo_plus, hi_plus, 9, 81))
-    lo, hi = _box(model.g_minus, r_minus)
+    lo, hi = model.box_minus
     pieces = model.g_minus.conjugate_pieces()
     flat_starts = [] if _flat is None else [x.array for x in _flat.m_flat]
     slopes, offsets = np.zeros((0, model.n_minus)), np.zeros(0)
@@ -860,19 +868,18 @@ def mean_field_iterate(model, y0, damping=1.0, max_iters=500, step_tol=1e-10):
 
 def decision_rule(model, solution, samples=5, spacing=1e-3):
     """Tabulate the inner minimizer x-(x+) that p_flat_of returns over M_flat
-    and a neighborhood, in the solution's minus radius: samples points spacing
-    apart, each shifting every coordinate of x+ by the same offset.  Where the
+    and a neighborhood, in the model's search box over y-: samples points
+    spacing apart, each shifting every coordinate of x+ by the same offset.  Where the
     inner inf has several minimizers (a conjugate that is not strictly
     convex), it is one of them.
     """
     if model.g_minus is None:
         return {tuple(x.coords): np.zeros(0) for x in solution.m_flat}
     rule = {}
-    r_minus = solution.growth_radii[1]
     offsets = np.linspace(-spacing * (samples // 2), spacing * (samples // 2), samples)
     for x_plus in solution.m_flat:
         for d in offsets:
             pt = x_plus.array + d
-            (x_minus,) = p_flat_of(model, pt, radius=r_minus)[1]
+            (x_minus,) = p_flat_of(model, pt)[1]
             rule[tuple(pt.tolist())] = x_minus.array
     return rule

@@ -23,7 +23,6 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from .convex import growth_radius
 from .measures import MarkovMeasure
 from .ruelle import _log_sum_exp, _tilted_pressure, stacked_tables
 
@@ -180,24 +179,19 @@ def _tilt_starts(model, cap):
     """Tilts y on the stacked plus-then-minus tables, i.e. (y+, -y-), on a
     grid of at most `cap` points.
 
-    Each coupling's growth radius, cut to its conjugate box, gives one
+    Each coupling's search box (ModelSpec.box_plus and box_minus) gives one
     interval per axis; with d such axes, each is cut into the same number
     n of equal cells, n**d <= cap, and the grid takes their centres.  The
     centres stay off the ends, whose Gibbs chains are nearly deterministic
     and flat in the logits.
     """
-    spans = []
-    for g, potentials, norm, sign in (
-        (model.g_plus, model.plus_potentials, model.tau_plus_norm(), 1.0),
-        (model.g_minus, model.minus_potentials, model.tau_minus_norm(), -1.0),
-    ):
-        if g is None:
-            spans += [None] * len(potentials)
-            continue
-        radius = growth_radius(g, norm).safe_radius
-        lo, hi = g.conjugate_box()
-        spans += [(sign * max(-radius, a), sign * min(radius, b))
-                  for a, b in zip(lo, hi)]
+    spans = [None] * model.n_plus
+    if model.g_plus is not None:
+        spans = list(zip(*model.box_plus))
+    if model.g_minus is None:
+        spans += [None] * model.n_minus
+    else:
+        spans += [(-a, -b) for a, b in zip(*model.box_minus)]
     d = sum(s is not None for s in spans)
     cells = np.arange(int(cap ** (1.0 / max(d, 1)) + 1e-9)) + 0.5
     cells /= len(cells)
@@ -288,12 +282,12 @@ def _unique_potentials(model):
     return uniq, plus_idx, minus_idx
 
 
-def bkl_entropy(alphabet, potentials, z, radius=BKL_RADIUS):
+def bkl_entropy(alphabet, potentials, z):
     """h(z) = inf_y { P_L(sum_i y_i phi_i) - y . z }.
 
     The maximal entropy among shift-invariant measures with constrained
     averages tau(mu) = z, by convex duality against the linear pressure:
-    one L-BFGS-B run from y = 0 over the box |y_i| <= radius, on the value
+    one L-BFGS-B run from y = 0 over the box |y_i| <= BKL_RADIUS, on the value
     and its gradient tau(y) - z.  Returns (value, boundary_flag);
     boundary_flag True means the bounded search hit its box, i.e. z sits on
     or outside the achievable set and the value is an upper bound only.
@@ -312,10 +306,11 @@ def bkl_entropy(alphabet, potentials, z, radius=BKL_RADIUS):
 
     try:
         res = minimize(objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
-                       bounds=[(-radius, radius)] * len(z), options=BKL_OPTIONS)
+                       bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(z),
+                       options=BKL_OPTIONS)
     except ArithmeticError as exc:
         raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
-    return float(res.fun), bool(np.any(np.abs(res.x) > radius - 1e-6))
+    return float(res.fun), bool(np.any(np.abs(res.x) > BKL_RADIUS - 1e-6))
 
 
 def _bkl_objective(model, tables, plus_idx, minus_idx, y):

@@ -1,20 +1,24 @@
 """Static checks on the package source: no unused module-level import, no
 private module-level function or class that nothing references, no
 module-level function with a parameter its body never reads, no RunConfig
-field that nothing reads, and no import of the max-min solver by the oracles
-that judge it.
+field that nothing reads, no import of the max-min solver by the oracles
+that judge it, and no CLI flag that README documents but the parser lacks,
+or the other way round.
 
 There is no linter among the test dependencies, so this is the check that
 keeps deleted code from coming back half-way (an import left behind, a
 helper whose last caller is gone, or an argument nothing reads any more).
 """
 
+import argparse
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "thermoflat"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "thermoflat"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -125,3 +129,19 @@ def test_every_run_config_field_is_read():
             and not (isinstance(sub.value, ast.Name) and sub.value.id == "args")}
     unread = [f for f in fields if f not in read]
     assert fields and not unread, f"RunConfig fields nothing reads: {unread}"
+
+
+def test_readme_documents_exactly_the_cli_flags():
+    # a flag removed from the parser must not stay documented, and a new
+    # one must be documented
+    from thermoflat import cli
+
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n")[1]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section.split("\n## ")[0]))
+    parsers = [cli._build_parser()]
+    for action in parsers[0]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    options = {flag for parser in parsers for action in parser._actions
+               for flag in action.option_strings} - {"-h", "--help"}
+    assert documented == options

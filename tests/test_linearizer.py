@@ -5,10 +5,11 @@ import pytest
 from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import logsumexp
 
-from thermoflat.config import SC_TOL, RunConfig
+from thermoflat.config import CLUSTER_RADIUS, SC_TOL, VALUE_WINDOW, RunConfig
 from thermoflat.convex import INFINITY, AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import (
     ModelSpec,
+    _local_maxima,
     approximating_potential,
     decision_rule,
     mean_field_iterate,
@@ -588,26 +589,29 @@ class TestGridSearch:
         np.testing.assert_allclose(coords, [-2.25, 2.25], atol=1e-12)
 
     def test_sharp_inner_sup_on_the_box_face(self):
-        # with |y+| <= 0.8 the inner sup over y+ of log cosh(y+ - y-) -
-        # g+*(y+) sits on the box face for y- near 0, past the vertex 0.5
+        # over |y+| <= 0.8 the inner sup over y+ of log cosh(y+ - y-) -
+        # g+*(y+) at y- = 0 sits on both box faces, past the vertex 0.5.  A
+        # certified box never cuts the sup of a grid g+ like this, so the
+        # search runs on that box directly
         g_plus = GridSampled([GRID_X], GRID_X**2)
         model = ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0))
-        sol = solve_sharp(model, RunConfig(radius_plus=0.8))
-        ys = np.linspace(-0.8, 0.8, 1601)
-        star = grid_star(ys[:, None], GRID_X[:, None], GRID_X**2)
+        lo, hi = np.array([-0.8]), np.array([0.8])
 
-        def sup_over_box(ym):
-            return np.max(np.log(np.cosh(ys - ym)) - star) + ym * ym / 2.0
+        def plus_side(y_plus):
+            value, grad_plus, _, h = p_nl(model, y_plus, [0.0], True, True)
+            return value, grad_plus, h[:1, :1]
 
-        brute = minimize_scalar(
-            sup_over_box, bounds=(-2.0, 2.0), method="bounded", options={"xatol": 1e-10}
+        rows, stats = _local_maxima(
+            plus_side, lo, hi, g_plus.conjugate_vertices(lo, hi), None,
+            CLUSTER_RADIUS, VALUE_WINDOW,
         )
-        assert sol.p_sharp == pytest.approx(brute.fun, abs=1e-9)
-        # the model is symmetric under y -> -y: y- = 0, y+ on both faces
-        (x_minus,) = sol.m_sharp
-        assert x_minus.coords[0] == pytest.approx(0.0, abs=1e-6)
-        (argmax,) = sol.m_sharp_of.values()
-        assert [p.coords[0] for p in argmax] == pytest.approx([-0.8, 0.8], abs=1e-12)
+        ys = np.linspace(-0.8, 0.8, 1601)
+        brute = np.log(np.cosh(ys)) - grid_star(ys[:, None], GRID_X[:, None], GRID_X**2)
+        # the brute-force maxima are the two box faces
+        assert np.flatnonzero(brute >= brute.max() - 1e-12).tolist() == [0, 1600]
+        assert sorted(row[0][0] for row in rows) == pytest.approx([-0.8, 0.8], abs=1e-12)
+        assert [row[1] for row in rows] == pytest.approx([brute.max()] * 2, abs=1e-12)
+        assert stats["candidates"] > 2
 
     @pytest.mark.parametrize("seed", range(20))
     def test_non_separable_grid_matches_brute_force(self, seed):
