@@ -7,9 +7,6 @@ CONVEXITY_TOL = 1e-12
 PROB_TOL = 1e-12
 STATIONARITY_TOL = 1e-10
 
-# Fenchel-Young equality detection.
-FENCHEL_YOUNG_TOL = 1e-9
-
 # Interval subdifferentials: singleton detection width.
 SINGLETON_TOL = 1e-12
 

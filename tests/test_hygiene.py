@@ -1,9 +1,9 @@
 """Static checks on the package source: no unused module-level import, no
 private module-level function or class that nothing references, no
 module-level function with a parameter its body never reads, no RunConfig
-field that nothing reads, no import of the max-min solver by the oracles
-that judge it, and no CLI flag that README documents but the parser lacks,
-or the other way round.
+field and no module-level constant that nothing reads, no import of the
+max-min solver by the oracles that judge it, and no CLI flag that README
+documents but the parser lacks, or the other way round.
 
 There is no linter among the test dependencies, so this is the check that
 keeps deleted code from coming back half-way (an import left behind, a
@@ -129,6 +129,24 @@ def test_every_run_config_field_is_read():
             and not (isinstance(sub.value, ast.Name) and sub.value.id == "args")}
     unread = [f for f in fields if f not in read]
     assert fields and not unread, f"RunConfig fields nothing reads: {unread}"
+
+
+def test_every_module_constant_is_read():
+    # an UPPER_CASE module-level name is a tolerance or a stage setting; one
+    # nothing loads outlived the code it tuned
+    constants = [
+        (path.name, node.lineno, target.id)
+        for path in MODULES for node in _tree(path).body
+        if isinstance(node, ast.Assign) for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    ]
+    read = {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for path in MODULES for sub in ast.walk(_tree(path))
+            if isinstance(sub, (ast.Name, ast.Attribute))
+            and isinstance(sub.ctx, ast.Load)}
+    unread = [f"{module}:{line} {name}"
+              for module, line, name in constants if name not in read]
+    assert constants and not unread, f"constants nothing reads: {unread}"
 
 
 def test_readme_documents_exactly_the_cli_flags():

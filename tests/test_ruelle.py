@@ -163,19 +163,35 @@ class TestPerronPair:
         ruelle._word_law(log_b, 4, 4)
         assert calls == {"eigvals": 0, "eig": 0}
 
-    def test_stalled_noda_takes_one_eigvals(self, monkeypatch):
+    def test_stalled_noda_falls_back_to_balanced_rounds(self, monkeypatch):
         # the second table of the stream: its Perron vectors span too many
-        # orders of magnitude for linear-domain Noda steps to halve the bracket
+        # orders of magnitude for linear-domain Noda steps to shrink the
+        # bracket, so each vector is exactly what perron returns
         rng = np.random.default_rng(50)
         rng.uniform(-50.0, 50.0, (3,) * 4)
         log_b = memory4_log_transfer(3, rng.uniform(-50.0, 50.0, (3,) * 4))
         right, left = perron(log_b), perron(log_b.T)
         calls = self.count_eigen_calls(monkeypatch)
         lam, log_h, log_nu, _ = ruelle._word_law(log_b, 3, 4)
-        assert calls == {"eigvals": 1, "eig": 0}
-        assert lam == pytest.approx(right[0], abs=1e-12)
-        np.testing.assert_allclose(log_h, right[1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(log_nu, left[1], rtol=0, atol=1e-12)
+        assert calls["eigvals"] == 0
+        assert lam == right[0]
+        np.testing.assert_array_equal(log_h, right[1])
+        np.testing.assert_array_equal(log_nu, left[1])
+
+    def test_noda_stalls_only_when_the_bracket_stops_shrinking(self):
+        # a memory-3 table over 161 tilts in [-16, 16]: Noda converges on
+        # 137 of them, and on 93 when a step had to halve log(sigma / lo)
+        table = np.random.default_rng(2).standard_normal((3, 3, 3))
+        converged = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for y in np.linspace(-16.0, 16.0, 161):
+                log_b = log_transfer(CylinderPotential(AprioriAlphabet(3), y * table))
+                try:
+                    x = ruelle._noda_pair(np.exp(log_b - log_b.max()))
+                except np.linalg.LinAlgError:
+                    x = None
+                converged += x is not None
+        assert converged >= 130
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_pair_certifies_random_memory4_tables_up_to_50(self, k):
