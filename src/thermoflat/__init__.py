@@ -25,7 +25,6 @@ from .linearizer import (
     GameSolution,
     ModelSpec,
     approximating_potential,
-    mean_field_iterate,
     p_flat_of,
     p_nl,
     solve_flat,
@@ -77,7 +76,6 @@ __all__ = [
     "expectation",
     "growth_radius",
     "linear_pressure",
-    "mean_field_iterate",
     "normalization_residual",
     "p_flat_of",
     "p_nl",

@@ -120,8 +120,9 @@ def _scan_csv(model):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["y_plus", "p_flat_of"])
-    for t in np.linspace(lo, hi, 201):
-        v, _ = linearizer.p_flat_of(model, np.array([t]))
+    points = np.linspace(lo, hi, 201)
+    values, _ = linearizer.p_flat_of(model, points[:, None])
+    for t, v in zip(points, values):
         writer.writerow([repr(float(t)), repr(float(v))])
     return buf.getvalue()
 

@@ -136,6 +136,9 @@ class ConvexSpec:
         return np.array([self.gradient(row) for row in xs])
 
     # True when conjugate_gradient and conjugate_hessian hold on conjugate_box.
+    # Both take a point or a stack of points as rows: the gradient has one
+    # row per point, and the Hessian, constant on the box for every kind
+    # here, is one matrix that broadcasts over the rows.
     has_conjugate_gradient = False
 
     def conjugate_gradient(self, y):
@@ -155,6 +158,15 @@ class ConvexSpec:
                 f"dimension mismatch: expected {self.dim}, got {x.shape}"
             )
         return x
+
+    def _check_rows(self, y):
+        """y as floats: a point, or a stack of points as rows."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.shape[-1] != self.dim:
+            raise ValueError(
+                f"dimension mismatch: expected {self.dim}, got {y.shape}"
+            )
+        return y
 
 
 class Quadratic(ConvexSpec):
@@ -199,10 +211,11 @@ class Quadratic(ConvexSpec):
     has_conjugate_gradient = True
 
     def conjugate_gradient(self, y):
-        return self._check_dim(y) / self.beta
+        return self._check_rows(y) / self.beta
 
     def conjugate_hessian(self, y):
-        return np.eye(len(self._check_dim(y))) / self.beta
+        self._check_rows(y)
+        return np.eye(self.dim) / self.beta
 
 
 class AbsSum(ConvexSpec):
@@ -239,10 +252,11 @@ class AbsSum(ConvexSpec):
     has_conjugate_gradient = True
 
     def conjugate_gradient(self, y):
-        return np.zeros_like(self._check_dim(y))
+        return np.zeros_like(self._check_rows(y))
 
     def conjugate_hessian(self, y):
-        return np.diag(np.zeros_like(self._check_dim(y)))
+        self._check_rows(y)
+        return np.zeros((self.dim, self.dim))
 
     def conjugate_box(self):
         return np.full(self.dim, -1.0), np.full(self.dim, 1.0)
@@ -435,10 +449,10 @@ class LinearShift(ConvexSpec):
         return self.base.has_conjugate_gradient
 
     def conjugate_gradient(self, y):
-        return self.base.conjugate_gradient(self._check_dim(y) - self.slope)
+        return self.base.conjugate_gradient(self._check_rows(y) - self.slope)
 
     def conjugate_hessian(self, y):
-        return self.base.conjugate_hessian(self._check_dim(y) - self.slope)
+        return self.base.conjugate_hessian(self._check_rows(y) - self.slope)
 
     def conjugate_box(self):
         lo, hi = self.base.conjugate_box()

@@ -19,10 +19,20 @@ evaluates exactly those finitely many vertices (conjugate_vertices), or
 else runs a projected Newton search (_newton) under box bounds from a set of
 starts, on the Hessian of P_L in the tilt, the Green-Kubo covariance of the
 tilted Gibbs measure (ruelle._tilted_pressure).  The convex inner inf runs
-it from y- = 0 when g-* has a gradient on its domain box (quadratic, l1
+the same search when g-* has a gradient on its domain box (quadratic, l1
 norm and their linear shifts); a grid-sampled g- has a piecewise-linear
 conjugate, and its inner inf is a smooth epigraph program, solved by SLSQP
 and polished on the face of g-* it ends on (_epigraph_inf).
+
+Every search runs on stacks of tilts.  The pressure layer (p_nl,
+ModelSpec.linear_pressure_tilted, ruelle._tilted_pressure) prices a stack
+in one call, at memory 1 by one broadcast logsumexp.  _newton advances all
+starts in lockstep: each round prices the next trial point of every start
+still searching in one stacked call, and each start keeps its own steps,
+halvings and stop message.  The outer search over y+ solves the inner infs
+of all its points in one inner lockstep search, in which each outer start
+begins from the inner minimizer of its own last point (the first from
+y- = 0).
 
 The min-max side (solve_sharp) minimizes the convex S(y-) = sup over y+ of
 P_NL by a level bundle method on Danskin cuts: one HiGHS LP over the cuts
@@ -34,6 +44,7 @@ through the self-consistency residuals x_pm in subdiff(g_pm, tau_pm(mu)).
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -78,7 +89,8 @@ class ModelSpec:
     `memory` is the largest potential memory (1 without potentials),
     `tables` the flat word tables of the plus, then the minus potentials
     padded to it, one row each (`signed`: the minus rows negated), and
-    `log_weights` the log a priori weights; `evaluations` counts P_L calls.
+    `log_weights` the log a priori weights; `evaluations` counts the tilts
+    whose P_L linear_pressure_tilted prices, a stack counting its rows.
     The growth certificates and search boxes are made once, on first use.
     """
 
@@ -166,8 +178,10 @@ class ModelSpec:
                      for c in (self.growth_plus, self.growth_minus))
 
     def tilt(self, y_plus, y_minus):
-        """The flat word table of Theta = y+ . phi+ - y- . phi- at `memory`."""
-        return np.concatenate([y_plus, -y_minus]) @ self.tables
+        """The flat word table of Theta = y+ . phi+ - y- . phi- at `memory`,
+        or one per row for stacks of y+ and y-."""
+        y = np.concatenate([y_plus, -y_minus], axis=-1)
+        return (y[..., None, :] @ self.tables)[..., 0, :]
 
     def linear_pressure_tilted(self, y_plus, y_minus, hessian=False):
         """(P_L(Theta), tau+, tau-) of Theta = tilt(y+, y-), without
@@ -176,20 +190,23 @@ class ModelSpec:
         tau+ and tau- are the averages of the plus and minus potentials
         under the Gibbs measure of Theta (ruelle._tilted_pressure), so
         (tau+, -tau-), the averages of the signed rows, is the gradient of
-        P_L in (y+, y-), and their covariance its Hessian.
+        P_L in (y+, y-), and their covariance its Hessian.  Stacks of y+
+        and y-, one tilt per row, give each output a leading stack axis;
+        an ArithmeticError names the tilt that raised it.
         """
-        self.evaluations += 1
+        theta = self.tilt(y_plus, y_minus)
+        self.evaluations += len(theta) if theta.ndim > 1 else 1
         try:
             value, tau, *cov = _tilted_pressure(
-                self.log_weights, self.tilt(y_plus, y_minus), self.signed,
-                self.memory, hessian,
+                self.log_weights, theta, self.signed, self.memory, hessian
             )
         except ArithmeticError as exc:
+            i = getattr(exc, "row", 0)
             raise ArithmeticError(
-                f"linear_pressure_tilted at y+ = {np.asarray(y_plus).tolist()}, "
-                f"y- = {np.asarray(y_minus).tolist()}: {exc}"
+                f"linear_pressure_tilted at y+ = {np.atleast_2d(y_plus)[i].tolist()}, "
+                f"y- = {np.atleast_2d(y_minus)[i].tolist()}: {exc}"
             ) from exc
-        return value, tau[: self.n_plus], -tau[self.n_plus :], *cov
+        return value, tau[..., : self.n_plus], -tau[..., self.n_plus :], *cov
 
     def direct_pressure_of(self, mu):
         """P(mu) = entropy - g_minus(tau_minus) + g_plus(tau_plus)."""
@@ -246,11 +263,17 @@ def p_nl(model, y_plus, y_minus, grad=False, hess=False):
     (tau+ - grad g+*(y+), -tau- + grad g-*(y-)), and hess=True adds the
     Hessian in (y+, y-) of the same terms.  A coupling without a conjugate
     gradient (a grid) adds no term to its side, which then holds the P_L
-    terms alone; so does the minus side outside dom(g-*).
+    terms alone.  Stacks of y+ and y-, one point per row, are priced by
+    one linear_pressure_tilted call, and each output gains a leading
+    stack axis.
     """
-    y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
-    y_minus = np.atleast_1d(np.asarray(y_minus, dtype=float))
-    if len(y_plus) != model.n_plus or len(y_minus) != model.n_minus:
+    y_plus = np.asarray(y_plus, dtype=float)
+    y_minus = np.asarray(y_minus, dtype=float)
+    single = y_plus.ndim < 2
+    if single:
+        y_plus, y_minus = np.atleast_1d(y_plus)[None], np.atleast_1d(y_minus)[None]
+    if (y_plus.shape[1:] != (model.n_plus,) or y_minus.shape[1:] != (model.n_minus,)
+            or len(y_plus) != len(y_minus)):
         raise ValueError("tilt coefficient dimension mismatch")
     value, grad_plus, grad_minus, *hessian = model.linear_pressure_tilted(
         y_plus, y_minus, hess
@@ -258,20 +281,24 @@ def p_nl(model, y_plus, y_minus, grad=False, hess=False):
     grad, n = grad or hess, model.n_plus
     grad_minus = -grad_minus
     if model.g_minus is not None:
-        c = model.g_minus.conjugate(y_minus)
-        if c == INFINITY:
-            return (INFINITY, grad_plus, grad_minus, *hessian) if grad else INFINITY
-        value += c
+        value = value + model.g_minus.conjugate_many(y_minus)
         if grad and model.g_minus.has_conjugate_gradient:
             grad_minus += model.g_minus.conjugate_gradient(y_minus)
             for h in hessian:
-                h[n:, n:] += model.g_minus.conjugate_hessian(y_minus)
+                h[:, n:, n:] += model.g_minus.conjugate_hessian(y_minus)
     if model.g_plus is not None:
-        value -= model.g_plus.conjugate(y_plus)
+        conjugate = model.g_plus.conjugate_many(y_plus)
+        if model.g_minus is not None:  # a row outside dom(g-*) stays at +inf
+            conjugate = np.where(value < INFINITY, conjugate, 0.0)
+        value = value - conjugate
         if grad and model.g_plus.has_conjugate_gradient:
             grad_plus -= model.g_plus.conjugate_gradient(y_plus)
             for h in hessian:
-                h[:n, :n] -= model.g_plus.conjugate_hessian(y_plus)
+                h[:, :n, :n] -= model.g_plus.conjugate_hessian(y_plus)
+    if single:
+        value = float(value[0])
+        grad_plus, grad_minus, *hessian = (a[0] for a in (grad_plus, grad_minus,
+                                                          *hessian))
     return (value, grad_plus, grad_minus, *hessian) if grad else value
 
 
@@ -281,55 +308,160 @@ def _free(x, gradient, lo, hi):
 
 
 def _modified_inverse(h):
-    """The inverse of the symmetric h with each eigenvalue made positive, as
-    |lambda| floored at 1e-10 max |lambda|; zero for a zero or non-finite h."""
-    if not (np.isfinite(h).all() and h.any()):
-        return np.zeros_like(h)
+    """The inverse of each symmetric matrix of the stack h (..., d, d) with
+    each eigenvalue made positive, as |lambda| floored at 1e-10 max |lambda|;
+    zero for a zero or non-finite matrix.  A 1 x 1 matrix is its eigenvalue."""
+    entries = h.reshape(*h.shape[:-2], -1)
+    usable = np.isfinite(entries).all(axis=-1) & entries.any(axis=-1)
+    if not usable.all():
+        inverse = np.zeros_like(h)
+        if usable.any():
+            inverse[usable] = _modified_inverse(h[usable])
+        return inverse
+    if h.shape[-1] == 1:
+        return 1.0 / np.abs(h)
     lam, vec = np.linalg.eigh(h)
-    return (vec / np.maximum(np.abs(lam), 1e-10 * np.abs(lam).max())) @ vec.T
+    lam = np.abs(lam)
+    lam = np.maximum(lam, 1e-10 * lam.max(axis=-1, keepdims=True))
+    return (vec / lam[..., None, :]) @ np.swapaxes(vec, -1, -2)
+
+
+def _blocks(free):
+    """(rows, cols) for each distinct row of the boolean matrix free: the
+    rows equal to it (a full slice for all of them) and its True columns."""
+    if free.all():
+        yield slice(None), np.arange(free.shape[1])
+        return
+    codes = free @ (1 << np.arange(free.shape[1]))
+    for code in np.unique(codes):
+        rows = np.flatnonzero(codes == code)
+        yield rows, np.flatnonzero(free[rows[0]])
+
+
+def _dot(a, b):
+    """The dot product of each row of a with that row of b."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi) without its argument handling, which costs more
+    than the clip itself on the small arrays of a search."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _newton_steps(h, gradient, free):
+    """The modified Newton step of each row: -M gradient on the row's free
+    coordinates, M the _modified_inverse of its free block of h, and
+    -gradient (zero) elsewhere."""
+    if free.all():
+        return (_modified_inverse(h) @ -gradient[..., None])[..., 0]
+    step = -gradient
+    for rows, cols in _blocks(free):
+        block = np.ix_(rows, cols)
+        inverse = _modified_inverse(h[np.ix_(rows, cols, cols)])
+        step[block] = (inverse @ step[block][..., None])[..., 0]
+    return step
 
 
 def _newton(fun, x0, lo, hi, gtol):
-    """Minimize fun over the box [lo, hi] from x0 by projected Newton steps.
+    """Minimize fun over the box [lo, hi] from each row of x0 by projected
+    Newton steps, all rows in lockstep.
 
-    fun(x) returns (value, gradient, Hessian, *extra).  Each step is a
-    modified Newton step (_modified_inverse; Nocedal & Wright, Numerical
-    Optimization, 2006, sec. 3.4) on the free coordinates (_free), or the
-    gradient step where the Hessian is of no use or the box cuts the step
-    into an ascent.  Halvings of the step clipped to the box run until
-    Armijo's test passes or, where values differ by rounding (about
-    sqrt(eps) from a minimizer, while the gradient keeps its precision), the
-    value is within 1e-12 (relative) with a smaller projected gradient.
-    Returns (x, fun(x), steps, message) once the projected gradient is at
-    most gtol, message None, or else naming why it stopped.
+    fun(x, rows) returns (value, gradient, Hessian, *extra) at the points x
+    of the rows `rows` of x0, each output with a leading axis over them.
+    Each step is a modified Newton step (_newton_steps; Nocedal & Wright,
+    Numerical Optimization, 2006, sec. 3.4) on the row's free coordinates
+    (_free), or the gradient step where the Hessian is of no use or the box
+    cuts the step into an ascent.  Halvings of the step clipped to the box
+    run until Armijo's test passes or, where values differ by rounding
+    (about sqrt(eps) from a minimizer, while the gradient keeps its
+    precision), the value is within 1e-12 (relative) with a smaller
+    projected gradient.  Each round makes one fun call, in which every row
+    still searching prices its next trial point, a new step or a halving;
+    so each row takes exactly the steps it would take alone.  Returns (x,
+    out, steps, messages): the points, fun's outputs there (fun returns new
+    arrays, which are updated in place), and per row its number of steps
+    and a message, None once its projected gradient is at most gtol, or
+    else naming why it stopped.  A 1-D x0 is one start: fun(x) then takes
+    and returns one point, and so do the results.
     """
-    x = np.clip(x0, lo, hi)
-    out = fun(x)
-    for steps in range(NEWTON_STEPS + 1):
-        free = _free(x, out[1], lo, hi)
-        gradient = np.where(free, out[1], 0.0)
-        norm = np.abs(gradient).max(initial=0.0)
-        if norm <= gtol or steps == NEWTON_STEPS:
-            break
-        step = -gradient
-        hess = out[2] if free.all() else out[2][np.ix_(free, free)]
-        step[free] = _modified_inverse(hess) @ step[free]
-        step = np.clip(x + step, lo, hi) - x
-        if gradient @ step >= 0:  # no Newton step, or the box made it ascend
-            step = np.clip(x - gradient, lo, hi) - x
-        for _ in range(NEWTON_HALVINGS):
-            trial = np.clip(x + step, lo, hi)
-            new = fun(trial)
-            rounding = abs(new[0] - out[0]) <= 1e-12 * max(1.0, abs(out[0]))
-            pg = np.abs(new[1][_free(trial, new[1], lo, hi)]).max(initial=0.0)
-            if new[0] <= out[0] + 1e-4 * (gradient @ step) or rounding and pg < norm:
-                break
-            step = step / 2
-        else:
-            return x, out, steps, f"line search failed at projected gradient {norm:.3g}"
-        x, out = trial, new
-    cap = f"iteration cap of {NEWTON_STEPS} steps at projected gradient {norm:.3g}"
-    return x, out, steps, None if norm <= gtol else cap
+    if x0.ndim == 1:
+        x, out, steps, messages = _newton(
+            lambda x, _: [np.array(o)[None] for o in fun(x[0])],
+            x0[None], lo, hi, gtol,
+        )
+        return x[0], tuple(o[0] for o in out), int(steps[0]), messages[0]
+    count = len(x0)
+    x = _clip(x0, lo, hi)
+    out = list(fun(x, np.arange(count)))  # updated in place from here on
+    steps, halvings = np.zeros((2, count), dtype=int)
+    messages = [None] * count
+    step, slope, norm = np.zeros_like(x), np.zeros(count), np.zeros(count)
+    searching = np.ones(count, dtype=bool)
+    moved = rows = np.arange(count)  # the rows at a new point; those searching
+    every = slice(None)  # picks every row faster than their indices do
+    for rounds in itertools.count():
+        # each row at a new point stops there or takes a step from it
+        if len(moved):
+            at = every if len(moved) == count else moved
+            point, g = x[at], out[1][at]
+            free = _free(point, g, lo, hi)
+            g = np.where(free, g, 0.0)
+            size = np.abs(g).max(axis=1)
+            stop = size <= gtol
+            if rounds >= NEWTON_STEPS:  # no row has more steps than rounds
+                stop |= steps[at] == NEWTON_STEPS
+            if stop.any():
+                for i, s in zip(moved[stop], size[stop]):
+                    if s > gtol:
+                        messages[i] = (f"iteration cap of {NEWTON_STEPS} steps at "
+                                       f"projected gradient {s:.3g}")
+                searching[moved[stop]] = False
+                rows = np.flatnonzero(searching)
+                at = moved = moved[~stop]
+                point, free, g, size = point[~stop], free[~stop], g[~stop], size[~stop]
+        if len(moved):
+            d = _clip(point + _newton_steps(out[2][at], g, free), lo, hi) - point
+            down = _dot(g, d)
+            ascent = down >= 0  # no Newton step, or the box made it ascend
+            if ascent.any():
+                d[ascent] = _clip(point[ascent] - g[ascent], lo, hi) - point[ascent]
+                down[ascent] = _dot(g[ascent], d[ascent])
+            step[at], slope[at], norm[at], halvings[at] = d, down, size, 0
+        if not len(rows):
+            return x, out, steps, messages
+        # every row still searching prices its trial point
+        tried = rows
+        at = every if len(tried) == count else tried
+        trial = _clip(x[at] + step[at], lo, hi)
+        new = fun(trial, tried)
+        value = out[0][at]
+        # halving a step halves its slope exactly
+        accepted = new[0] <= value + 1e-4 * slope[at]
+        if not accepted.all():
+            rounding = np.abs(new[0] - value) <= 1e-12 * np.maximum(1.0, np.abs(value))
+            if rounding.any():
+                pg = np.abs(np.where(_free(trial, new[1], lo, hi), new[1], 0.0))
+                accepted |= rounding & (pg.max(axis=1) < norm[at])
+            rejected = tried[~accepted]
+            step[rejected] /= 2
+            slope[rejected] /= 2
+            halvings[rejected] += 1
+            failed = rejected[halvings[rejected] == NEWTON_HALVINGS]
+            for i in failed:
+                messages[i] = f"line search failed at projected gradient {norm[i]:.3g}"
+            if len(failed):
+                searching[failed] = False
+                rows = np.flatnonzero(searching)
+        moved = tried[accepted]
+        if len(moved) == count:
+            x, out = trial, list(new)
+            steps += 1
+        elif len(moved):
+            x[moved] = trial[accepted]
+            for o, n in zip(out, new):
+                o[moved] = n[accepted]
+            steps[moved] += 1
 
 
 # -- one-sided problems -------------------------------------------------------
@@ -393,43 +525,66 @@ def _epigraph_inf(model, y_plus, lo, hi):
     return (point if on_face and np.all((lo <= point) & (point <= hi)) else y), basis
 
 
-def p_flat_of(model, y_plus, grad=False, hess=False):
+def p_flat_of(model, y_plus, grad=False, hess=False, start=None):
     """P_flat(y+) = inf over y- of P_NL(y+, y-), with its one minimizer.
 
     The inf runs over the model's search box over y- (ModelSpec.box_minus,
     certified once per model).  A grid g-* takes _epigraph_inf; otherwise
-    _newton finds the root of the gradient -tau- + grad g-*(y-) from y- = 0
-    moved into the box.  With grad=True it also returns the plus gradient of P_NL
-    at the minimizer (see p_nl): tau+ - grad g+*(y+), by Danskin the
-    gradient of P_flat, or tau+ alone for a grid g+.  hess=True adds its
-    Hessian H++ - H+- B (B^T H-- B)^-1 B^T H-+ from P_NL's Hessian H, B a
-    basis of the free coordinates (_free) or grid face of the minimizer.
+    _newton finds the root of the gradient -tau- + grad g-*(y-) from
+    `start` (by default y- = 0) moved into the box.  With grad=True it also
+    returns the plus gradient of P_NL at the minimizer (see p_nl): tau+ -
+    grad g+*(y+), by Danskin the gradient of P_flat, or tau+ alone for a
+    grid g+.  hess=True adds its Hessian H++ - H+- B (B^T H-- B)^-1 B^T H-+
+    from P_NL's Hessian H, B a basis of the free coordinates (_free) or
+    grid face of the minimizer.
+
+    A stack of points y+, one per row (and of starts), solves every inner
+    inf in one lockstep _newton, or one _epigraph_inf per row, and returns
+    stacks: the values, the minimizers as rows, the gradients and the
+    Hessians.
     """
-    y_plus = np.atleast_1d(np.asarray(y_plus, dtype=float))
-    n, minimizers, basis = len(y_plus), [], np.zeros((0, 0))
+    y_plus = np.asarray(y_plus, dtype=float)
+    if y_plus.ndim < 2:
+        if start is not None:
+            start = np.atleast_1d(start)[None]
+        value, y_minus, *rest = p_flat_of(model, np.atleast_1d(y_plus)[None],
+                                          grad, hess, start)
+        minimizers = [] if model.g_minus is None else [DualPoint(y_minus[0])]
+        return float(value[0]), minimizers, *(a[0] for a in rest)
+    count, n = y_plus.shape
+    faces = []  # (rows, B): rows whose minimizers share the basis B
     if model.g_minus is None:
-        value, grad_plus, _, h = p_nl(model, y_plus, np.zeros(0), True, True)
+        y_minus = np.zeros((count, 0))
+        value, grad_plus, _, h = p_nl(model, y_plus, y_minus, True, True)
+    elif model.g_minus.conjugate_pieces() is not None:
+        y_minus = np.zeros((count, model.n_minus))
+        for i, y in enumerate(y_plus):
+            y_minus[i], basis = _epigraph_inf(model, y, *model.box_minus)
+            faces.append(([i], basis))
+        value, grad_plus, _, h = p_nl(model, y_plus, y_minus, True, True)
     else:
         lo, hi = model.box_minus
-        if model.g_minus.conjugate_pieces() is not None:
-            y_minus, basis = _epigraph_inf(model, y_plus, lo, hi)
-            value, grad_plus, _, h = p_nl(model, y_plus, y_minus, True, True)
-        else:
 
-            def inner(y):
-                value, grad_plus, grad_minus, h = p_nl(model, y_plus, y, True, True)
-                return value, grad_minus, h[n:, n:], grad_plus, h
+        def inner(y, rows):
+            value, grad_plus, grad_minus, h = p_nl(model, y_plus[rows], y, True, True)
+            return value, grad_minus, h[:, n:, n:], grad_plus, h
 
-            y_minus, (value, grad_minus, _, grad_plus, h), _, _ = _newton(
-                inner, np.zeros(model.n_minus), lo, hi, INNER_GTOL
-            )
-            basis = np.eye(model.n_minus)[:, _free(y_minus, grad_minus, lo, hi)]
-        minimizers = [DualPoint(y_minus)]
+        y_minus, (value, grad_minus, _, grad_plus, h), _, _ = _newton(
+            inner, np.zeros((count, model.n_minus)) if start is None else start,
+            lo, hi, INNER_GTOL,
+        )
+        if hess:
+            eye = np.eye(model.n_minus)
+            faces = [(rows, eye[:, cols])
+                     for rows, cols in _blocks(_free(y_minus, grad_minus, lo, hi))]
     if not hess:
-        return (value, minimizers, grad_plus) if grad else (value, minimizers)
-    cross = h[:n, n:] @ basis
-    schur = cross @ _modified_inverse(basis.T @ h[n:, n:] @ basis) @ cross.T
-    return value, minimizers, grad_plus, h[:n, :n] - schur
+        return (value, y_minus, grad_plus) if grad else (value, y_minus)
+    schur = np.zeros((count, n, n))
+    for rows, basis in faces:
+        cross = h[rows, :n, n:] @ basis
+        inverse = _modified_inverse(basis.T @ h[rows, n:, n:] @ basis)
+        schur[rows] = cross @ inverse @ np.swapaxes(cross, -1, -2)
+    return value, y_minus, grad_plus, h[:, :n, :n] - schur
 
 
 def _start_grid(lo, hi, grid_points, cap):
@@ -445,43 +600,47 @@ def _start_grid(lo, hi, grid_points, cap):
 
 
 def _local_maxima(f, lo, hi, vertices, starts, radius, window):
-    """The distinct local maxima over the box [lo, hi] of f, which returns
-    (value, gradient, Hessian, *extra).
+    """The distinct local maxima over the box [lo, hi] of f, which takes a
+    stack of points and the indices of their rows, and returns (value,
+    gradient, Hessian, *extra) as stacks.
 
     With vertices (the cell vertices of a piecewise-linear g+*, see the
-    module docstring) f is evaluated at each of them, which is exact;
-    otherwise _newton maximizes f from each start.  Returns (rows, stats):
-    the rows (point, value, gradient, *extra), best first (a stable sort),
-    down to window below the best, each more than radius from every better
-    row, and the candidates, or the starts, total Newton steps and
-    unconverged starts with their sorted messages.
+    module docstring) f is evaluated at all of them in one call, which is
+    exact; otherwise one lockstep _newton maximizes f from every start.
+    Returns (rows, stats): the rows (point, value, gradient, *extra), best
+    first (a stable sort), down to window below the best, each more than
+    radius from every better row, and the candidates, or the starts, total
+    Newton steps and unconverged starts with their sorted messages.
     """
     if vertices is not None:
-        found = [(y, *f(y)) for y in vertices]
+        points = vertices
+        value, gradient, _, *extra = f(points, np.arange(len(points)))
         stats = {"candidates": len(vertices)}
     else:
 
-        def neg(y):
-            value, gradient, hess, *extra = f(y)
+        def neg(y, rows):
+            value, gradient, hess, *extra = f(y, rows)
             return -value, -gradient, -hess, *extra
 
-        results = [_newton(neg, start, lo, hi, OUTER_GTOL) for start in starts]
-        found = [(x, -out[0], -out[1], *out[2:]) for x, out, _, _ in results]
-        failed = sorted(message for *_, message in results if message is not None)
+        points, (value, gradient, _, *extra), steps, messages = _newton(
+            neg, np.array(starts, dtype=float), lo, hi, OUTER_GTOL
+        )
+        value, gradient = -value, -gradient
+        failed = sorted(m for m in messages if m is not None)
         stats = {
             "starts": len(starts),
-            "iterations": sum(steps for _, _, steps, _ in results),
+            "iterations": int(steps.sum()),
             "unconverged": len(failed),
             "unconverged_messages": failed,
         }
-    found = [row[:3] + row[4:] for row in found]  # without the Hessians
-    found.sort(key=lambda row: -row[1])
-    rows = []
-    for row in found:
-        if row[1] < found[0][1] - window:
-            break
-        if all(np.linalg.norm(row[0] - kept[0]) > radius for kept in rows):
-            rows.append(row)
+    order = np.argsort(-value, kind="stable")
+    order = order[value[order] >= value[order[0]] - window]
+    kept = []
+    while len(order):
+        # the best row left is kept, and the rows within radius of it go
+        kept.append(order[0])
+        order = order[np.linalg.norm(points[order] - points[order[0]], axis=1) > radius]
+    rows = [(points[i], value[i], gradient[i], *(e[i] for e in extra)) for i in kept]
     return rows, stats
 
 
@@ -490,10 +649,12 @@ def solve_flat(model, config=None):
 
     The outer sup is _local_maxima of P_flat over the model's search box
     over y+ (ModelSpec.box_plus): at the cell vertices of a piecewise-linear
-    g+* (see the module docstring), otherwise by the Newton search from the
-    start grid (cfg.grid per axis, at most MULTISTART_CAP), which counts its
-    linear-pressure evaluations.  The growth certificates that make the
-    search boxes go into diagnostics, their radii into growth_radii.
+    g+* (see the module docstring), otherwise by the lockstep Newton search
+    from the start grid (cfg.grid per axis, at most MULTISTART_CAP), which
+    counts the tilts it prices.  Each point's inner search starts from the
+    inner minimizer of its start's last point.  The growth certificates
+    that make the search boxes go into diagnostics, their radii into
+    growth_radii.
     """
     cfg = config or RunConfig()
     sol = GameSolution(growth_radii=model.growth_radii)
@@ -517,8 +678,12 @@ def solve_flat(model, config=None):
     if vertices is None:
         starts = _start_grid(lo, hi, cfg.grid, MULTISTART_CAP)
 
-    def outer(y_plus):
-        value, inner, gradient, hess = p_flat_of(model, y_plus, True, True)
+    # the inner minimizer of each start's last point
+    last = np.zeros((len(vertices if starts is None else starts), model.n_minus))
+
+    def outer(y_plus, rows):
+        value, inner, gradient, hess = p_flat_of(model, y_plus, True, True, last[rows])
+        last[rows] = inner
         return value, gradient, hess, inner
 
     before = model.evaluations
@@ -529,9 +694,10 @@ def solve_flat(model, config=None):
         diag["search"]["evaluations"] = model.evaluations - before
     sol.p_flat = float(rows[0][1])
     pairs = []
-    for x_plus, _, _, inner in sorted(rows, key=lambda row: tuple(row[0])):
+    for x_plus, _, _, y_minus in sorted(rows, key=lambda row: tuple(row[0])):
         sol.m_flat.append(DualPoint(x_plus))
         key = tuple(x_plus.tolist())
+        inner = [] if model.g_minus is None else [DualPoint(y_minus)]
         sol.m_flat_of[key] = inner
         pairs += [(key, m) for m in inner] or [(key, None)]
     _attach_equilibria(model, sol, pairs)
@@ -724,9 +890,11 @@ def solve_sharp(model, config=None, *, _flat=None):
         full = full or vertices is not None or not warm
         counts["iterations"] += 1
         counts["full_inner_sups"] += full
-        def plus_side(y_plus):
-            value, grad_plus, grad_minus, h = p_nl(model, y_plus, y_minus, True, True)
-            return value, grad_plus, h[: len(y_plus), : len(y_plus)], grad_minus
+        def plus_side(y_plus, _):
+            value, grad_plus, grad_minus, h = p_nl(
+                model, y_plus, np.tile(y_minus, (len(y_plus), 1)), True, True
+            )
+            return value, grad_plus, h[:, : model.n_plus, : model.n_plus], grad_minus
 
         # every distinct local max gives a cut, so no value window
         kept, _ = _local_maxima(
@@ -825,61 +993,3 @@ def solve_game(model, config=None):
     if flat.gap < -1e-8:
         raise ArithmeticError(f"weak duality violated: gap {flat.gap}")
     return flat
-
-
-def mean_field_iterate(model, y0, damping=1.0, max_iters=500, step_tol=1e-10):
-    """Damped gradient-consistency iteration; fixed points seed solve_flat.
-
-    Requires differentiable couplings (quadratic / shifted quadratic, see
-    ConvexSpec.has_gradient): the update is
-    y <- (1-a) y + a (grad g+(tau+(mu_y)), grad g-(tau-(mu_y))).
-    Returns (trace, fixed_point_or_None, cycle_flag).
-    """
-    for g in (model.g_plus, model.g_minus):
-        if g is not None and not g.has_gradient:
-            raise ValueError("mean-field iteration requires differentiable couplings")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    np_, nm = model.n_plus, model.n_minus
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    if y.shape != (np_ + nm,):
-        raise ValueError("y0 must stack (y_plus, y_minus)")
-    trace = [y.copy()]
-    for _ in range(max_iters):
-        theta = approximating_potential(model, y[:np_], y[np_:])
-        mu = rpf_solve(theta).gibbs
-        target = np.concatenate(
-            [
-                model.g_plus.gradient(model.tau_plus(mu)) if np_ else np.zeros(0),
-                model.g_minus.gradient(model.tau_minus(mu)) if nm else np.zeros(0),
-            ]
-        )
-        new = (1.0 - damping) * y + damping * target
-        trace.append(new.copy())
-        if np.abs(new - y).max() < step_tol:
-            return trace, new, False
-        # cycle detection, period <= 8
-        for period in range(2, 9):
-            if len(trace) > period and np.abs(trace[-1 - period] - new).max() < 1e-12:
-                return trace, None, True
-        y = new
-    return trace, None, False
-
-
-def decision_rule(model, solution, samples=5, spacing=1e-3):
-    """Tabulate the inner minimizer x-(x+) that p_flat_of returns over M_flat
-    and a neighborhood, in the model's search box over y-: samples points
-    spacing apart, each shifting every coordinate of x+ by the same offset.  Where the
-    inner inf has several minimizers (a conjugate that is not strictly
-    convex), it is one of them.
-    """
-    if model.g_minus is None:
-        return {tuple(x.coords): np.zeros(0) for x in solution.m_flat}
-    rule = {}
-    offsets = np.linspace(-spacing * (samples // 2), spacing * (samples // 2), samples)
-    for x_plus in solution.m_flat:
-        for d in offsets:
-            pt = x_plus.array + d
-            (x_minus,) = p_flat_of(model, pt)[1]
-            rule[tuple(pt.tolist())] = x_minus.array
-    return rule

@@ -233,34 +233,51 @@ def _tilted_pressure(log_weights, tilt, averaged, memory, hessian=False):
     a flat memory-word table `tilt`, the Gibbs averages of the rows of
     `averaged`, flat tables over the same words, and their asymptotic
     covariance.  When `tilt` is y . averaged, tau and H are the gradient
-    and Hessian of P_L in y.
+    and Hessian of P_L in y.  A stack of tables, one per row of `tilt`,
+    gives each output a leading stack axis, row for row equal to the
+    table's own.
 
     Memory 1: the Gibbs measure is the product of the softmax weights of
-    the table, its words i.i.d., and H their covariance; memory >= 2: its
-    law P on words comes from the Perron pair (_word_law), whose
-    ArithmeticError passes through unchanged, and H is the Green-Kubo sum
-    (Parry & Pollicott, Asterisque 187-188, 1990) A diag(P) A^T + X + X^T of
-    the centred rows A, X = (A P) u(trail).  u = (I - Q + 1 pi)^-1 c sums the
-    correlations of the chain Q[lead, trail] = P / pi(lead) on the
-    (memory-1)-words, pi its law, c(s) = E[A | lead = s]; a state whose pi
-    underflows to 0 has an empty row of Q and c = 0, so it drops out.
+    the table, its words i.i.d., and H their covariance; a stack is one
+    broadcast logsumexp.  Memory >= 2: its law P on words comes from the
+    Perron pair (_word_law), one row of a stack at a time, whose
+    ArithmeticError passes through unchanged, with the row's index as its
+    `row` attribute on a stack; H is the Green-Kubo sum (Parry & Pollicott,
+    Asterisque 187-188, 1990) A diag(P) A^T + X + X^T of the centred rows
+    A, X = (A P) u(trail).  u = (I - Q + 1 pi)^-1 c sums the correlations
+    of the chain Q[lead, trail] = P / pi(lead) on the (memory-1)-words, pi
+    its law, c(s) = E[A | lead = s]; a state whose pi underflows to 0 has
+    an empty row of Q and c = 0, so it drops out.
     """
+    stacked = tilt.ndim > 1
     if memory == 1:
         log_p = log_weights + tilt
-        value = _log_sum_exp(log_p)
-        log_p -= value
+        value = _log_sum_exp(log_p, rows=stacked)
+        log_p -= value[:, None] if stacked else value
+    elif stacked:
+        rows = []
+        for i, table in enumerate(tilt):
+            try:
+                rows.append(_tilted_pressure(log_weights, table, averaged, memory,
+                                             hessian))
+            except ArithmeticError as exc:
+                exc.row = i
+                raise
+        return tuple(np.array(column) for column in zip(*rows))
     else:
         value, _, _, log_p = _word_law(
             _log_transfer(log_weights, tilt, memory), len(log_weights), memory
         )
         log_p -= _log_sum_exp(log_p)
     p = np.exp(log_p)
-    tau = averaged @ p
+    # one matrix-vector product per table, so that a row of a stack is
+    # priced exactly as the table alone
+    tau = (averaged @ p[..., None])[..., 0]
     if not hessian:
         return value, tau
-    centred = averaged - tau[:, None]
-    weighted = centred * p
-    cov = weighted @ centred.T
+    centred = averaged - tau[..., None]
+    weighted = centred * p[..., None, :]
+    cov = weighted @ np.swapaxes(centred, -1, -2)
     if memory > 1:
         k = len(log_weights)
         trail, lead = _word_maps(k, memory)

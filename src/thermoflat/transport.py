@@ -205,12 +205,12 @@ class Coupling:
 
 
 def cost_matrix(model, rows, cols):
-    """C[i, j] = P_NL(y+_i, y-_j)."""
-    c = np.empty((len(rows), len(cols)))
-    for i, yp in enumerate(rows):
-        for j, ym in enumerate(cols):
-            c[i, j] = p_nl(model, np.asarray(yp), np.asarray(ym))
-    return c
+    """C[i, j] = P_NL(y+_i, y-_j), every pair priced by one stacked p_nl."""
+    rows = np.array(rows, dtype=float).reshape(len(rows), model.n_plus)
+    cols = np.array(cols, dtype=float).reshape(len(cols), model.n_minus)
+    pairs = p_nl(model, np.repeat(rows, len(cols), axis=0),
+                 np.tile(cols, (len(rows), 1)))
+    return pairs.reshape(len(rows), len(cols))
 
 
 def _checked_cost(cost, row_measure, col_measure):

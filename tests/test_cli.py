@@ -421,7 +421,9 @@ class TestSubcommands:
         }
         path = write_model(tmp_path, doc)
         assert run_cli(["transport", path]) == 0
-        assert len(calls) == 6
+        # one stacked call prices the 2 x 3 pairs
+        assert len(calls) == 1
+        assert np.shape(calls[0][1]) == (6, 1)
         out = json.loads(capsys.readouterr().out)
         assert out["dual_check"]["dual_value"] == pytest.approx(out["p_flat"])
 

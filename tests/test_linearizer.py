@@ -11,8 +11,6 @@ from thermoflat.linearizer import (
     ModelSpec,
     _local_maxima,
     approximating_potential,
-    decision_rule,
-    mean_field_iterate,
     p_flat_of,
     p_nl,
     solve_flat,
@@ -372,7 +370,9 @@ class TestSharpBundle:
 
     def test_grid_plus_inner_solves_run_on_gradients(self, monkeypatch):
         # the inner inf needs only a g- conjugate gradient, so a grid g+
-        # with a quadratic g- gets the L-BFGS-B inner
+        # with a quadratic g- gets the Newton inner: one lockstep search
+        # over the vertices, which makes as many p_nl calls as its longest
+        # row makes evaluations
         import thermoflat.linearizer as lin
 
         g_plus = GridSampled([GRID_X], 1.5 * GRID_X**2)
@@ -597,9 +597,10 @@ class TestGridSearch:
         model = ModelSpec(A2, [SPIN], [SPIN], g_plus, Quadratic(1.0))
         lo, hi = np.array([-0.8]), np.array([0.8])
 
-        def plus_side(y_plus):
-            value, grad_plus, _, h = p_nl(model, y_plus, [0.0], True, True)
-            return value, grad_plus, h[:1, :1]
+        def plus_side(y_plus, _):
+            value, grad_plus, _, h = p_nl(model, y_plus, np.zeros((len(y_plus), 1)),
+                                          True, True)
+            return value, grad_plus, h[:, :1, :1]
 
         rows, stats = _local_maxima(
             plus_side, lo, hi, g_plus.conjugate_vertices(lo, hi), None,
@@ -694,7 +695,7 @@ class TestGridMinusInner:
         calls, original = [], ModelSpec.linear_pressure_tilted
 
         def counted(self, *args):
-            calls.append(1)
+            calls.append(len(np.atleast_2d(args[0])))  # tilts, one per row
             return original(self, *args)
 
         monkeypatch.setattr(ModelSpec, "linear_pressure_tilted", counted)
@@ -704,7 +705,7 @@ class TestGridMinusInner:
         for e in sol.equilibria:
             assert e.residual_plus < SC_TOL
             assert e.residual_minus < SC_TOL
-        assert len(calls) <= 5000
+        assert sum(calls) <= 5000
 
     def test_both_couplings_on_grids(self):
         # the brute force puts the max at the vertex y+ = 1.5 of g+*
@@ -822,7 +823,7 @@ class TestNewtonSearch:
         calls, original = [], ModelSpec.linear_pressure_tilted
 
         def counted(self, *args):
-            calls.append(1)
+            calls.append(len(np.atleast_2d(args[0])))  # tilts, one per row
             return original(self, *args)
 
         monkeypatch.setattr(ModelSpec, "linear_pressure_tilted", counted)
@@ -832,7 +833,7 @@ class TestNewtonSearch:
         search, sharp = sol.diagnostics["search"], sol.diagnostics["sharp"]
         assert search["unconverged"] == 0
         assert search["evaluations"] > 0 and sharp["evaluations"] > 0
-        assert search["evaluations"] + sharp["evaluations"] == len(calls)
+        assert search["evaluations"] + sharp["evaluations"] == sum(calls)
 
     def test_two_plus_potentials_game(self, monkeypatch):
         # every full inner sup over the two plus coordinates runs 81 starts
@@ -844,52 +845,193 @@ class TestNewtonSearch:
         calls, original = [], ModelSpec.linear_pressure_tilted
 
         def counted(self, *args):
-            calls.append(1)
+            calls.append(len(np.atleast_2d(args[0])))  # tilts, one per row
             return original(self, *args)
 
         monkeypatch.setattr(ModelSpec, "linear_pressure_tilted", counted)
         sol = solve_game(model, RunConfig(grid=9))
         assert sol.p_flat == pytest.approx(-0.5031605120823289, abs=1e-9)
         assert sol.p_sharp == pytest.approx(-0.45032126091980607, abs=1e-9)
-        assert len(calls) <= 5000
+        assert sum(calls) <= 5000
 
 
-class TestMeanField:
-    def test_converges_to_self_consistent_point(self):
-        m = cw_model(2.0)
-        trace, fixed, cycled = mean_field_iterate(m, [1.0], damping=0.7)
-        assert not cycled
-        assert fixed is not None
-        ystar = cw_root(2.0)
-        assert fixed[0] == pytest.approx(ystar, abs=1e-7)
+def _row_functions():
+    """Per-row test functions (value, gradient, Hessian) in two coordinates,
+    each stopping in its own way on the box [-1, 1]^2."""
 
-    def test_rejects_kinked_coupling(self):
-        m = ModelSpec(A2, [SPIN], g_plus=AbsSum(1))
-        with pytest.raises(ValueError, match="differentiable"):
-            mean_field_iterate(m, [0.5])
+    def face(x):
+        # the minimizer sits on the face x0 = 1, where only x1 is free
+        return ((x[0] - 3) ** 2 + (x[1] - 0.5) ** 2 + 0.5 * x[0] * x[1],
+                np.array([2 * (x[0] - 3) + 0.5 * x[1], 2 * (x[1] - 0.5) + 0.5 * x[0]]),
+                np.array([[2.0, 0.5], [0.5, 2.0]]))
 
-    @pytest.mark.parametrize("base", [AbsSum(1), HALF_SQUARE_GRID])
-    def test_rejects_shifted_kinked_coupling(self, base):
-        m = ModelSpec(A2, [SPIN], g_plus=LinearShift(np.array([0.1]), base))
-        with pytest.raises(ValueError, match="differentiable"):
-            mean_field_iterate(m, [0.5])
+    def stuck(x):
+        # a gradient that no step of a constant function can shrink
+        return 0.0, np.ones(2), np.eye(2)
 
-    def test_damping_validated(self):
-        with pytest.raises(ValueError):
-            mean_field_iterate(cw_model(2.0), [0.5], damping=0.0)
+    def slow(x):
+        # Newton converges only linearly on a quartic
+        return (x**4).sum(), 4 * x**3, np.diag(12 * x**2)
+
+    def bowl(x):
+        # not convex at the start
+        return (x**4 - x**2).sum(), 4 * x**3 - 2 * x, np.diag(12 * x**2 - 2)
+
+    def overshoot(x):
+        # from x0 = -0.5 the understated Hessian sends the step to the box
+        # face, and Armijo's test, on the slope of each halved step, first
+        # passes after five halvings, where the value has barely dropped
+        t = x[0] + 0.5
+        return (-t + 21.312 * t**2, np.array([-1 + 42.624 * t, 0.0]),
+                np.diag([0.5, 1.0]))
+
+    return [face, stuck, slow, bowl, overshoot]
 
 
-class TestDecisionRule:
-    def test_singleton_rule_under_strict_convexity(self):
-        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
-        sol = solve_flat(m)
-        rule = decision_rule(m, sol)
-        assert rule
-        for x_plus, x_minus in rule.items():
-            # inner stationarity y- = tanh(y+ - y-)
-            assert x_minus[0] == pytest.approx(
-                math.tanh(x_plus[0] - x_minus[0]), abs=1e-5
-            )
+def _reference_newton(fun, x0, lo, hi, gtol):
+    """The one-start projected Newton search that the lockstep search
+    replaced, kept as the reference that each of its rows must reproduce."""
+    import thermoflat.linearizer as lin
+
+    def modified_inverse(h):
+        if not (np.isfinite(h).all() and h.any()):
+            return np.zeros_like(h)
+        lam, vec = np.linalg.eigh(h)
+        return (vec / np.maximum(np.abs(lam), 1e-10 * np.abs(lam).max())) @ vec.T
+
+    x = np.clip(x0, lo, hi)
+    out = fun(x)
+    for steps in range(lin.NEWTON_STEPS + 1):
+        free = lin._free(x, out[1], lo, hi)
+        gradient = np.where(free, out[1], 0.0)
+        norm = np.abs(gradient).max(initial=0.0)
+        if norm <= gtol or steps == lin.NEWTON_STEPS:
+            break
+        step = -gradient
+        step[free] = modified_inverse(out[2][np.ix_(free, free)]) @ step[free]
+        step = np.clip(x + step, lo, hi) - x
+        if gradient @ step >= 0:
+            step = np.clip(x - gradient, lo, hi) - x
+        for _ in range(lin.NEWTON_HALVINGS):
+            trial = np.clip(x + step, lo, hi)
+            new = fun(trial)
+            rounding = abs(new[0] - out[0]) <= 1e-12 * max(1.0, abs(out[0]))
+            pg = np.abs(new[1][lin._free(trial, new[1], lo, hi)]).max(initial=0.0)
+            if new[0] <= out[0] + 1e-4 * (gradient @ step) or rounding and pg < norm:
+                break
+            step = step / 2
+        else:
+            return x, out, steps, f"line search failed at projected gradient {norm:.3g}"
+        x, out = trial, new
+    cap = f"iteration cap of {lin.NEWTON_STEPS} steps at projected gradient {norm:.3g}"
+    return x, out, steps, None if norm <= gtol else cap
+
+
+def _stacked(functions):
+    """fun(x, rows) for _newton: row i of x0 runs functions[i]."""
+
+    def fun(x, rows):
+        outs = [functions[i](y) for y, i in zip(x, rows)]
+        return tuple(np.array(column) for column in zip(*outs))
+
+    return fun
+
+
+class TestLockstep:
+    """The search runs every start in lockstep, on stacks of tilts; each row
+    gets what it would get alone."""
+
+    def test_each_row_searches_as_it_would_alone(self, monkeypatch):
+        import thermoflat.linearizer as lin
+
+        monkeypatch.setattr(lin, "NEWTON_STEPS", 10)
+        functions = _row_functions()
+        x0 = np.array([[0.2, -0.4], [0.3, 0.3], [0.9, -0.8], [0.1, 0.3], [-0.5, 0.0]])
+        lo, hi = -np.ones(2), np.ones(2)
+        x, out, steps, messages = lin._newton(_stacked(functions), x0, lo, hi, 1e-12)
+        assert messages[0] is None and messages[3] is None
+        assert messages[1] == "line search failed at projected gradient 1"
+        assert messages[2].startswith("iteration cap of 10 steps")
+        assert x[0, 0] == 1.0  # stopped on the face, the other coordinate free
+        for i, f in enumerate(functions):
+            alone = lin._newton(_stacked([f]), x0[i : i + 1], lo, hi, 1e-12)
+            one = lin._newton(f, x0[i], lo, hi, 1e-12)
+            reference = _reference_newton(f, x0[i], lo, hi, 1e-12)
+            for xi, outi, stepsi, message in (
+                (alone[0][0], [o[0] for o in alone[1]], alone[2][0], alone[3][0]),
+                one, reference,
+            ):
+                np.testing.assert_allclose(xi, x[i], rtol=0, atol=1e-15)
+                assert outi[0] == out[0][i]
+                assert stepsi == steps[i]
+                assert message == messages[i]
+
+    @pytest.mark.parametrize("memory", [1, 2])
+    def test_stacked_pressures_equal_single_calls(self, memory):
+        rng = np.random.default_rng(memory)
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        shape = (3,) * memory
+        model = ModelSpec(
+            a3,
+            [CylinderPotential(a3, rng.standard_normal(shape)) for _ in range(2)],
+            [CylinderPotential(a3, rng.standard_normal(shape))],
+            Quadratic(2.0, dim=2),
+            LinearShift(np.array([0.3]), Quadratic(1.5)),
+        )
+        y_plus, y_minus = rng.standard_normal((5, 2)), rng.standard_normal((5, 1))
+        before = model.evaluations
+        stacked = model.linear_pressure_tilted(y_plus, y_minus, True)
+        assert model.evaluations == before + 5
+        nl = p_nl(model, y_plus, y_minus, True, True)
+        for i in range(5):
+            one = model.linear_pressure_tilted(y_plus[i], y_minus[i], True)
+            for a, b in zip(stacked, one):
+                np.testing.assert_array_equal(a[i], b)
+            for a, b in zip(nl, p_nl(model, y_plus[i], y_minus[i], True, True)):
+                np.testing.assert_array_equal(a[i], b)
+        assert p_nl(model, y_plus, y_minus).shape == (5,)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), AbsSum(1)),
+                  two_minus_game, memory2_game],
+        ids=["abs_sum", "two_minus", "memory2"],
+    )
+    def test_stacked_inner_infs_equal_single_calls(self, build):
+        # the abs_sum rows end on both faces of [-1, 1] and inside it, so
+        # their Schur complements take different free sets
+        model = build()
+        y_plus = np.linspace(-2.5, 2.5, 7)[:, None]
+        value, y_minus, gradient, hess = p_flat_of(model, y_plus, True, True)
+        assert value.shape == (7,) and y_minus.shape == (7, model.n_minus)
+        for i, y in enumerate(y_plus):
+            one_value, (one,), one_gradient, one_hess = p_flat_of(model, y, True, True)
+            assert one_value == value[i]
+            np.testing.assert_array_equal(one.array, y_minus[i])
+            np.testing.assert_array_equal(one_gradient, gradient[i])
+            np.testing.assert_array_equal(one_hess, hess[i])
+
+    def test_warm_inner_start_saves_evaluations(self):
+        model = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
+        cold_before = model.evaluations
+        value, (x_minus,) = p_flat_of(model, [1.0])
+        cold = model.evaluations - cold_before
+        warm_before = model.evaluations
+        warm_value, _ = p_flat_of(model, [1.0 + 1e-3], start=x_minus.array)
+        assert model.evaluations - warm_before < cold
+        assert warm_value == pytest.approx(p_flat_of(model, [1.0 + 1e-3])[0], abs=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_failing_row_is_named(self):
+        # y+ = -1e10 sends every word ending in symbol 1 to weight 0 (see
+        # test_uncertified_tilt_is_named); the rows around it certify
+        phi = CylinderPotential(A2, [[0.0, 1e300], [0.0, 1e300]])
+        model = ModelSpec(A2, [phi], g_plus=Quadratic(1.0))
+        with pytest.raises(ArithmeticError) as info:
+            model.linear_pressure_tilted(np.array([[0.5], [-1e10], [0.3]]),
+                                         np.zeros((3, 0)))
+        assert str(info.value).startswith(
+            "linear_pressure_tilted at y+ = [-10000000000.0], y- = []: perron:"
+        )
 
 
 class TestValidation:
