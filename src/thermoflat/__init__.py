@@ -36,7 +36,6 @@ from .measures import (
     CylinderPotential,
     MarkovMeasure,
     MixtureMeasure,
-    birkhoff_average,
     entropy_rate,
     expectation,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SubdiffSet",
     "approximating_potential",
     "biconjugate",
-    "birkhoff_average",
     "conjugate",
     "discrete_lft",
     "entropy_of_gibbs",

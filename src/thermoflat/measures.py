@@ -324,19 +324,6 @@ def entropy_rate(mu):
     return total
 
 
-def birkhoff_average(phi, word):
-    """Cyclic Birkhoff average of phi over a finite word.
-
-    The word is extended periodically so every one of the n window positions
-    contributes; this keeps the average exactly shift-invariant on the orbit.
-    """
-    if len(word) < phi.memory:
-        raise ValueError("word shorter than the potential memory")
-    return float(kernels.birkhoff_averages(
-        np.asarray([word]), phi.table.ravel(), phi.memory, phi.alphabet.k
-    )[0])
-
-
 class MixtureMeasure:
     """Finite convex mixture of Markov measures with explicit Choquet weights."""
 

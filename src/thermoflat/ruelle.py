@@ -16,9 +16,13 @@ estimate is returned unchecked.
 `perron` (root and right vector: the linear pressure) runs balanced dense
 `eig` rounds.  `_word_law` (root and both vectors: the Gibbs measure) finds
 both vectors by Noda's iteration, inverse iteration shifted by the current
-Collatz-Wielandt upper bound, each step one batched `solve` of the shifted
-matrix and its transpose; a pair on which it stalls, and a vector that does
-not certify, go alone to `perron`'s rounds.  The tests certify random
+Collatz-Wielandt upper bound.  It takes a stack of transfer matrices, one
+per tilt, and shares every stage among them: each Noda step is one batched
+`solve` of every shifted matrix still iterating and its transpose, and one
+batched Collatz-Wielandt step certifies every vector found.  A matrix on
+which the iteration stalls, and a vector that does not certify, go alone to
+`perron`'s rounds.  Each matrix of a stack gets bitwise the result it gets
+alone.  The tests certify random
 memory-4 tables with entries uniform in [-50, 50] (k = 3 and 4) and, through
 `perron`, in [-300, 300] (k = 3).  Wider tables can fail.  Of 30 tables in
 [-300, 300] drawn from the default_rng(i) stream and 30 from one
@@ -122,102 +126,192 @@ def perron(log_matrix):
 
 @functools.cache
 def _word_maps(k, memory):
-    """Transfer-matrix cell [trail, lead] of every memory-word, in index order.
+    """Transfer-matrix cell [trail, lead] of every memory-word, in index
+    order, and its flat index trail * k**(memory-1) + lead.
 
     A word w = (a, b), a its first symbol, has trailing (memory-1)-word
     trail = b = w mod k**(memory-1) and leading one lead = w // k; no two
     words share a cell.
     """
     words = np.arange(k**memory)
-    trail, lead = words % k ** (memory - 1), words // k
-    trail.flags.writeable = lead.flags.writeable = False
-    return trail, lead
+    dim = k ** (memory - 1)
+    trail, lead = words % dim, words // k
+    cell = trail * dim + lead
+    trail.flags.writeable = lead.flags.writeable = cell.flags.writeable = False
+    return trail, lead, cell
+
+
+@functools.cache
+def _identity(dim):
+    """The dim x dim identity, read-only, as every solve of that size shares
+    it."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def _log_transfer(log_weights, table, memory):
     """Log transfer matrix of a flat word table: [trail, lead] of each word
-    holds log m_a + f(w), so (L v)(b) = sum_a m_a exp(f(a ^ b)) v(lead).
-    Memory 1 reduces to the 1x1 matrix log sum_a m_a exp(f(a))."""
+    holds log m_a + f(w), so (L v)(b) = sum_a m_a exp(f(a ^ b)) v(lead).  A
+    stack of tables, one per row, gives a stack of matrices, built in one
+    scatter.  Memory 1 reduces to the 1x1 matrix log sum_a m_a exp(f(a))."""
     if memory == 1:
         return np.array([[_log_sum_exp(log_weights + table)]])
     k = len(log_weights)
     dim = k ** (memory - 1)
-    trail, lead = _word_maps(k, memory)
-    log_b = np.full((dim, dim), -np.inf)
-    log_b[trail, lead] = np.repeat(log_weights, dim) + table
+    trail, lead, _ = _word_maps(k, memory)
+    log_b = np.empty(table.shape[:-1] + (dim, dim))
+    log_b.fill(-np.inf)
+    log_b[..., trail, lead] = np.repeat(log_weights, dim) + table
     return log_b
 
 
 def _noda_pair(m):
-    """Right and left Perron vectors of a nonnegative matrix m, as the rows
-    of a (2, D) array with max 1, by Noda's iteration on m and m.T at once
-    (see _word_law); None when it stalls or is not done after NODA_STEPS."""
-    dim = m.shape[0]
-    pair = np.stack([m, m.T])
-    x = np.ones((2, dim, 1))
+    """Right and left Perron vectors of nonnegative matrices by Noda's
+    iteration on each m and m.T at once (see _word_law).  A stack m of shape
+    (S, D, D) gives an (S, 2, D) array whose rows have max 1, NaN for a
+    matrix on which the iteration stalls, meets a singular solve or is not
+    done after NODA_STEPS; a (D, D) matrix gives (2, D), or None.
+
+    Every step is one batched `solve` over the matrices still iterating; a
+    matrix leaves as soon as it is done or stalls.  When the batched solve
+    is singular, the step is retried one matrix at a time, so that only a
+    singular matrix stalls.
+    """
+    single = m.ndim == 2
+    m = m.reshape((-1,) + m.shape[-2:])
+    count, dim = m.shape[:2]
+    pair = np.empty((count, 2, dim, dim))
+    pair[:, 0] = m
+    pair[:, 1] = m.swapaxes(1, 2)
+    del m  # the pair holds the matrices from here on
+    x = np.empty((count, 2, dim, 1))
+    x.fill(1.0)
     for _ in range(NODA_WARMUP):
         x = pair @ x
-        x /= x.max(axis=1, keepdims=True)
-    shift = (1 + 1e-12) * np.eye(dim)
-    gap = np.inf
+        x /= x.max(axis=2, keepdims=True)
+    found = None  # the vectors, once a matrix leaves the batch
+    rows, gap = list(range(count)), [[np.inf]] * count
+    shift = (1 + 1e-12) * _identity(dim)
+    shifted = np.empty_like(pair)
     for step in range(NODA_STEPS + 1):
         ratio = (pair @ x) / x
-        sigma = ratio.max(axis=1).min()
-        lo = ratio.min(axis=1).max()
-        if sigma - lo <= NODA_TOL * sigma:
-            return x[..., 0]
-        last, gap = gap, np.log(sigma / lo)
-        if step == NODA_STEPS or not gap < last:
-            return None
-        x = np.abs(np.linalg.solve(sigma * shift - pair, x))
-        x /= x.max(axis=1, keepdims=True)
+        sigma = ratio.max(axis=2).min(axis=1)
+        lo = ratio.min(axis=2).max(axis=1)
+        last, gap = gap, np.log(sigma / lo).tolist()
+        go, done = [], []
+        for i, ((s,), (b,)) in enumerate(zip(sigma.tolist(), lo.tolist())):
+            if s - b <= NODA_TOL * s:
+                done.append(i)
+            elif step < NODA_STEPS and gap[i][0] < last[i][0]:
+                go.append(i)
+        if len(go) < len(rows):
+            if len(done) == count:  # all done at once: the iterates are the vectors
+                found = x[..., 0]
+                break
+            if found is None:
+                found = np.full((count, 2, dim), np.nan)
+            found[[rows[i] for i in done]] = x[done, ..., 0]
+            if not go:
+                break
+            # keep the matrices still iterating, in place: a large stack
+            # allocates no second copy of itself
+            for j, i in enumerate(go):
+                pair[j] = pair[i]
+            pair, shifted = pair[: len(go)], shifted[: len(go)]
+            x, sigma = x[go], sigma[go]
+            rows, gap = [rows[i] for i in go], [gap[i] for i in go]
+        np.subtract(sigma[..., None, None] * shift, pair, out=shifted)
+        try:
+            x = np.abs(np.linalg.solve(shifted, x))
+        except np.linalg.LinAlgError:
+            x = np.array([_solve_or_nan(a, b) for a, b in zip(shifted, x)])
+        x /= x.max(axis=2, keepdims=True)
+    if single:
+        return None if np.isnan(found[0, 0, 0]) else found[0]
+    return found
+
+
+def _solve_or_nan(a, b):
+    """|a^-1 b|, or NaN in its place when a is singular."""
+    try:
+        return np.abs(np.linalg.solve(a, b))
+    except np.linalg.LinAlgError:
+        return np.full_like(b, np.nan)
 
 
 def _word_law(log_b, k, memory):
-    """Perron data of a memory >= 2 log transfer matrix and the law of its
-    Gibbs measure on memory-words.
+    """Perron data of memory >= 2 log transfer matrices and the law of each
+    one's Gibbs measure on memory-words.
 
-    Returns (log_lambda, log_h, log_nu, log_p): the Perron root, the right
-    and left Perron vectors (each with max 0) and, for each word w in index
-    order, log P(w) = log b[trail, lead] + log h(lead) + log nu(trail),
+    log_b: a (D, D) matrix, or a stack (S, D, D) of them.  Returns
+    (log_lambda, log_h, log_nu, log_p): the Perron root, the right and left
+    Perron vectors (each with max 0) and, for each word w in index order,
+    log P(w) = log b[trail, lead] + log h(lead) + log nu(trail),
     unnormalized.  The Gibbs measure gives w the probability P(w) / sum P.
+    A stack gives each output a leading stack axis, row for row bitwise
+    equal to the matrix's own.
 
     M and M.T share their spectrum, so one shift serves both vectors of
     M = exp(log_b - max).  After NODA_WARMUP power steps from ones, Noda's
     iteration (Numer. Math. 17, 1971) takes the shift sigma, the smaller of
     the right and left Collatz-Wielandt maxima (both upper bounds on the
     root), and makes one batched `solve` of sigma (1 + 1e-12) I - M and its
-    transpose.  It stops once sigma is within NODA_TOL (relative) of lo, the
-    larger of the two minima.  A step that does not shrink log(sigma / lo)
-    (an inf or NaN bracket, or vectors spanning too many orders of magnitude
-    for the linear domain) stalls it.  _collatz_wielandt certifies each
-    vector.  A stalled pair, one not done after NODA_STEPS steps, a
-    LinAlgError (a singular solve) and a vector that does not certify fall
-    back, one vector at a time, to `perron`'s balanced rounds; their error,
-    if they fail too, gets the vector's name appended.
+    transpose, for every matrix of a stack at once (_noda_pair).  It stops
+    once sigma is within NODA_TOL (relative) of lo, the larger of the two
+    minima.  A step that does not shrink log(sigma / lo) (an inf or NaN
+    bracket, or vectors spanning too many orders of magnitude for the
+    linear domain) stalls it.  One batched Collatz-Wielandt step certifies
+    every vector Noda found.  Only a vector it does not certify goes on,
+    alone, to _collatz_wielandt's further steps; a stalled matrix, one not
+    done after NODA_STEPS steps or one whose solve is singular sends both
+    its vectors, one at a time, to `perron`'s balanced rounds.  Their error,
+    if they fail too, gets the vector's name appended and the matrix's index
+    in the stack as its `row` attribute.
     """
+    single = log_b.ndim == 2
+    log_b = log_b.reshape((-1,) + log_b.shape[-2:])
+    count, dim = log_b.shape[:2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        try:
-            x = _noda_pair(np.exp(log_b - log_b.max()))
-        except np.linalg.LinAlgError:
-            x = None
-        starts = (None, None) if x is None else np.log(x)
-        pair = []
-        for log_matrix, start, side in zip(
-            (log_b, log_b.T), starts, ("right", "left")
-        ):
-            log_lam = None
-            if start is not None:
-                log_lam, log_vec, _ = _collatz_wielandt(log_matrix, start)
-            if log_lam is None:
+        x = _noda_pair(np.exp(log_b - log_b.max(axis=(1, 2), keepdims=True)))
+        # Noda's vectors have max exactly 1, so these logs have max 0
+        log_vec = np.log(x)
+        terms = np.empty((count, 2, dim, dim))
+        terms[:, 0] = log_b
+        terms[:, 1] = log_b.swapaxes(1, 2)
+        terms += log_vec[:, :, None, :]
+        # a row of -inf terms gives NaN here, so that its vector fails the
+        # bracket below and goes on to _collatz_wielandt, which handles it
+        peak = terms.max(axis=-1)
+        terms -= peak[..., None]
+        ratio = peak + np.log(np.exp(terms, out=terms).sum(axis=-1)) - log_vec
+        lo, hi = ratio.min(axis=2), ratio.max(axis=2)
+        log_lam = 0.5 * (lo + hi)
+        for i, width in enumerate((hi - lo).ravel().tolist()):
+            if width < PERRON_TOL:
+                continue
+            row, side = divmod(i, 2)
+            log_matrix = log_b[row].T if side else log_b[row]
+            lam = None
+            if not np.isnan(x[row, 0, 0]):
+                lam, vec, _ = _collatz_wielandt(log_matrix, log_vec[row, side])
+            if lam is None:
                 try:
-                    log_lam, log_vec = perron(log_matrix)
+                    lam, vec = perron(log_matrix)
                 except ArithmeticError as exc:
-                    raise ArithmeticError(f"{exc} ({side} vector)") from exc
-            pair.append((log_lam, log_vec))
-    (log_lam, log_h), (_, log_nu) = pair
-    trail, lead = _word_maps(k, memory)
-    return log_lam, log_h, log_nu, log_b[trail, lead] + log_h[lead] + log_nu[trail]
+                    error = ArithmeticError(f"{exc} ({('right', 'left')[side]} vector)")
+                    error.row = row
+                    raise error from exc
+            log_lam[row, side], log_vec[row, side] = lam, vec
+    # take keeps each row of log_p contiguous, so that a row of a stack is
+    # summed exactly as the matrix alone
+    trail, lead, cell = _word_maps(k, memory)
+    log_p = (log_b.reshape(count, -1).take(cell, axis=1)
+             + log_vec[:, 0].take(lead, axis=1) + log_vec[:, 1].take(trail, axis=1))
+    log_h, log_nu = log_vec[:, 0], log_vec[:, 1]
+    if single:
+        return float(log_lam[0, 0]), log_h[0], log_nu[0], log_p[0]
+    return log_lam[:, 0], log_h, log_nu, log_p
 
 
 def stacked_tables(alphabet, potentials, memory):
@@ -239,36 +333,29 @@ def _tilted_pressure(log_weights, tilt, averaged, memory, hessian=False):
 
     Memory 1: the Gibbs measure is the product of the softmax weights of
     the table, its words i.i.d., and H their covariance; a stack is one
-    broadcast logsumexp.  Memory >= 2: its law P on words comes from the
-    Perron pair (_word_law), one row of a stack at a time, whose
-    ArithmeticError passes through unchanged, with the row's index as its
-    `row` attribute on a stack; H is the Green-Kubo sum (Parry & Pollicott,
-    Asterisque 187-188, 1990) A diag(P) A^T + X + X^T of the centred rows
-    A, X = (A P) u(trail).  u = (I - Q + 1 pi)^-1 c sums the correlations
-    of the chain Q[lead, trail] = P / pi(lead) on the (memory-1)-words, pi
-    its law, c(s) = E[A | lead = s]; a state whose pi underflows to 0 has
-    an empty row of Q and c = 0, so it drops out.
+    broadcast logsumexp.  Memory >= 2: the transfer matrices of a stack are
+    built in one scatter, and their laws P on words come from one call of
+    the Perron pair (_word_law), whose ArithmeticError passes through
+    unchanged, with the failing row's index as its `row` attribute; H is
+    the Green-Kubo sum (Parry & Pollicott, Asterisque 187-188, 1990)
+    A diag(P) A^T + X + X^T of the centred rows A, X = (A P) u(trail).
+    u = (I - Q + 1 pi)^-1 c sums the correlations of the chain
+    Q[lead, trail] = P / pi(lead) on the (memory-1)-words, pi its law,
+    c(s) = E[A | lead = s], one stacked solve for the whole stack; a state
+    whose pi underflows to 0 has an empty row of Q and c = 0, so it drops
+    out.
     """
     stacked = tilt.ndim > 1
     if memory == 1:
         log_p = log_weights + tilt
         value = _log_sum_exp(log_p, rows=stacked)
-        log_p -= value[:, None] if stacked else value
-    elif stacked:
-        rows = []
-        for i, table in enumerate(tilt):
-            try:
-                rows.append(_tilted_pressure(log_weights, table, averaged, memory,
-                                             hessian))
-            except ArithmeticError as exc:
-                exc.row = i
-                raise
-        return tuple(np.array(column) for column in zip(*rows))
+        total = value
     else:
         value, _, _, log_p = _word_law(
             _log_transfer(log_weights, tilt, memory), len(log_weights), memory
         )
-        log_p -= _log_sum_exp(log_p)
+        total = _log_sum_exp(log_p, rows=stacked)
+    log_p -= total[:, None] if stacked else total
     p = np.exp(log_p)
     # one matrix-vector product per table, so that a row of a stack is
     # priced exactly as the table alone
@@ -277,18 +364,20 @@ def _tilted_pressure(log_weights, tilt, averaged, memory, hessian=False):
         return value, tau
     centred = averaged - tau[..., None]
     weighted = centred * p[..., None, :]
-    cov = weighted @ np.swapaxes(centred, -1, -2)
+    cov = weighted @ centred.swapaxes(-1, -2)
     if memory > 1:
         k = len(log_weights)
-        trail, lead = _word_maps(k, memory)
+        trail, lead, _ = _word_maps(k, memory)
         # words grouped by lead: row s of the reshape holds the words s ^ c
-        pi = p.reshape(-1, k).sum(axis=1)
+        grouped = p.reshape(p.shape[:-1] + (-1, k))
+        pi = grouped.sum(axis=-1)
         mass = np.where(pi > 0, pi, 1.0)
-        lhs = np.eye(len(pi)) + pi  # I - Q + 1 pi
-        lhs[lead, trail] -= p / mass[lead]
-        c = weighted.reshape(len(tau), -1, k).sum(axis=2).T / mass[:, None]
-        cross = weighted @ np.linalg.solve(lhs, c)[trail]
-        cov += cross + cross.T
+        lhs = _identity(pi.shape[-1]) + pi[..., None, :]  # I - Q + 1 pi
+        lhs[..., lead, trail] -= (grouped / mass[..., None]).reshape(p.shape)
+        c = weighted.reshape(weighted.shape[:-1] + (-1, k)).sum(axis=-1)
+        c = c.swapaxes(-1, -2) / mass[..., None]
+        cross = weighted @ np.linalg.solve(lhs, c).take(trail, axis=-2)
+        cov += cross + cross.swapaxes(-1, -2)
     return value, tau, cov
 
 
@@ -348,7 +437,7 @@ def rpf_solve(phi):
     except ArithmeticError as exc:
         raise _potential_error("rpf_solve", phi, exc) from exc
 
-    trail, lead = _word_maps(k, m)
+    trail, lead, _ = _word_maps(k, m)
     # words grouped by lead: row s of the reshape holds the words s ^ c
     log_pi = _log_sum_exp(log_p.reshape(dim, k), rows=True)
     forward = np.zeros((dim, dim))

@@ -132,31 +132,6 @@ def affine_pressure_sharp(model, mu):
     return total
 
 
-def order_parameter_distribution(model, mu):
-    """Push-forward of the ergodic decomposition to gradient order parameters.
-
-    Returns [(weight, x_plus, x_minus)] with x_pm = grad g_pm(tau_pm(nu_i));
-    kinked couplings (no gradient) are rejected.
-    """
-    for g in (model.g_plus, model.g_minus):
-        if g is not None and not g.has_gradient:
-            raise ValueError("order parameters require differentiable g")
-    out = []
-    for w, nu in _components(mu):
-        xp = (
-            model.g_plus.gradient(model.tau_plus(nu))
-            if model.g_plus is not None
-            else np.zeros(0)
-        )
-        xm = (
-            model.g_minus.gradient(model.tau_minus(nu))
-            if model.g_minus is not None
-            else np.zeros(0)
-        )
-        out.append((w, xp, xm))
-    return out
-
-
 # -- finite transportation problem -------------------------------------------
 
 

@@ -17,6 +17,7 @@ from thermoflat.linearizer import (
     solve_game,
     solve_sharp,
 )
+from thermoflat import ruelle
 from thermoflat.measures import AprioriAlphabet, CylinderPotential
 from thermoflat.ruelle import linear_pressure, rpf_solve
 
@@ -966,7 +967,7 @@ class TestLockstep:
                 assert stepsi == steps[i]
                 assert message == messages[i]
 
-    @pytest.mark.parametrize("memory", [1, 2])
+    @pytest.mark.parametrize("memory", [1, 2, 3, 4])
     def test_stacked_pressures_equal_single_calls(self, memory):
         rng = np.random.default_rng(memory)
         a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
@@ -990,6 +991,47 @@ class TestLockstep:
             for a, b in zip(nl, p_nl(model, y_plus[i], y_minus[i], True, True)):
                 np.testing.assert_array_equal(a[i], b)
         assert p_nl(model, y_plus, y_minus).shape == (5,)
+
+    def test_a_stalled_row_falls_back_alone(self, monkeypatch):
+        # y+ = 1 tilts by the second [-50, 50] table of the default_rng(50)
+        # stream, on which Noda's iteration stalls (see TestPerronPair); the
+        # small tilts around it certify, so only its vectors reach perron
+        # and its eig rounds
+        rng = np.random.default_rng(50)
+        rng.uniform(-50.0, 50.0, (3,) * 4)
+        a3 = AprioriAlphabet(3)
+        table = rng.uniform(-50.0, 50.0, (3,) * 4)
+        model = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.0))
+        stalled = ruelle._log_transfer(model.log_weights, table.ravel(), 4)
+        y_plus, y_minus = np.array([[0.01], [1.0], [-0.02]]), np.zeros((3, 0))
+        calls, eigs = [], [0]
+        perron, eig = ruelle.perron, ruelle.scipy.linalg.eig
+
+        def recorded(log_matrix):
+            calls.append(np.array(log_matrix))
+            return perron(log_matrix)
+
+        def counted(*args, **kwargs):
+            eigs[0] += 1
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(ruelle, "perron", recorded)
+        monkeypatch.setattr(ruelle.scipy.linalg, "eig", counted)
+        singles, alone = [], []
+        for i in range(3):
+            singles.append(p_nl(model, y_plus[i], y_minus[i], True, True))
+            alone.append((len(calls), eigs[0]))
+            calls.clear()
+            eigs[0] = 0
+        assert alone[0] == alone[2] == (0, 0)
+        assert alone[1][0] == 2 and alone[1][1] > 0
+        stacked = p_nl(model, y_plus, y_minus, True, True)
+        assert (len(calls), eigs[0]) == alone[1]
+        np.testing.assert_array_equal(calls[0], stalled)
+        np.testing.assert_array_equal(calls[1], stalled.T)
+        for i, one in enumerate(singles):
+            for a, b in zip(stacked, one):
+                np.testing.assert_array_equal(a[i], b)
 
     @pytest.mark.parametrize(
         "build", [lambda: ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), AbsSum(1)),

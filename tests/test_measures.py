@@ -11,7 +11,6 @@ from thermoflat.measures import (
     CylinderPotential,
     MarkovMeasure,
     MixtureMeasure,
-    birkhoff_average,
     entropy_rate,
     expectation,
     stationary_distribution,
@@ -206,31 +205,6 @@ class TestSampling:
         for s in range(2):
             est = (nxt[prev == s] == 1).mean()
             assert est == pytest.approx(q[s, 1], abs=0.02)
-
-
-class TestBirkhoff:
-    def test_cyclic_average_memory2(self):
-        phi = CylinderPotential(A2, [[1.0, 0.0], [0.0, 1.0]])
-        # word 0101...: every cyclic window is (0,1) or (1,0) -> average 0
-        assert birkhoff_average(phi, [0, 1, 0, 1]) == pytest.approx(0.0)
-        assert birkhoff_average(phi, [0, 0, 0, 0]) == pytest.approx(1.0)
-
-    def test_shorter_than_memory_rejected(self):
-        phi = CylinderPotential(A2, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            birkhoff_average(phi, [0])
-
-    def test_equals_the_window_loop(self):
-        # the sampling kernel sums the cyclic windows in the loop's order
-        a3 = AprioriAlphabet(3)
-        rng = np.random.default_rng(21)
-        phi = CylinderPotential(a3, rng.standard_normal((3, 3, 3)))
-        for n in (3, 4, 11):
-            word = rng.integers(0, 3, size=n).tolist()
-            total = 0.0
-            for t in range(n):
-                total += phi.table[tuple(word[(t + j) % n] for j in range(3))]
-            assert birkhoff_average(phi, word) == total / n
 
 
 class TestMixture:

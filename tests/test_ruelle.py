@@ -178,6 +178,41 @@ class TestPerronPair:
         np.testing.assert_array_equal(log_h, right[1])
         np.testing.assert_array_equal(log_nu, left[1])
 
+    def test_noda_on_a_stack_matches_each_matrix(self):
+        # the memory-3 tilts of the test below, as one stack: each row is
+        # the pair the matrix gets alone, NaN where that is None
+        table = np.random.default_rng(2).standard_normal((3, 3, 3))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_b = np.array([
+                log_transfer(CylinderPotential(AprioriAlphabet(3), y * table))
+                for y in np.linspace(-16.0, 16.0, 33)
+            ])
+            m = np.exp(log_b - log_b.max(axis=(1, 2), keepdims=True))
+            stacked = ruelle._noda_pair(m)
+            alone = [ruelle._noda_pair(matrix) for matrix in m]
+        assert stacked.shape == (33, 2, 9)
+        assert 0 < sum(x is None for x in alone) < 33
+        for row, x in zip(stacked, alone):
+            if x is None:
+                assert np.isnan(row).all()
+            else:
+                np.testing.assert_array_equal(row, x)
+
+    def test_stacked_pairs_equal_single_calls(self):
+        # the 30 [-50, 50] k = 3 memory-4 tables of the stream below, on 24
+        # of which Noda's iteration stalls, as one stack
+        rng = np.random.default_rng(50)
+        log_b = np.array([
+            memory4_log_transfer(3, rng.uniform(-50.0, 50.0, (3,) * 4))
+            for _ in range(30)
+        ])
+        lam, log_h, log_nu, log_p = ruelle._word_law(log_b, 3, 4)
+        for i, matrix in enumerate(log_b):
+            one = ruelle._word_law(matrix, 3, 4)
+            assert lam[i] == one[0]
+            for got, want in zip((log_h[i], log_nu[i], log_p[i]), one[1:]):
+                np.testing.assert_array_equal(got, want)
+
     def test_noda_stalls_only_when_the_bracket_stops_shrinking(self):
         # a memory-3 table over 161 tilts in [-16, 16]: Noda converges on
         # 137 of them, and on 93 when a step had to halve log(sigma / lo)
@@ -203,6 +238,50 @@ class TestPerronPair:
                 ratio = logsumexp(log_matrix + log_vec[None, :], axis=1) - log_vec
                 assert ratio.min() - 1e-11 <= lam <= ratio.max() + 1e-11
                 assert ratio.max() - ratio.min() < 1e-10
+
+    def test_a_singular_row_stays_alone(self, monkeypatch):
+        # in a stack of three, every solve that holds the middle matrix is
+        # singular: the batched step is retried one matrix at a time, so
+        # only the middle one goes to perron, and the other two get what
+        # they get alone
+        rng = np.random.default_rng(8)
+        stack = rng.normal(scale=2.0, size=(3, 9, 9))
+        alone = [ruelle._word_law(log_b, 3, 3) for log_b in stack]
+        middle = np.exp(stack[1] - stack[1].max())
+        solve = np.linalg.solve
+        raised = []
+
+        def singular(a, b):
+            # the shift leaves the off-diagonal entries at -m exactly
+            if (a[..., 0, 0, 1:] == -middle[0, 1:]).all(axis=-1).any():
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        calls = self.count_eigen_calls(monkeypatch)
+        perron_inputs = []
+        perron = ruelle.perron
+
+        def recorded(log_matrix):
+            perron_inputs.append(np.array(log_matrix))
+            return perron(log_matrix)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(ruelle, "perron", recorded)
+        lam, log_h, log_nu, log_p = ruelle._word_law(stack, 3, 3)
+        assert raised[0] == (3, 2, 9, 9) and raised[1] == (2, 9, 9)
+        assert calls["eig"] > 0
+        assert len(perron_inputs) == 2
+        np.testing.assert_array_equal(perron_inputs[0], stack[1])
+        np.testing.assert_array_equal(perron_inputs[1], stack[1].T)
+        right, left = perron(stack[1]), perron(stack[1].T)
+        assert lam[1] == right[0]
+        np.testing.assert_array_equal(log_h[1], right[1])
+        np.testing.assert_array_equal(log_nu[1], left[1])
+        for i in (0, 2):
+            assert lam[i] == alone[i][0]
+            for got, want in zip((log_h[i], log_nu[i], log_p[i]), alone[i][1:]):
+                np.testing.assert_array_equal(got, want)
 
     def test_singular_solve_falls_back_to_balanced_rounds(self, monkeypatch):
         rng = np.random.default_rng(7)

@@ -26,7 +26,6 @@ from thermoflat.transport import (
     delta_via_birkhoff,
     kantorovich_dual_check,
     kantorovich_primal,
-    order_parameter_distribution,
 )
 
 A2 = AprioriAlphabet(2)
@@ -196,26 +195,15 @@ class TestAffinePressures:
 
 
 class TestOrderParameters:
-    def test_gradient_pushforward(self):
-        m = cw_model(2.0)
-        sol = solve_flat(m)
-        nu1, nu2 = (e.measure for e in sol.equilibria)
-        mix = MixtureMeasure([(0.5, nu1), (0.5, nu2)])
-        dist = order_parameter_distribution(m, mix)
-        xs = sorted(x[1][0] for x in dist)
-        ystar = abs(sol.equilibria[0].x_plus[0])
-        np.testing.assert_allclose(xs, [-ystar, ystar], atol=1e-7)
-
     def test_kinked_coupling_rejected(self):
         m = ModelSpec(A2, [SPIN], g_plus=AbsSum(1))
         mu = MarkovMeasure.product(A2, [0.5, 0.5])
         with pytest.raises(ValueError, match="differentiable"):
-            order_parameter_distribution(m, mu)
+            birkhoff_sampling(m, mu, n=10, num_samples=5)
 
     @pytest.mark.parametrize("order_parameters", [
-        order_parameter_distribution,
         lambda m, mu: birkhoff_sampling(m, mu, n=10, num_samples=5),
-    ], ids=["distribution", "birkhoff_sampling"])
+    ], ids=["birkhoff_sampling"])
     @pytest.mark.parametrize("base", [
         AbsSum(1),
         GridSampled([np.linspace(-2.0, 2.0, 9)], np.linspace(-2.0, 2.0, 9) ** 2),
