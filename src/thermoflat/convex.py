@@ -9,7 +9,9 @@ its gradient and Hessian there (`conjugate_gradient`, `conjugate_hessian`,
 `conjugate_box`).  A grid stands for the lower convex envelope of its
 samples, so its conjugate is a max of affine functions, linear on finitely
 many cells; `conjugate_pieces` gives those affine functions and
-`conjugate_vertices` the vertices of the cells cut to a box.
+`conjugate_vertices` the vertices of the cells cut to a box.  Every kind
+but the grid also gives the interval hull of its subdifferential over a box
+in closed form (`subdiff_hull`), which bounds the solver's search boxes.
 """
 
 import dataclasses
@@ -117,6 +119,12 @@ class ConvexSpec:
     def subdiff(self, x):
         raise NotImplementedError
 
+    def subdiff_hull(self, lo, hi):
+        """(lower, upper), the interval hull of the union of subdiff(x) over
+        the box [lo, hi]; None for a grid, whose vertex search is exact on
+        any box."""
+        return None
+
     def conjugate_vertices(self, lo, hi):
         """Vertices of the linearity cells of a piecewise-linear g* cut to the
         box [lo, hi], as rows; None when g* is not piecewise linear."""
@@ -200,6 +208,9 @@ class Quadratic(ConvexSpec):
         g = self.beta * x
         return SubdiffSet(g, g)
 
+    def subdiff_hull(self, lo, hi):
+        return self.beta * self._check_dim(lo), self.beta * self._check_dim(hi)
+
     has_gradient = True
 
     def gradient(self, x):
@@ -248,6 +259,13 @@ class AbsSum(ConvexSpec):
         lo = np.where(x > SINGLETON_TOL, 1.0, -1.0)
         hi = np.where(x < -SINGLETON_TOL, -1.0, 1.0)
         return SubdiffSet(lo, hi)
+
+    def subdiff_hull(self, lo, hi):
+        """The sign pattern of the box: 1 on an axis where it lies above the
+        kink, -1 where below, [-1, 1] where it meets it (as subdiff)."""
+        lo, hi = self._check_dim(lo), self._check_dim(hi)
+        return (np.where(lo > SINGLETON_TOL, 1.0, -1.0),
+                np.where(hi < -SINGLETON_TOL, -1.0, 1.0))
 
     has_conjugate_gradient = True
 
@@ -433,6 +451,10 @@ class LinearShift(ConvexSpec):
         return SubdiffSet(
             np.array(inner.lower) + self.slope, np.array(inner.upper) + self.slope
         )
+
+    def subdiff_hull(self, lo, hi):
+        hull = self.base.subdiff_hull(lo, hi)
+        return None if hull is None else (hull[0] + self.slope, hull[1] + self.slope)
 
     def gradient(self, x):
         return self.base.gradient(x) + self.slope

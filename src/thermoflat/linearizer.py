@@ -36,10 +36,16 @@ y- = 0).
 
 The min-max side (solve_sharp) minimizes the convex S(y-) = sup over y+ of
 P_NL by a level bundle method on Danskin cuts: one HiGHS LP over the cuts
-bounds P_sharp from below, full inner sups bound it from above, and the
-weak-duality bound P_flat <= P_sharp stops it at once where the max-min
-inner minimizer attains P_flat.  Optimizers are tied back to Gibbs measures
-through the self-consistency residuals x_pm in subdiff(g_pm, tau_pm(mu)).
+bounds P_sharp from below, and runs again only when a new cut rises above
+the cut model at its last minimizer; full inner sups bound it from above,
+and the weak-duality bound P_flat <= P_sharp stops it at once where the
+max-min inner minimizer attains P_flat.  Optimizers are tied back to Gibbs
+measures through the self-consistency residuals x_pm in subdiff(g_pm,
+tau_pm(mu)).  The same condition bounds every search: each Gibbs average
+lies in the range box T of its potentials, so every optimizer, and every
+inner minimizer and inner maximizer, lies in the hull of subdiff g(T) on
+its side, and each side searches the certified growth box cut to that hull
+(ModelSpec.box_plus, box_minus).
 """
 
 import dataclasses
@@ -91,7 +97,9 @@ class ModelSpec:
     padded to it, one row each (`signed`: the minus rows negated), and
     `log_weights` the log a priori weights; `evaluations` counts the tilts
     whose P_L linear_pressure_tilted prices, a stack counting its rows.
-    The growth certificates and search boxes are made once, on first use.
+    The growth certificates and the search boxes, each growth box cut to
+    the hull of subdiff g over the range of its potentials (_search_box),
+    are made once, on first use.
     """
 
     def __init__(
@@ -153,23 +161,37 @@ class ModelSpec:
         norm = math.sqrt(sum(p.sup_norm**2 for p in self.minus_potentials))
         return None if self.g_minus is None else growth_radius(self.g_minus, norm)
 
+    def _search_box(self, g, certificate, tables):
+        """dom(g*) cut to [-r, r] in each coordinate, r the certified growth
+        radius, and then to the hull of subdiff g over the range box T of
+        the potentials' tables (ConvexSpec.subdiff_hull).  Every optimizer
+        on that side lies in that hull: it is tied to a Gibbs average in T
+        by the self-consistency condition y in subdiff g(tau) (Rockafellar,
+        Convex Analysis, Thm 23.5).  An axis where the hull is None, has
+        zero width or misses the growth box keeps the growth box.  Read-only,
+        as every search over that side shares it."""
+        r = certificate.safe_radius
+        lo, hi = np.clip(g.conjugate_box(), -r, r)
+        hull = g.subdiff_hull(tables.min(axis=1), tables.max(axis=1))
+        if hull is not None:
+            cut_lo, cut_hi = np.maximum(lo, hull[0]), np.minimum(hi, hull[1])
+            cut = (hull[0] < hull[1]) & (cut_lo < cut_hi)
+            lo, hi = np.where(cut, cut_lo, lo), np.where(cut, cut_hi, hi)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
     @functools.cached_property
     def box_plus(self):
-        """(lo, hi), the search box over y+: dom(g+*) cut to [-r, r] in each
-        coordinate, r the certified growth radius of g+.  Read-only, as
-        every search over y+ shares it."""
-        r = self.growth_plus.safe_radius
-        box = np.clip(self.g_plus.conjugate_box(), -r, r)
-        box.flags.writeable = False
-        return tuple(box)
+        """(lo, hi), the search box over y+ (_search_box of g+ on the plus
+        potentials)."""
+        return self._search_box(self.g_plus, self.growth_plus,
+                                self.tables[: self.n_plus])
 
     @functools.cached_property
     def box_minus(self):
         """(lo, hi), the search box over y-, as box_plus."""
-        r = self.growth_minus.safe_radius
-        box = np.clip(self.g_minus.conjugate_box(), -r, r)
-        box.flags.writeable = False
-        return tuple(box)
+        return self._search_box(self.g_minus, self.growth_minus,
+                                self.tables[self.n_plus :])
 
     @property
     def growth_radii(self):
@@ -587,6 +609,11 @@ def p_flat_of(model, y_plus, grad=False, hess=False, start=None):
     return value, y_minus, grad_plus, h[:, :n, :n] - schur
 
 
+def _box_lists(box):
+    """A search box (lo, hi) as the lists [lo, hi] of a report."""
+    return [side.tolist() for side in box]
+
+
 def _start_grid(lo, hi, grid_points, cap):
     """A uniform grid of grid_points per axis over the box [lo, hi], as
     rows, thinned evenly to at most cap."""
@@ -652,15 +679,17 @@ def solve_flat(model, config=None):
     g+* (see the module docstring), otherwise by the lockstep Newton search
     from the start grid (cfg.grid per axis, at most MULTISTART_CAP), which
     counts the tilts it prices.  Each point's inner search starts from the
-    inner minimizer of its start's last point.  The growth certificates
-    that make the search boxes go into diagnostics, their radii into
-    growth_radii.
+    inner minimizer of its start's last point.  The growth certificates go
+    into diagnostics, their radii into growth_radii, and next to them the
+    boxes searched (box_plus, box_minus: [lo, hi]), which the hulls of the
+    subdifferentials over the range boxes narrow (ModelSpec._search_box).
     """
     cfg = config or RunConfig()
     sol = GameSolution(growth_radii=model.growth_radii)
     diag = sol.diagnostics
     if model.g_minus is not None:
         diag["growth_minus"] = dataclasses.asdict(model.growth_minus)
+        diag["box_minus"] = _box_lists(model.box_minus)
 
     if model.g_plus is None:
         # Remark-style degenerate case: pure inf over y-.
@@ -672,6 +701,7 @@ def solve_flat(model, config=None):
         return sol
 
     diag["growth_plus"] = dataclasses.asdict(model.growth_plus)
+    diag["box_plus"] = _box_lists(model.box_plus)
     lo, hi = model.box_plus
     vertices = model.g_plus.conjugate_vertices(lo, hi)
     starts = None
@@ -837,7 +867,10 @@ def solve_sharp(model, config=None, *, _flat=None):
     over the model's search box over y- (ModelSpec.box_minus):
     - the min of the cuts over the box, one HiGHS LP, bounds P_sharp from
       below (a grid g-* stays out of the cuts and enters that LP exactly,
-      as its affine pieces; an abs_sum g-* is the box);
+      as its affine pieces; an abs_sum g-* is the box).  When no cut added
+      since the last LP exceeds that LP's cut model at its minimizer, the
+      point stays a minimizer with the same value and the LP's bound still
+      holds, so the LP is not run again;
     - the least S found by a full inner search bounds it from above;
     - the next iterate is the Euclidean projection of the evaluated point
       of least model value onto the level set {model <= lower + LEVEL *
@@ -856,7 +889,9 @@ def solve_sharp(model, config=None, *, _flat=None):
     solve_game passes its max-min solution as _flat: the first iterates are
     then its inner minimizers x-*, and P_flat bounds P_sharp from below
     (weak duality), so S(x-*) <= P_flat + SHARP_GAP stops the search there.
-    Otherwise the first iterate is y- = 0 moved into the box.
+    Otherwise the first iterate is y- = 0 moved into the box.  Both boxes,
+    which the hulls of the subdifferentials cut (ModelSpec._search_box), are
+    reported as diagnostics box_plus and box_minus ([lo, hi]), and
     diagnostics["sharp"] gives the bracket (lower, upper), the inner sups
     (iterations), the full_inner_sups, their linear-pressure evaluations,
     the cuts and why it stopped
@@ -872,6 +907,8 @@ def solve_sharp(model, config=None, *, _flat=None):
         return flat
 
     sol = GameSolution(growth_radii=model.growth_radii)
+    sol.diagnostics["box_plus"] = _box_lists(model.box_plus)
+    sol.diagnostics["box_minus"] = _box_lists(model.box_minus)
     lo_plus, hi_plus = model.box_plus
     vertices = model.g_plus.conjugate_vertices(lo_plus, hi_plus)
     grid_starts = list(_start_grid(lo_plus, hi_plus, 9, 81))
@@ -922,8 +959,14 @@ def solve_sharp(model, config=None, *, _flat=None):
     for y in np.unique(np.clip(first or [np.zeros(model.n_minus)], lo, hi), axis=0):
         points.append(inner_sup(y, full=False))
     p_flat = -INFINITY if _flat is None else _flat.p_flat
+    solved = 0  # the cuts the last master LP saw
     while True:
-        lp_lower, lp_point = _master_lp(slopes, offsets, pieces, lo, hi)
+        # cuts at or below the last LP's cut model at its minimizer leave
+        # that point a minimizer with the same value, and the bound the LP's
+        # multipliers gave still holds: that LP need not run again
+        if not solved or np.any(slopes[solved:] @ lp_point + offsets[solved:] > lp_cut):
+            lp_lower, lp_point = _master_lp(slopes, offsets, pieces, lo, hi)
+            solved, lp_cut = len(offsets), (slopes @ lp_point + offsets).max()
         lower = max(lp_lower, p_flat)
         upper = min([p.values[0] for p in points if p.full], default=INFINITY)
         if upper - lower <= SHARP_GAP:

@@ -151,18 +151,21 @@ class TestExitCodes:
         assert "unknown config keys: ['out']" in capsys.readouterr().err
         assert not target.exists()
 
-    def test_uncertified_perron_solve_is_solver_error(self, tmp_path, capsys):
-        # the Perron solve fails at the corner y+ = -256 of the certified
-        # box of this wide k=3 memory-2 table.  The test relies on that open
-        # fault (ROADMAP, "Known faults"): once it is fixed, it needs another
-        # trigger of an ArithmeticError
-        a3 = AprioriAlphabet(3)
-        table = 30 * np.random.default_rng(3).standard_normal((3, 3))
-        model = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
+    def test_uncertified_perron_solve_is_solver_error(
+            self, tmp_path, capsys, monkeypatch):
+        # no Perron vector certifies at a zero tolerance, so the first tilt
+        # priced fails: the lower corner y+ = 2 * min(table) = -4 of the
+        # search box, where the multistart's first start sits
+        from thermoflat import ruelle
+
+        monkeypatch.setattr(ruelle, "PERRON_TOL", 0.0)
+        a2 = AprioriAlphabet(2)
+        table = [[1.0, -2.0], [0.5, 2.0]]
+        model = ModelSpec(a2, [CylinderPotential(a2, table)], g_plus=Quadratic(2.0))
         path = write_model(tmp_path, modelio.serialize_model(model))
         assert run_cli(["solve", path]) == 3
         err = capsys.readouterr().err
-        assert "solver error: linear_pressure_tilted at y+ = [-256.0], y- = []" in err
+        assert "solver error: linear_pressure_tilted at y+ = [-4.0], y- = []" in err
         assert "perron: Collatz-Wielandt bracket width" in err
 
     def test_radius_flag_is_gone(self, tmp_path, capsys):
@@ -308,14 +311,16 @@ class TestSubcommands:
                 assert len(out["scan_csv"].splitlines()) == 202
 
     @pytest.mark.parametrize("g, ends", [
-        ({"kind": "quadratic", "beta": 2.0, "dim": 1}, (-8.0, 8.0)),
+        ({"kind": "quadratic", "beta": 2.0, "dim": 1}, (-2.0, 2.0)),
         ({"kind": "abs_sum", "dim": 1}, (-1.0, 1.0)),
         ({"kind": "linear_shift", "slope": [0.5],
           "base": {"kind": "abs_sum", "dim": 1}}, (-0.5, 1.5)),
     ], ids=["quadratic", "abs_sum", "linear_shift"])
     def test_scan_spans_the_search_box(self, tmp_path, capsys, g, ends):
-        # a scan over [-r+, r+] reads -inf outside dom(g+*): for an abs_sum
-        # (moved by a linear shift) that is the box [-1, 1], and r+ = 2
+        # the scan spans the search box over y+: beta * [-1, 1] for the
+        # quadratic, the hull of subdiff g+ over the spin's range [-1, 1];
+        # for an abs_sum (moved by a linear shift) dom(g+*) = [-1, 1], outside
+        # which a scan would read -inf
         doc = json.loads(json.dumps(CW2))
         doc["plus"]["g"] = g
         path = write_model(tmp_path, doc)

@@ -356,6 +356,53 @@ class TestGrowth:
             growth_radius(g, 2.0)
 
 
+class TestSubdiffHull:
+    """The interval hull of subdiff g over a box, in closed form."""
+
+    def test_quadratic_scales_the_box(self):
+        lo, hi = Quadratic(1.5, dim=2).subdiff_hull([-1.0, 0.5], [2.0, 3.0])
+        np.testing.assert_array_equal(lo, [-1.5, 0.75])
+        np.testing.assert_array_equal(hi, [3.0, 4.5])
+
+    def test_abs_sum_sign_pattern(self):
+        # the first axis meets the kink, the second lies above it and the
+        # third below: those two have zero width
+        lo, hi = AbsSum(dim=3).subdiff_hull([-1.0, 0.5, -3.0], [2.0, 3.0, -0.2])
+        np.testing.assert_array_equal(lo, [-1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(hi, [1.0, 1.0, -1.0])
+        # a box ending on the kink meets all of [-1, 1]
+        lo, hi = AbsSum(dim=2).subdiff_hull([0.0, -2.0], [1.0, 0.0])
+        np.testing.assert_array_equal(lo, [-1.0, -1.0])
+        np.testing.assert_array_equal(hi, [1.0, 1.0])
+
+    def test_linear_shift_moves_the_base_hull(self):
+        g = LinearShift(np.array([0.5, -2.0]), Quadratic(2.0, dim=2))
+        lo, hi = g.subdiff_hull([-1.0, 0.0], [1.0, 0.25])
+        np.testing.assert_array_equal(lo, [-1.5, -2.0])
+        np.testing.assert_array_equal(hi, [2.5, -1.5])
+        shifted = LinearShift(np.array([0.3]), AbsSum(dim=1))
+        np.testing.assert_array_equal(shifted.subdiff_hull([1.0], [2.0]), [[1.3], [1.3]])
+
+    def test_grid_has_none(self):
+        grid = np.linspace(-2.0, 2.0, 5)
+        g = GridSampled([grid], grid**2)
+        assert g.subdiff_hull([-1.0], [1.0]) is None
+        assert LinearShift(np.array([0.3]), g).subdiff_hull([-1.0], [1.0]) is None
+
+    @pytest.mark.parametrize("g", [
+        Quadratic(0.7, dim=2), AbsSum(dim=2),
+        LinearShift(np.array([0.4, -0.1]), AbsSum(dim=2)),
+    ])
+    def test_holds_every_subdifferential_in_the_box(self, g):
+        lo, hi = np.array([-1.0, 0.2]), np.array([0.5, 1.7])
+        hull_lo, hull_hi = g.subdiff_hull(lo, hi)
+        axes = [np.linspace(a, b, 31) for a, b in zip(lo, hi)]
+        for x in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 2):
+            sd = g.subdiff(x)
+            assert np.all(hull_lo <= np.array(sd.lower))
+            assert np.all(np.array(sd.upper) <= hull_hi)
+
+
 class TestConjugateGradient:
     def test_quadratic(self):
         g = Quadratic(2.5, dim=2)

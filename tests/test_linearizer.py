@@ -353,6 +353,33 @@ class TestSharpBundle:
         # every inner sup evaluates P_NL at least once per start
         assert first["evaluations"] >= first["cuts"]
 
+    def test_master_lp_reruns_only_for_cuts_above_its_model(self, monkeypatch):
+        # on the spin game a cut that stays at or below the cut model at the
+        # last LP minimizer keeps that LP's point and bound: 6 master LPs
+        # for 9 inner sups, where one LP per inner sup made 8, with the same
+        # P_sharp, stop and report
+        import thermoflat.linearizer as lin
+
+        calls, original = [], lin._master_lp
+
+        def counted(*args):
+            calls.append(len(args[1]))  # the cuts it saw
+            return original(*args)
+
+        monkeypatch.setattr(lin, "_master_lp", counted)
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
+        sol = solve_game(m, RunConfig(grid=9))
+        sharp = sol.diagnostics["sharp"]
+        assert sol.p_sharp == pytest.approx(0.8093663184307649, abs=1e-12)
+        assert sharp["stop"] == "bracket"
+        assert set(sharp) == {
+            "lower", "upper", "iterations", "cuts", "full_inner_sups",
+            "evaluations", "stop",
+        }
+        assert sharp["iterations"] == 9
+        assert len(calls) == 6
+        assert calls == sorted(set(calls))  # no LP sees the same cuts twice
+
     def test_game_solves_the_flat_side_once(self, monkeypatch):
         import thermoflat.linearizer as lin
 
@@ -657,6 +684,68 @@ class TestGridSearch:
             best = max(best, -res.fun)
         assert sol.p_flat == pytest.approx(best, abs=1e-8)
         assert sol.p_flat >= best - 1e-12
+
+
+class TestSearchBox:
+    """Each search box is the growth box cut to the hull of subdiff g over
+    the range box of the potentials (ModelSpec._search_box)."""
+
+    def test_wide_table_solves_and_matches_both_oracles(self):
+        # on the growth box [-256, 256] the Perron pair failed at the corner
+        # y+ = -256; the box is now 1.5 * [min, max] of the table
+        from thermoflat.oracle import bkl_pressure, direct_pressure
+
+        a3 = AprioriAlphabet(3)
+        table = 30 * np.random.default_rng(3).standard_normal((3, 3))
+        model = ModelSpec(a3, [CylinderPotential(a3, table)], g_plus=Quadratic(1.5))
+        sol = solve_flat(model)
+        assert sol.growth_radii == (256.0, None)
+        assert sol.diagnostics["box_plus"] == [[1.5 * table.min()], [1.5 * table.max()]]
+        assert sol.p_flat == pytest.approx(2810.513218235406, abs=1e-9)
+        assert sol.p_flat == pytest.approx(direct_pressure(model)[0], abs=1e-9)
+        assert sol.p_flat == pytest.approx(bkl_pressure(model)[0], abs=1e-9)
+        assert sol.equilibria
+
+    def test_zero_width_axes_keep_the_growth_box(self):
+        # a constant potential, and an abs_sum over a range on one side of
+        # its kink, give hulls of zero width
+        a3 = AprioriAlphabet(3)
+        const = CylinderPotential(a3, [0.5, 0.5, 0.5])
+        plus = CylinderPotential(a3, [1.0, -0.5, 2.0])
+        minus = CylinderPotential(a3, [0.5, 1.0, 2.0])
+        model = ModelSpec(a3, [plus, const], [minus, plus],
+                          Quadratic(2.0, dim=2), AbsSum(dim=2))
+        r = model.growth_radii[0]
+        assert [a.tolist() for a in model.box_plus] == [[-1.0, -r], [4.0, r]]
+        assert [a.tolist() for a in model.box_minus] == [[-1.0, -1.0], [1.0, 1.0]]
+        sol = solve_flat(model)
+        assert sol.diagnostics["box_plus"] == [[-1.0, -r], [4.0, r]]
+        assert sol.diagnostics["box_minus"] == [[-1.0, -1.0], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    def test_shifted_quadratics_match_the_growth_box(self, beta, monkeypatch):
+        # 3-D shifted quadratics: every maximizer lies well inside the
+        # growth box, so cutting it to the hull changes no P_flat
+        a3 = AprioriAlphabet(3)
+        pots = [CylinderPotential(a3, row)
+                for row in np.random.default_rng(0).standard_normal((3, 3))]
+        direction = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+        models = [
+            ModelSpec(a3, pots, g_plus=LinearShift(c * direction, Quadratic(beta, 3)))
+            for c in (1, 3, 10, 30, -1, -3, -10, -30)
+        ]
+        cut = [solve_flat(m, RunConfig(grid=5)) for m in models]
+        for m, sol in zip(models, cut):
+            r = m.growth_radii[0]
+            lo, hi = sol.diagnostics["box_plus"]
+            assert -r < min(lo) and max(hi) < r
+        monkeypatch.setattr(ModelSpec, "box_plus", property(
+            lambda self: tuple(np.clip(self.g_plus.conjugate_box(),
+                                       -self.growth_radii[0], self.growth_radii[0]))))
+        for m, sol in zip(models, cut):
+            full = solve_flat(m, RunConfig(grid=5))
+            assert sol.p_flat == pytest.approx(full.p_flat, abs=1e-12)
+            assert len(sol.m_flat) == len(full.m_flat)
 
 
 def grid_minus_models():
