@@ -35,9 +35,12 @@ begins from the inner minimizer of its own last point (the first from
 y- = 0).
 
 The min-max side (solve_sharp) minimizes the convex S(y-) = sup over y+ of
-P_NL by a level bundle method on Danskin cuts: one HiGHS LP over the cuts
-bounds P_sharp from below, and runs again only when a new cut rises above
-the cut model at its last minimizer; full inner sups bound it from above,
+P_NL by a level bundle method on Danskin cuts.  One HiGHS LP over the cuts
+bounds P_sharp from below, by weak duality on its multipliers; it is one
+model for the whole solve, each new cut joins it as a row and its dual
+simplex restarts from the last basis, and it runs again only when a new
+cut rises above the cut model at its last minimizer.  Full inner sups
+bound P_sharp from above,
 and the weak-duality bound P_flat <= P_sharp stops it at once where the
 max-min inner minimizer attains P_flat.  Optimizers are tied back to Gibbs
 measures through the self-consistency residuals x_pm in subdiff(g_pm,
@@ -55,7 +58,8 @@ import math
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize, nnls
+from scipy.optimize import minimize, nnls
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .config import (ADMISSION_TOL, CLUSTER_RADIUS, MULTISTART_CAP, SC_TOL,
                      VALUE_WINDOW, RunConfig)
@@ -79,7 +83,10 @@ SLSQP_OPTIONS = {"ftol": 1e-10}
 # The level bundle of solve_sharp: it stops once its bracket on P_sharp is
 # at most SHARP_GAP wide or after SHARP_MAX_ITER inner sups, and puts each
 # level LEVEL of the way from the lower bound to the least model value of
-# the evaluated points.  Its master LPs run at HiGHS tolerances LP_OPTIONS.
+# the evaluated points.  Its master LP is one HiGHS model per solve at the
+# tolerances LP_OPTIONS: each new cut is added as a row and the dual simplex
+# warm-starts from the last basis, and the lower bound is taken from the
+# row multipliers by weak duality, never from HiGHS's objective value.
 SHARP_GAP = 1e-11
 SHARP_MAX_ITER = 100
 LEVEL = 0.01
@@ -794,42 +801,64 @@ class _InnerSup:
     full: bool
 
 
-def _master_lp(slopes, offsets, pieces, lo, hi):
+def _master_model(lo, hi, pieces):
+    """The master LP of one solve_sharp before its first cut: a HiGHS model
+    with columns (y, t[, s]), y in the box [lo, hi], the objective t [+ s]
+    and, for a grid g-*, the rows x_i.y - s <= v_i of its affine pieces."""
+    lp = _Highs()
+    lp.setOptionValue("output_flag", False)
+    for key, value in LP_OPTIONS.items():
+        lp.setOptionValue(key, value)
+    n, k = len(lo), 1 if pieces is None else 2
+    lp.addVars(n + k, np.append(lo, [-INFINITY] * k), np.append(hi, [INFINITY] * k))
+    lp.changeColsCost(k, np.arange(n, n + k, dtype=np.int32), np.ones(k))
+    if pieces is not None:
+        _add_epigraph_rows(lp, pieces[0], -pieces[1], n + 1)
+    return lp
+
+
+def _add_epigraph_rows(lp, a, b, column):
+    """Add the rows a_j.y + b_j <= (the variable at column) to lp."""
+    m, n = a.shape
+    index = np.tile(np.append(np.arange(n), column), m).astype(np.int32)
+    values = np.hstack([a, -np.ones((m, 1))]).ravel()
+    starts = np.arange(0, m * (n + 1), n + 1, dtype=np.int32)
+    lp.addRows(m, np.full(m, -INFINITY), -b, m * (n + 1), starts, index, values)
+
+
+def _master_lp(lp, slopes, offsets, pieces, lo, hi):
     """Min over the box [lo, hi] of the cutting-plane model
     max_j slopes_j.y + offsets_j, plus max_i x_i.y - v_i for the affine
-    pieces (x, v) of a grid g-*, as one HiGHS LP in (y, t[, s]).
+    pieces (x, v) of a grid g-*: the cuts that lp (_master_model) does not
+    hold yet join it as rows a.y + b <= t, and its dual simplex runs again
+    from the last basis.
 
     Returns (lower, y): y is the LP's minimizer, and lower is the least
     value over the box of the combination of cuts (and pieces) that the
     LP's multipliers give, a lower bound on the model however loosely
     HiGHS meets its tolerances (LP weak duality).
     """
-    blocks = [(slopes, offsets)]
-    if pieces is not None:
-        blocks.append((pieces[0], -pieces[1]))
-    # block j holds the rows a.y + b <= t_j
-    n, k = len(lo), len(blocks)
-    epigraph = [-np.eye(k)[[j] * len(b)] for j, (_, b) in enumerate(blocks)]
-    res = linprog(
-        np.append(np.zeros(n), np.ones(k)),
-        A_ub=np.vstack([np.hstack([a, t]) for (a, _), t in zip(blocks, epigraph)]),
-        b_ub=np.concatenate([-b for _, b in blocks]),
-        bounds=list(zip(lo, hi)) + [(None, None)] * k,
-        method="highs",
-        options=LP_OPTIONS,
-    )
-    if res.status != 0:
+    # rows in model order: the pieces, then the cuts
+    blocks = [] if pieces is None else [(pieces[0], -pieces[1])]
+    held = lp.getNumRow() - sum(len(b) for _, b in blocks)
+    blocks.append((slopes, offsets))
+    _add_epigraph_rows(lp, slopes[held:], offsets[held:], len(lo))
+    lp.run()
+    status = lp.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
         raise ArithmeticError(
-            f"solve_sharp: master LP over {len(offsets)} cuts: {res.message}"
+            f"solve_sharp: master LP over {len(offsets)} cuts: "
+            f"{lp.modelStatusToString(status)}"
         )
-    weights = -res.ineqlin.marginals
+    solution = lp.getSolution()
+    weights = -np.array(solution.row_dual)
     lower = 0.0
     for a, b in blocks:
         w, weights = np.maximum(weights[: len(b)], 0.0), weights[len(b) :]
         w = w / w.sum()
         g = w @ a
         lower += w @ b + np.minimum(g * lo, g * hi).sum()
-    return float(lower), res.x[:n]
+    return float(lower), np.array(solution.col_value[: len(lo)])
 
 
 def _project(point, a, b, lo, hi):
@@ -865,12 +894,17 @@ def solve_sharp(model, config=None, *, _flat=None):
     lies below S whether or not y+ is the global max.  A level bundle
     (Lemarechal, Nemirovskii & Nesterov, Math. Prog. 69, 1995) minimizes S
     over the model's search box over y- (ModelSpec.box_minus):
-    - the min of the cuts over the box, one HiGHS LP, bounds P_sharp from
+    - the min of the cuts over the box, a HiGHS LP, bounds P_sharp from
       below (a grid g-* stays out of the cuts and enters that LP exactly,
-      as its affine pieces; an abs_sum g-* is the box).  When no cut added
-      since the last LP exceeds that LP's cut model at its minimizer, the
-      point stays a minimizer with the same value and the LP's bound still
-      holds, so the LP is not run again;
+      as its affine pieces; an abs_sum g-* is the box).  The bound is the
+      least value over the box of the combination of cuts that the LP's
+      row multipliers give (weak duality), so it holds however loosely
+      HiGHS meets its tolerances.  The solve keeps one HiGHS model
+      (_master_model): each LP adds the cuts that arrived since the last
+      one as rows, and the dual simplex starts from the last basis.  When
+      no cut added since the last LP exceeds that LP's cut model at its
+      minimizer, the point stays a minimizer with the same value and the
+      LP's bound still holds, so the LP is not run again;
     - the least S found by a full inner search bounds it from above;
     - the next iterate is the Euclidean projection of the evaluated point
       of least model value onto the level set {model <= lower + LEVEL *
@@ -959,13 +993,14 @@ def solve_sharp(model, config=None, *, _flat=None):
     for y in np.unique(np.clip(first or [np.zeros(model.n_minus)], lo, hi), axis=0):
         points.append(inner_sup(y, full=False))
     p_flat = -INFINITY if _flat is None else _flat.p_flat
+    lp = _master_model(lo, hi, pieces)
     solved = 0  # the cuts the last master LP saw
     while True:
         # cuts at or below the last LP's cut model at its minimizer leave
         # that point a minimizer with the same value, and the bound the LP's
         # multipliers gave still holds: that LP need not run again
         if not solved or np.any(slopes[solved:] @ lp_point + offsets[solved:] > lp_cut):
-            lp_lower, lp_point = _master_lp(slopes, offsets, pieces, lo, hi)
+            lp_lower, lp_point = _master_lp(lp, slopes, offsets, pieces, lo, hi)
             solved, lp_cut = len(offsets), (slopes @ lp_point + offsets).max()
         lower = max(lp_lower, p_flat)
         upper = min([p.values[0] for p in points if p.full], default=INFINITY)

@@ -357,14 +357,18 @@ class TestSharpBundle:
         # on the spin game a cut that stays at or below the cut model at the
         # last LP minimizer keeps that LP's point and bound: 6 master LPs
         # for 9 inner sups, where one LP per inner sup made 8, with the same
-        # P_sharp, stop and report
+        # P_sharp, stop and report; every LP runs on the one HiGHS model of
+        # the solve, which then holds one row per cut it has seen
         import thermoflat.linearizer as lin
 
-        calls, original = [], lin._master_lp
+        calls, models, rows, original = [], [], [], lin._master_lp
 
         def counted(*args):
             calls.append(len(args[1]))  # the cuts it saw
-            return original(*args)
+            out = original(*args)
+            models.append(args[0])
+            rows.append(args[0].getNumRow())
+            return out
 
         monkeypatch.setattr(lin, "_master_lp", counted)
         m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
@@ -379,6 +383,26 @@ class TestSharpBundle:
         assert sharp["iterations"] == 9
         assert len(calls) == 6
         assert calls == sorted(set(calls))  # no LP sees the same cuts twice
+        assert all(model is models[0] for model in models)
+        assert rows == calls  # no pieces, and no cut added twice
+
+    def test_master_lp_error_names_the_solver_the_lp_and_the_cuts(self, monkeypatch):
+        # a HiGHS status other than optimal is an ArithmeticError; the first
+        # master LP of the spin game sees 4 cuts
+        import thermoflat.linearizer as lin
+        from scipy.optimize._highspy._core import HighsModelStatus
+
+        class Stalled(lin._Highs):
+            def getModelStatus(self):
+                return HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(lin, "_Highs", Stalled)
+        m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
+        with pytest.raises(
+            ArithmeticError,
+            match=r"^solve_sharp: master LP over 4 cuts: Iteration limit reached$",
+        ):
+            solve_game(m, RunConfig(grid=9))
 
     def test_game_solves_the_flat_side_once(self, monkeypatch):
         import thermoflat.linearizer as lin
@@ -420,6 +444,62 @@ class TestSharpBundle:
         solve_flat(model, RunConfig(grid=9))
         assert evaluations
         assert max(evaluations) <= 15
+
+
+class TestMasterLP:
+    """The persistent HiGHS model of solve_sharp's master LP against a fresh
+    scipy linprog on the same LP; this pins the private HiGHS binding."""
+
+    @pytest.mark.parametrize("with_pieces", [False, True], ids=["cuts", "pieces"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_a_fresh_linprog(self, n, with_pieces):
+        import thermoflat.linearizer as lin
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng([n, with_pieces])
+        lo, hi = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+        pieces = None
+        if with_pieces:
+            pieces = (rng.standard_normal((6, n)), rng.standard_normal(6))
+        blocks = [] if pieces is None else [(pieces[0], -pieces[1])]
+
+        def model(ys):
+            return sum((ys @ a.T + b).max(axis=1) for a, b in blocks + [cuts])
+
+        # a dense sample of the box: a grid with its corners, and random points
+        axes = [np.linspace(l, h, {1: 2001, 2: 61, 3: 17}[n]) for l, h in zip(lo, hi)]
+        grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n)
+        sample = np.vstack([grid, lo + (hi - lo) * rng.random((4000, n))])
+        lp = lin._master_model(lo, hi, pieces)
+        slopes, offsets = np.zeros((0, n)), np.zeros(0)
+        for batch in (2, 1, 3, 5, 1):
+            slopes = np.vstack([slopes, 2.0 * rng.standard_normal((batch, n))])
+            offsets = np.append(offsets, rng.standard_normal(batch))
+            cuts = (slopes, offsets)
+            lower, y = lin._master_lp(lp, slopes, offsets, pieces, lo, hi)
+            k = len(blocks) + 1
+            rows = [
+                np.hstack([a, -np.eye(k)[[j] * len(b)]])
+                for j, (a, b) in enumerate(blocks + [cuts])
+            ]
+            fresh = linprog(
+                np.append(np.zeros(n), np.ones(k)),
+                A_ub=np.vstack(rows),
+                b_ub=np.concatenate([-b for _, b in blocks + [cuts]]),
+                bounds=list(zip(lo, hi)) + [(None, None)] * k,
+                method="highs",
+                options=lin.LP_OPTIONS,
+            )
+            assert fresh.status == 0
+            assert lp.getNumRow() == sum(len(b) for _, b in blocks) + len(offsets)
+            assert lp.getInfo().objective_function_value == pytest.approx(
+                fresh.fun, abs=1e-9
+            )
+            assert np.all((lo <= y) & (y <= hi))
+            assert model(y[None, :])[0] == pytest.approx(fresh.fun, abs=1e-9)
+            # weak duality, up to the rounding of the bound's own sums
+            assert lower <= fresh.fun + 1e-12
+            assert lower <= model(sample).min() + 1e-12
 
 
 class TestPFlatOf:
