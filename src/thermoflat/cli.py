@@ -8,6 +8,7 @@ full effective configuration.
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import sys
 
@@ -26,7 +27,10 @@ def _non_negative_int(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps its
+    results in a fresh namespace, so one parser serves every call."""
     parser = argparse.ArgumentParser(
         prog="thermoflat",
         description="nonlinear topological pressure via max-min linearization",

@@ -3,18 +3,23 @@
 State selection uses "first index whose cumulative weight exceeds u", so
 paths are a fixed function of the uniform draws.
 
-Birkhoff averages are whole-array passes over blocks of rows: each block
-builds all window indices at once and sums the window values with a
-cumulative sum, which adds left to right, in the same order as a running
-``acc += value`` over window positions, so the averages do not depend on the
-block size.
+Birkhoff averages are whole-array passes over blocks of rows, each sized to
+about BLOCK_VALUES window values so that its temporaries stay in cache
+whatever the path length.  A block is turned time-major, (n, rows), and its
+window values are summed by one reduction over time, which adds row by row
+from the first, in the same order as a running ``acc += value`` over window
+positions, so the averages do not depend on the block size.
 """
 
 import numpy as np
 
-# rows per block of birkhoff_averages: bounds its temporaries to a few
-# (ROW_BLOCK, n) arrays, whatever the number of paths
-ROW_BLOCK = 512
+# window values per block of birkhoff_averages: bounds its temporaries to a
+# few arrays of this size, whatever the number and length of the paths
+BLOCK_VALUES = 32768
+# rows per block at least: the sum over time runs one inner loop per time
+# step across the block's rows, and on narrower blocks the loop overhead
+# dominates (long paths exceed BLOCK_VALUES in fewer rows than this)
+MIN_BLOCK_ROWS = 16
 
 
 def sample_state_paths(start_cum, trans_cum, uniforms):
@@ -45,26 +50,34 @@ def sample_state_paths(start_cum, trans_cum, uniforms):
 def birkhoff_averages(symbols, table, memory, k):
     """Cyclic Birkhoff averages of a word-indexed potential along paths.
 
-    symbols: (num, n) symbol indices in [0, k).
+    symbols: (num, n) symbol indices in [0, k), of any integer dtype.
     table:   flat potential table of length k**memory, C order.
     Returns (num,) averages over all n cyclic window positions.
 
-    The window at position t reads symbols (t + j) % n, j < memory: column t
-    of the j-th left rotation of the row.  Rows go in blocks of ROW_BLOCK;
-    each block sums its n window values with a cumulative sum from a zero
-    start, so every average is bitwise the sum 0.0 + v_0 + ... + v_{n-1} in
-    that order, divided by n.
+    The window at position t reads symbols (t + j) % n, j < memory: row t of
+    the time-major block rolled up by j.  Rows go in blocks of about
+    BLOCK_VALUES window values, and of at least MIN_BLOCK_ROWS rows.  Each
+    block is transposed and cast to intp once, gathers its (n, rows) window
+    values and sums them over time by one add.reduce, which on a
+    C-contiguous array adds row after row.  Every average is thus bitwise
+    the sum 0.0 + v_0 + ... + v_{n-1} in that order, divided by n.
     """
     symbols = np.asarray(symbols)
     num, n = symbols.shape
-    acc = np.zeros(num, dtype=np.float64)
-    for lo in range(0, num, ROW_BLOCK):
-        block = symbols[lo : lo + ROW_BLOCK].astype(np.int64, copy=False)
-        idx = block
+    rows = max(MIN_BLOCK_ROWS, BLOCK_VALUES // n)
+    acc = np.empty(num, dtype=np.float64)
+    for lo in range(0, num, rows):
+        block = symbols[lo : lo + rows]
+        width = len(block)
+        if width == 1:
+            # with one column, time would be add.reduce's innermost axis,
+            # which numpy sums pairwise; a copy of the row keeps the order
+            block = np.repeat(block, 2, axis=0)
+        times = np.ascontiguousarray(block.T, dtype=np.intp)
+        idx = times
         for j in range(1, memory):
-            idx = idx * k + np.roll(block, -j, axis=1)
-        vals = table[idx]
-        np.cumsum(vals, axis=1, out=vals)
+            idx = idx * k + np.roll(times, -j, axis=0)
         # the zero start makes an all -0.0 sum +0.0, as a running sum does
-        acc[lo : lo + ROW_BLOCK] += vals[:, -1]
+        acc[lo : lo + width] = np.add.reduce(table[idx], axis=0,
+                                             initial=0.0)[:width]
     return acc / n

@@ -246,18 +246,19 @@ class MarkovMeasure:
             np.abs(self.word_probs(2) - other.word_probs(2)).sum()
         )
 
-    def sample_paths(self, n, num_samples, seed):
-        """Sample symbol paths of length n (seeded PCG64, chunk-stable).
+    def path_chunks(self, n, num_samples, seed):
+        """Sample symbol paths of length n in chunks (seeded PCG64).
 
-        The sample budget is split into fixed-size chunks with seeds derived
-        from (seed, chunk index), so the first paths do not depend on
-        num_samples: a larger budget only appends paths.
+        Yields (first_row, block) per chunk of up to 1024 paths: block is
+        (size, n), symbols in the smallest unsigned dtype that holds k - 1,
+        and row i is path first_row + i.  Chunk ci draws from
+        SeedSequence(entropy=seed, spawn_key=(ci,)), so the first paths do
+        not depend on num_samples: a larger budget only appends paths.
 
-        Order 0 draws every symbol from the one distribution: a chunk is
-        written straight into the output as the count of cumulative weights
-        <= u below the last one, the rule of searchsorted(side="right")
-        capped at k - 1.  Order >= 1 runs the state chain and expands its
-        states into symbols.
+        Order 0 draws every symbol from the one distribution: a chunk is the
+        count of cumulative weights <= u below the last one, the rule of
+        searchsorted(side="right") capped at k - 1.  Order >= 1 runs the
+        state chain and expands its states into symbols.
         """
         k = self.alphabet.k
         r = max(self.order, 1)
@@ -270,26 +271,34 @@ class MarkovMeasure:
             trans_cum[:, -1] = 1.0
         draws = 1 + (n - r)
         chunk = 1024
-        out = np.zeros((num_samples, n), dtype=np.int64)
+        dtype = np.min_scalar_type(k - 1)
         for ci, lo in enumerate(range(0, num_samples, chunk)):
             size = min(chunk, num_samples - lo)
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
             )
             uniforms = rng.random((size, draws))
-            block = out[lo : lo + size]
+            block = np.zeros((size, n), dtype=dtype)
             if self.order == 0:
                 for c in start_cum[:-1]:
                     block += uniforms >= c
-                continue
-            states = kernels.sample_state_paths(start_cum, trans_cum, uniforms)
-            # expand: initial state contributes its r symbols, then one per step
-            first = states[:, 0]
-            for j in range(r):
-                block[:, r - 1 - j] = first % k
-                first = first // k
-            if draws > 1:
-                block[:, r:] = states[:, 1:] % k
+            else:
+                states = kernels.sample_state_paths(start_cum, trans_cum, uniforms)
+                # expand: initial state contributes its r symbols, then one per step
+                first = states[:, 0]
+                for j in range(r):
+                    block[:, r - 1 - j] = first % k
+                    first = first // k
+                if draws > 1:
+                    block[:, r:] = states[:, 1:] % k
+            yield lo, block
+
+    def sample_paths(self, n, num_samples, seed):
+        """Sample symbol paths of length n as one (num_samples, n) int64
+        array: the blocks of path_chunks, copied in order."""
+        out = np.empty((num_samples, n), dtype=np.int64)
+        for lo, block in self.path_chunks(n, num_samples, seed):
+            out[lo : lo + len(block)] = block
         return out
 
 

@@ -74,8 +74,10 @@ def delta_via_birkhoff(potentials, mu, func, n):
     """Exact finite-n approximant: E_mu[F(n-step cyclic Birkhoff averages)].
 
     Enumerates all k^n words (capped); non-increasing in n for convex F by
-    Jensen on the two-block split.  The averages of the words are computed
-    once; a mixture sums its components' approximants with its weights.
+    Jensen on the two-block split.  The averages of the words and their
+    distinct rows are computed once; each component only sums its word
+    probabilities per row, and a mixture sums its components' approximants
+    with its weights.
     """
     potentials = list(potentials)
     if any(p.alphabet != mu.alphabet for p in potentials):
@@ -86,22 +88,23 @@ def delta_via_birkhoff(potentials, mu, func, n):
     if k**n > _WORD_CAP:
         raise ValueError("word enumeration too large; reduce n")
     # row w is the word with C-order index w, as digits
-    words = np.indices((k,) * n).reshape(n, -1).T
+    words = np.indices((k,) * n, dtype=np.min_scalar_type(k - 1)).reshape(n, -1).T
     averages = np.stack(
         [kernels.birkhoff_averages(words, p.table.ravel(), p.memory, k)
          for p in potentials],
         axis=1,
     )
+    rows, inverse = _distinct_rows(averages)
 
     def expect(nu):
         if isinstance(nu, MixtureMeasure):
             return sum(w * expect(c) for w, c in zip(nu.weights, nu.components))
-        # F once per distinct row of averages, weighted by its total probability
-        probs = nu.word_probs(n).ravel()
-        mask = probs > 0
-        rows, inverse = _distinct_rows(averages[mask])
-        weights = np.bincount(inverse, weights=probs[mask], minlength=len(rows))
-        return float(np.dot(weights, [func(a) for a in rows]))
+        # F once per distinct row of averages that has positive probability,
+        # weighted by its total probability
+        weights = np.bincount(inverse, weights=nu.word_probs(n).ravel(),
+                              minlength=len(rows))
+        live = weights > 0
+        return float(np.dot(weights[live], [func(a) for a in rows[live]]))
 
     return expect(mu)
 
@@ -268,21 +271,15 @@ def birkhoff_sampling(model, mu, n, num_samples, seed=0):
             raise ValueError("order parameters require differentiable g")
     if mu.alphabet != model.alphabet:
         raise ValueError("measure and potential alphabets differ")
-    paths = mu.sample_paths(n, num_samples, seed=seed)
     k = mu.alphabet.k
-    out = {}
-    for side, pots, g in (
-        ("plus", model.plus_potentials, model.g_plus),
-        ("minus", model.minus_potentials, model.g_minus),
-    ):
-        if g is None:
-            continue
-        avgs = np.stack(
-            [
-                kernels.birkhoff_averages(paths, p.table.ravel(), p.memory, k)
-                for p in pots
-            ],
-            axis=1,
-        )
-        out[side] = g.gradient_many(avgs)
-    return out
+    sides = [(side, pots, g, np.empty((num_samples, len(pots))))
+             for side, pots, g in (("plus", model.plus_potentials, model.g_plus),
+                                   ("minus", model.minus_potentials, model.g_minus))
+             if g is not None]
+    # each chunk of paths is averaged as soon as it is drawn
+    for lo, block in mu.path_chunks(n, num_samples, seed):
+        for _, pots, _, avgs in sides:
+            for i, p in enumerate(pots):
+                avgs[lo : lo + len(block), i] = kernels.birkhoff_averages(
+                    block, p.table.ravel(), p.memory, k)
+    return {side: g.gradient_many(avgs) for side, _, g, avgs in sides}

@@ -456,6 +456,18 @@ class TestSubcommands:
                         "--birkhoff-n", "0"]) == 0
         assert "delta_plus_birkhoff_n" not in json.loads(capsys.readouterr().out)
 
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        # the parser is built once per process; a flag given to one call
+        # must not carry over to the next
+        doc = json.loads(json.dumps(CW2))
+        doc["measures"] = {"biased": {"order": 0, "stationary": [0.8, 0.2]}}
+        path = write_model(tmp_path, doc)
+        assert run_cli(["delta", path, "--birkhoff-n", "8"]) == 0
+        assert "delta_plus_birkhoff_n" in json.loads(capsys.readouterr().out)
+        assert run_cli(["delta", path]) == 0
+        assert "delta_plus_birkhoff_n" not in json.loads(capsys.readouterr().out)
+        assert cli._build_parser() is cli._build_parser()
+
     def test_oracle_agreement(self, tmp_path, capsys):
         path = write_model(tmp_path, CW2)
         assert run_cli(["oracle", path]) == 0

@@ -197,6 +197,22 @@ class TestSampling:
             drawn = np.bincount(paths.ravel(), minlength=k)
             np.testing.assert_array_equal(drawn == 0, np.asarray(weights) == 0)
 
+    def test_a_larger_budget_only_appends_paths(self):
+        # chunk ci draws from (seed, ci) alone: the first 1024 of 1500 paths
+        # are the 1024 paths of the smaller budget
+        mu = MarkovMeasure.from_transitions(
+            AprioriAlphabet(3),
+            np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]]))
+        n = 60
+        small, large = mu.sample_paths(n, 1024, 8), mu.sample_paths(n, 1500, 8)
+        assert small.dtype == large.dtype == np.int64
+        assert large.shape == (1500, n)
+        np.testing.assert_array_equal(large[:1024], small)
+        chunks = list(mu.path_chunks(n, 1500, 8))
+        assert [(lo, block.shape, block.dtype) for lo, block in chunks] == [
+            (0, (1024, n), np.uint8), (1024, (476, n), np.uint8)]
+        np.testing.assert_array_equal(np.vstack([b for _, b in chunks]), large)
+
     def test_markov_empirical_transitions(self):
         q = np.array([[0.9, 0.1], [0.3, 0.7]])
         mu = MarkovMeasure.from_transitions(A2, q)

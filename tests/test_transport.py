@@ -404,3 +404,32 @@ class TestBirkhoffSampling:
         avgs = np.stack([kernels.birkhoff_averages(paths, p.table.ravel(), p.memory, 3)
                          for p in plus], axis=1)
         np.testing.assert_array_equal(out, np.array([g.gradient(a) for a in avgs]))
+
+    def test_streamed_chunks_equal_the_whole_path_array(self):
+        # three chunks of paths, the last one partial, from an order-1 chain,
+        # with a memory-2 potential on the plus side and a minus side: the
+        # same bits as averaging the whole sample_paths array at once
+        a3 = AprioriAlphabet(3)
+        rng = np.random.default_rng(25)
+        plus = [CylinderPotential(a3, rng.normal(size=(3, 3))),
+                CylinderPotential(a3, rng.normal(size=3))]
+        minus = [CylinderPotential(a3, rng.normal(size=3))]
+        m = ModelSpec(a3, plus, minus, Quadratic(1.3, dim=2), Quadratic(0.7))
+        mu = MarkovMeasure.from_transitions(
+            a3, np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.2, 0.4]]))
+        n, num = 30, 2500
+        out = birkhoff_sampling(m, mu, n, num, seed=4)
+        paths = mu.sample_paths(n, num, seed=4)
+        assert set(out) == {"plus", "minus"}
+        for side, pots, g in (("plus", plus, m.g_plus), ("minus", minus, m.g_minus)):
+            avgs = np.stack([kernels.birkhoff_averages(paths, p.table.ravel(),
+                                                       p.memory, 3) for p in pots],
+                            axis=1)
+            want = g.gradient_many(avgs)
+            assert out[side].shape == want.shape == (num, len(pots))
+            np.testing.assert_array_equal(out[side].view(np.uint64),
+                                          want.view(np.uint64))
+        empty = birkhoff_sampling(m, mu, n, 0, seed=4)
+        assert empty["plus"].shape == (0, 2) and empty["minus"].shape == (0, 1)
+        with pytest.raises(ValueError, match="shorter than the measure order"):
+            birkhoff_sampling(m, mu, 0, 10, seed=4)
