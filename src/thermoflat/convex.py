@@ -97,7 +97,13 @@ class GrowthCertificate:
 
 
 class ConvexSpec:
-    """Base class: a convex function with evaluable conjugate/subdifferential."""
+    """Base class: a convex function with evaluable conjugate/subdifferential.
+
+    value, conjugate, gradient (of g itself), conjugate_gradient and
+    conjugate_hessian each take a point or a stack of points as rows, and
+    check it once (_check_rows): a point gives a float (a row for the
+    gradients), a stack one entry (one row) per row.
+    """
 
     dim: int
     label: str = ""
@@ -105,15 +111,7 @@ class ConvexSpec:
     def value(self, x):
         raise NotImplementedError
 
-    def value_many(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.array([self.value(row) for row in xs])
-
     def conjugate(self, y):
-        raise NotImplementedError
-
-    def conjugate_many(self, ys):
-        """g* at each row of ys."""
         raise NotImplementedError
 
     def subdiff(self, x):
@@ -138,15 +136,9 @@ class ConvexSpec:
     # True when gradient (of g itself) is defined everywhere.
     has_gradient = False
 
-    def gradient_many(self, xs):
-        """The gradient of g at each row of xs, as rows."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.array([self.gradient(row) for row in xs])
-
     # True when conjugate_gradient and conjugate_hessian hold on conjugate_box.
-    # Both take a point or a stack of points as rows: the gradient has one
-    # row per point, and the Hessian, constant on the box for every kind
-    # here, is one matrix that broadcasts over the rows.
+    # The Hessian, constant on the box for every kind here, is one matrix
+    # that broadcasts over the rows of a stack.
     has_conjugate_gradient = False
 
     def conjugate_gradient(self, y):
@@ -188,20 +180,16 @@ class Quadratic(ConvexSpec):
         self.label = label
 
     def value(self, x):
-        x = self._check_dim(x)
-        return 0.5 * self.beta * float(x @ x)
-
-    def value_many(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return 0.5 * self.beta * (xs * xs).sum(axis=1)
+        x = self._check_rows(x)
+        if x.ndim == 1:
+            return 0.5 * self.beta * float(x @ x)
+        return 0.5 * self.beta * (x * x).sum(axis=-1)
 
     def conjugate(self, y):
-        y = self._check_dim(y)
-        return float(y @ y) / (2.0 * self.beta)
-
-    def conjugate_many(self, ys):
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        return (ys * ys).sum(axis=1) / (2.0 * self.beta)
+        y = self._check_rows(y)
+        if y.ndim == 1:
+            return float(y @ y) / (2.0 * self.beta)
+        return (y * y).sum(axis=-1) / (2.0 * self.beta)
 
     def subdiff(self, x):
         x = self._check_dim(x)
@@ -214,10 +202,7 @@ class Quadratic(ConvexSpec):
     has_gradient = True
 
     def gradient(self, x):
-        return self.beta * self._check_dim(x)
-
-    def gradient_many(self, xs):
-        return self.beta * np.atleast_2d(np.asarray(xs, dtype=float))
+        return self.beta * self._check_rows(x)
 
     has_conjugate_gradient = True
 
@@ -237,22 +222,16 @@ class AbsSum(ConvexSpec):
         self.label = label
 
     def value(self, x):
-        x = self._check_dim(x)
-        return float(np.abs(x).sum())
-
-    def value_many(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.abs(xs).sum(axis=1)
+        x = self._check_rows(x)
+        if x.ndim == 1:
+            return float(np.abs(x).sum())
+        return np.abs(x).sum(axis=-1)
 
     def conjugate(self, y):
-        y = self._check_dim(y)
-        if np.abs(y).max() > 1.0 + SINGLETON_TOL:
-            return INFINITY
-        return 0.0
-
-    def conjugate_many(self, ys):
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        return np.where(np.abs(ys).max(axis=1) > 1.0 + SINGLETON_TOL, INFINITY, 0.0)
+        y = self._check_rows(y)
+        if y.ndim == 1:
+            return INFINITY if np.abs(y).max() > 1.0 + SINGLETON_TOL else 0.0
+        return np.where(np.abs(y).max(axis=-1) > 1.0 + SINGLETON_TOL, INFINITY, 0.0)
 
     def subdiff(self, x):
         x = self._check_dim(x)
@@ -311,6 +290,9 @@ class GridSampled(ConvexSpec):
         mesh = np.meshgrid(*self.grids, indexing="ij")
         self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
         self._flat = self.values.ravel()
+        # the grid's rectangle widened by SINGLETON_TOL, as tuples of floats
+        self._box = (tuple(float(g[0]) - SINGLETON_TOL for g in self.grids),
+                     tuple(float(g[-1]) + SINGLETON_TOL for g in self.grids))
         self._slopes, self._intercepts = self._lower_hull()
 
     def _check_convexity(self):
@@ -348,23 +330,22 @@ class GridSampled(ConvexSpec):
         return xs @ self._slopes.T + self._intercepts
 
     def value(self, x):
-        x = self._check_dim(x)
-        for axis, g in enumerate(self.grids):
-            if x[axis] < g[0] - SINGLETON_TOL or x[axis] > g[-1] + SINGLETON_TOL:
-                raise ValueError("point outside the sampled grid")
-        return float(self._planes(x).max())
-
-    def value_many(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return self._planes(xs).max(axis=1)
+        x = self._check_rows(x)
+        lo, hi = self._box
+        if x.ndim == 1:
+            for v, a, b in zip(x.tolist(), lo, hi):
+                if v < a or v > b:
+                    raise ValueError("point outside the sampled grid")
+            return float(self._planes(x).max())
+        if ((x < lo) | (x > hi)).any():
+            raise ValueError("point outside the sampled grid")
+        return self._planes(x).max(axis=-1)
 
     def conjugate(self, y):
-        y = self._check_dim(y)
-        return float(np.max(self._nodes @ y - self._flat))
-
-    def conjugate_many(self, ys):
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        return np.max(ys @ self._nodes.T - self._flat, axis=1)
+        y = self._check_rows(y)
+        if y.ndim == 1:
+            return float(np.max(self._nodes @ y - self._flat))
+        return np.max(y @ self._nodes.T - self._flat, axis=-1)
 
     def subdiff(self, x):
         """Interval hull of the slopes of the facets active at x."""
@@ -389,7 +370,7 @@ class GridSampled(ConvexSpec):
         if np.any(lo >= hi):
             raise ValueError("conjugate vertices need a box of positive width")
         corners = np.array(list(itertools.product(*zip(lo, hi))))
-        high = float(self.conjugate_many(corners).max())
+        high = float(self.conjugate(corners).max())
         top = high + 1.0 + abs(high)
         eye, zero = np.eye(self.dim), np.zeros((self.dim, 1))
         halfspaces = np.vstack(
@@ -418,20 +399,13 @@ class LinearShift(ConvexSpec):
             raise ValueError("slope dimension mismatch")
 
     def value(self, x):
-        x = self._check_dim(x)
-        return self.base.value(x) + float(self.slope @ x)
-
-    def value_many(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return self.base.value_many(xs) + xs @ self.slope
+        x = self._check_rows(x)
+        if x.ndim == 1:
+            return self.base.value(x) + float(self.slope @ x)
+        return self.base.value(x) + x @ self.slope
 
     def conjugate(self, y):
-        y = self._check_dim(y)
-        return self.base.conjugate(y - self.slope)
-
-    def conjugate_many(self, ys):
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        return self.base.conjugate_many(ys - self.slope)
+        return self.base.conjugate(self._check_rows(y) - self.slope)
 
     def conjugate_vertices(self, lo, hi):
         vertices = self.base.conjugate_vertices(
@@ -458,9 +432,6 @@ class LinearShift(ConvexSpec):
 
     def gradient(self, x):
         return self.base.gradient(x) + self.slope
-
-    def gradient_many(self, xs):
-        return self.base.gradient_many(xs) + self.slope
 
     @property
     def has_gradient(self):
@@ -503,9 +474,8 @@ def discrete_lft(g, dual_grids):
         raise ValueError("dual grid must be nonempty and match the dimension")
     mesh = np.meshgrid(*dual_grids, indexing="ij")
     duals = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.max(duals @ g._nodes.T - g._flat[None, :], axis=1)
-    shape = tuple(len(d) for d in dual_grids)
-    return GridSampled(dual_grids, vals.reshape(shape), label=f"{g.label}*")
+    vals = g.conjugate(duals).reshape(tuple(len(d) for d in dual_grids))
+    return GridSampled(dual_grids, vals, label=f"{g.label}*")
 
 
 def biconjugate(g, primal_grids, dual_grids):
@@ -537,7 +507,7 @@ def _shell_sup(g, lam, lo, hi, dim, n_radii=33, n_angles=32):
         eye = np.eye(dim)
         dirs = np.vstack([eye, -eye, diagonals / math.sqrt(dim)])
     points = radii[None, :, None] * dirs[:, None, :]
-    conj = g.conjugate_many(points.reshape(-1, dim))
+    conj = g.conjugate(points.reshape(-1, dim))
     # an INFINITY entry gives -INFINITY and drops out of the max
     return float((lam * np.tile(radii, len(dirs)) - conj).max())
 

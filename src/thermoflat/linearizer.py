@@ -87,7 +87,13 @@ SLSQP_OPTIONS = {"ftol": 1e-10}
 # tolerances LP_OPTIONS: each new cut is added as a row and the dual simplex
 # warm-starts from the last basis, and the lower bound is taken from the
 # row multipliers by weak duality, never from HiGHS's objective value.
+# SHARP_GAP lies below those feasibility tolerances (1e-10), so the lower
+# bound can trail the cut model's value at the LP's minimizer (its floor)
+# by more than SHARP_GAP (1.5e-11 seen); a point whose model value is
+# within SHARP_FLOOR_RTOL * max(1, |floor|) of the floor counts as having
+# reached it, so rounding cannot keep the bundle from its full search.
 SHARP_GAP = 1e-11
+SHARP_FLOOR_RTOL = 1e-12
 SHARP_MAX_ITER = 100
 LEVEL = 0.01
 LP_OPTIONS = {
@@ -159,14 +165,12 @@ class ModelSpec:
     def growth_plus(self):
         """g+'s growth certificate (convex.growth_radius) at the joint sup
         norm of the plus potentials, a bound on |tau+|; None without g+."""
-        norm = math.sqrt(sum(p.sup_norm**2 for p in self.plus_potentials))
-        return None if self.g_plus is None else growth_radius(self.g_plus, norm)
+        return _growth("plus", self.g_plus, self.plus_potentials)
 
     @functools.cached_property
     def growth_minus(self):
         """g-'s growth certificate, as growth_plus; None without g-."""
-        norm = math.sqrt(sum(p.sup_norm**2 for p in self.minus_potentials))
-        return None if self.g_minus is None else growth_radius(self.g_minus, norm)
+        return _growth("minus", self.g_minus, self.minus_potentials)
 
     def _search_box(self, g, certificate, tables):
         """dom(g*) cut to [-r, r] in each coordinate, r the certified growth
@@ -247,6 +251,30 @@ class ModelSpec:
         return value
 
 
+def _growth(side, g, potentials):
+    """growth_radius of g at the joint sup norm of the potentials, or None
+    without g.  Its ArithmeticError is raised again naming the side, the
+    coupling and the slope, and for a grid (or a linear shift of one) each
+    axis's potential range beside the grid's interval."""
+    if g is None:
+        return None
+    norm = math.sqrt(sum(p.sup_norm**2 for p in potentials))
+    try:
+        return growth_radius(g, norm)
+    except ArithmeticError as exc:
+        base = getattr(g, "base", None)
+        kind = type(g).__name__
+        if base is not None:
+            kind, g = f"{kind} of {type(base).__name__}", base
+        text = (f"{side} coupling {kind} at slope {norm!r}, the joint sup norm "
+                f"of the {side} potentials: {exc}")
+        grids = getattr(g, "grids", ())
+        for i, (p, x) in enumerate(zip(potentials, grids)):
+            text += (f"; axis {i}: potential range [{p.table.min():.6g}, "
+                     f"{p.table.max():.6g}], grid [{x[0]:.6g}, {x[-1]:.6g}]")
+        raise ArithmeticError(text) from exc
+
+
 @dataclasses.dataclass
 class EquilibriumRecord:
     x_plus: tuple
@@ -310,13 +338,13 @@ def p_nl(model, y_plus, y_minus, grad=False, hess=False):
     grad, n = grad or hess, model.n_plus
     grad_minus = -grad_minus
     if model.g_minus is not None:
-        value = value + model.g_minus.conjugate_many(y_minus)
+        value = value + model.g_minus.conjugate(y_minus)
         if grad and model.g_minus.has_conjugate_gradient:
             grad_minus += model.g_minus.conjugate_gradient(y_minus)
             for h in hessian:
                 h[:, n:, n:] += model.g_minus.conjugate_hessian(y_minus)
     if model.g_plus is not None:
-        conjugate = model.g_plus.conjugate_many(y_plus)
+        conjugate = model.g_plus.conjugate(y_plus)
         if model.g_minus is not None:  # a row outside dom(g-*) stays at +inf
             conjugate = np.where(value < INFINITY, conjugate, 0.0)
         value = value - conjugate
@@ -910,15 +938,18 @@ def solve_sharp(model, config=None, *, _flat=None):
       of least model value onto the level set {model <= lower + LEVEL *
       (that value - lower)}.
     It stops when upper - lower <= SHARP_GAP, when the master LP resolves
-    no narrower bracket, or after SHARP_MAX_ITER inner sups (then with one
-    full search at the best point if none has run).  Each inner sup over y+
-    is the _local_maxima search that solve_flat runs, over the same box,
-    without its value window: it evaluates the cell vertices of a grid g+*,
-    which is exact.  Otherwise the Newton search runs from warm starts (the
-    local maxima the previous inner sup found, or at first the max-min
-    maximizers), and, where a point is to bound P_sharp from above, also
-    from a start grid of 9 points per axis, at most 81 starts.  The bracket
-    is rigorous as far as those full searches find the global max.
+    no narrower bracket (the point of least model value has had a full
+    search and lies within SHARP_FLOOR_RTOL of the LP's floor), or after
+    SHARP_MAX_ITER inner sups, then with one full search at the point of
+    least model value unless it has had one, so upper is never older than
+    the cut model.  Each inner sup over y+ is the _local_maxima search that
+    solve_flat runs, over the same box, without its value window: it
+    evaluates the cell vertices of a grid g+*, which is exact.  Otherwise
+    the Newton search runs from warm starts (the local maxima the previous
+    inner sup found, or at first the max-min maximizers), and, where a
+    point is to bound P_sharp from above, also from a start grid of 9
+    points per axis, at most 81 starts.  The bracket is rigorous as far as
+    those full searches find the global max.
 
     solve_game passes its max-min solution as _flat: the first iterates are
     then its inner minimizers x-*, and P_flat bounds P_sharp from below
@@ -984,7 +1015,7 @@ def solve_sharp(model, config=None, *, _flat=None):
     def model_value(ys):
         value = (ys @ slopes.T + offsets).max(axis=1)
         if pieces is not None:
-            value = value + model.g_minus.conjugate_many(ys)
+            value = value + model.g_minus.conjugate(ys)
         return value
 
     first = []
@@ -995,6 +1026,7 @@ def solve_sharp(model, config=None, *, _flat=None):
     p_flat = -INFINITY if _flat is None else _flat.p_flat
     lp = _master_model(lo, hi, pieces)
     solved = 0  # the cuts the last master LP saw
+    closing = False  # the full search at the cap has run
     while True:
         # cuts at or below the last LP's cut model at its minimizer leave
         # that point a minimizer with the same value, and the bound the LP's
@@ -1007,20 +1039,24 @@ def solve_sharp(model, config=None, *, _flat=None):
         if upper - lower <= SHARP_GAP:
             stop = "weak_duality" if p_flat >= lp_lower else "bracket"
             break
-        capped = counts["iterations"] >= SHARP_MAX_ITER
-        if capped and upper < INFINITY:
+        if closing:
             stop = "iteration_cap"
             break
+        capped = counts["iterations"] >= SHARP_MAX_ITER
         estimates = model_value(np.array([p.y_minus for p in points]))
         best = int(np.argmin(estimates))
         # no point of the box has a model value below lower, and the LP's
         # minimizer has one of at most floor, so the level set is not empty
         floor = model_value(lp_point[None, :])[0]
-        if capped or estimates[best] <= max(lower + SHARP_GAP, floor):
+        slack = SHARP_FLOOR_RTOL * max(1.0, abs(floor))
+        if capped or estimates[best] <= max(lower + SHARP_GAP, floor) + slack:
             if points[best].full:
-                stop = "lp_resolution"
+                stop = "iteration_cap" if capped else "lp_resolution"
                 break
-            # only a full search lets the point bound P_sharp from above
+            # only a full search lets the point bound P_sharp from above;
+            # at the cap it is the last one, so upper is not older than the
+            # model
+            closing = capped
             points[best] = inner_sup(points[best].y_minus, full=True)
             continue
         level = max(lower + LEVEL * (estimates[best] - lower), floor)

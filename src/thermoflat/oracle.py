@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from .measures import MarkovMeasure
 from .ruelle import _log_sum_exp, _tilted_pressure, stacked_tables
 
-# Both oracles run L-BFGS-B from at most MARKOV_STARTS tilts, then once more
+# Both oracles run L-BFGS-B from about MARKOV_STARTS tilts, then once more
 # from the slope tilt of the best point: the order-1 direct oracle over row
 # logits, the constrained-entropy route over the tilt in the box
 # |y_i| <= BKL_RADIUS, which also bounds its dual solves (bkl_entropy).
@@ -177,11 +177,13 @@ def _chain_pressure(model, tables, n, logits):
 
 def _tilt_starts(model, cap):
     """Tilts y on the stacked plus-then-minus tables, i.e. (y+, -y-), on a
-    grid of at most `cap` points.
+    grid of about `cap` points.
 
     Each coupling's search box (ModelSpec.box_plus and box_minus) gives one
     interval per axis; with d such axes, each is cut into the same number
-    n of equal cells, n**d <= cap, and the grid takes their centres.  The
+    n of equal cells, the largest n with n**d <= cap but at least 2, and
+    the grid takes their centres.  An even n leaves out the box centre, so
+    it is added: 9 starts for d <= 3 at cap 9, and 17 for d = 4.  The
     centres stay off the ends, whose Gibbs chains are nearly deterministic
     and flat in the logits.
     """
@@ -193,12 +195,16 @@ def _tilt_starts(model, cap):
     else:
         spans += [(-a, -b) for a, b in zip(*model.box_minus)]
     d = sum(s is not None for s in spans)
-    cells = np.arange(int(cap ** (1.0 / max(d, 1)) + 1e-9)) + 0.5
-    cells /= len(cells)
+    n = max(2, int(cap ** (1.0 / max(d, 1)) + 1e-9))
+    cells = (np.arange(n) + 0.5) / n
     axes = [np.zeros(1) if s is None else s[0] + (s[1] - s[0]) * cells
             for s in spans]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    starts = np.stack([m.ravel() for m in mesh], axis=1)
+    if n % 2:
+        return starts
+    centre = [0.0 if s is None else (s[0] + s[1]) / 2.0 for s in spans]
+    return np.vstack([starts, centre])
 
 
 def _direct_markov(model):

@@ -282,4 +282,4 @@ def birkhoff_sampling(model, mu, n, num_samples, seed=0):
             for i, p in enumerate(pots):
                 avgs[lo : lo + len(block), i] = kernels.birkhoff_averages(
                     block, p.table.ravel(), p.memory, k)
-    return {side: g.gradient_many(avgs) for side, _, g, avgs in sides}
+    return {side: g.gradient(avgs) for side, _, g, avgs in sides}

@@ -124,6 +124,15 @@ class TestGridSampled:
         g = GridSampled([ax, ax], vals)
         assert g.value(np.array([1.0, -1.0])) == pytest.approx(2.0, abs=1e-6)
 
+    def test_range_check_guards_stacks(self):
+        # a stack once skipped it and read 9.5 at x = 5, where g is +inf
+        x = np.linspace(-3.0, 3.0, 7)
+        g = GridSampled([x], x**2 / 2)
+        for outside in ([5.0], [[5.0]], [[1.0], [5.0]]):
+            with pytest.raises(ValueError, match="outside the sampled grid"):
+                g.value(outside)
+        np.testing.assert_array_equal(g.value([[1.0], [3.0]]), [0.5, 4.5])
+
     def test_boundary_subdiff_unavailable(self):
         grid = np.linspace(-1, 1, 11)
         g = GridSampled([grid], grid**2)
@@ -147,7 +156,7 @@ class TestGridEnvelope:
         assert g.value(np.array([0.5, -0.5])) == pytest.approx(0.0, abs=1e-15)
         assert g.value(np.array([0.5, 0.25])) == pytest.approx(0.75, abs=1e-15)
         np.testing.assert_allclose(
-            g.value_many([[0.5, -0.5], [0.5, 0.25]]), [0.0, 0.75], atol=1e-15
+            g.value([[0.5, -0.5], [0.5, 0.25]]), [0.0, 0.75], atol=1e-15
         )
 
     def test_subdiff_spans_the_active_facets(self):
@@ -178,14 +187,14 @@ class TestGridEnvelope:
         g1 = GridSampled([x], np.cosh(x))
         pts = np.linspace(-1.0, 1.0, 101)
         np.testing.assert_allclose(
-            g1.value_many(pts[:, None]), np.interp(pts, x, np.cosh(x)), atol=1e-15
+            g1.value(pts[:, None]), np.interp(pts, x, np.cosh(x)), atol=1e-15
         )
         ax = np.linspace(-2.0, 2.0, 5)
         f = 0.5 * ax**2 + 0.25 * np.abs(ax)
         g2 = GridSampled([ax, ax], np.add.outer(f, f))
         xs = np.random.default_rng(1).uniform(-2.0, 2.0, size=(200, 2))
         want = np.interp(xs[:, 0], ax, f) + np.interp(xs[:, 1], ax, f)
-        np.testing.assert_allclose(g2.value_many(xs), want, atol=1e-14)
+        np.testing.assert_allclose(g2.value(xs), want, atol=1e-14)
         np.testing.assert_allclose([g2.value(p) for p in xs], want, atol=1e-14)
 
     def test_coplanar_samples(self):
@@ -260,7 +269,7 @@ class TestConjugatePieces:
         slopes, offsets = g.conjugate_pieces()
         ys = np.random.default_rng(0).uniform(-5.0, 5.0, size=(50, 2))
         np.testing.assert_allclose(
-            (ys @ slopes.T - offsets).max(axis=1), g.conjugate_many(ys), atol=1e-12
+            (ys @ slopes.T - offsets).max(axis=1), g.conjugate(ys), atol=1e-12
         )
 
 
@@ -280,12 +289,19 @@ class TestConjugateMany:
     )
     def test_matches_conjugate_row_by_row(self, g):
         ys = np.random.default_rng(2).uniform(-1.5, 1.5, size=(40, 2))
-        got = g.conjugate_many(ys)
+        got = g.conjugate(ys)
         want = [g.conjugate(y) for y in ys]
         assert [v == INFINITY for v in got] == [v == INFINITY for v in want]
         inside = [v != INFINITY for v in want]
         assert any(inside)
         np.testing.assert_allclose(got[inside], np.array(want)[inside], atol=1e-14)
+        # value and gradient take a point or a stack the same way
+        values = [g.value(y) for y in ys]
+        assert all(type(v) is float for v in values + want)
+        np.testing.assert_allclose(g.value(ys), values, atol=1e-14)
+        if g.has_gradient:
+            np.testing.assert_allclose(g.gradient(ys), [g.gradient(y) for y in ys],
+                                       atol=1e-14)
 
 
 class TestLinearShift:

@@ -2,8 +2,9 @@
 private module-level function or class that nothing references, no
 module-level function with a parameter its body never reads, no RunConfig
 field and no module-level constant that nothing reads, no import of the
-max-min solver by the oracles that judge it, and no CLI flag that README
-documents but the parser lacks, or the other way round.
+max-min solver by the oracles that judge it, no CLI flag that README
+documents but the parser lacks, or the other way round, and no stack-only
+method X_many beside a method X.
 
 There is no linter among the test dependencies, so this is the check that
 keeps deleted code from coming back half-way (an import left behind, a
@@ -163,3 +164,17 @@ def test_readme_documents_exactly_the_cli_flags():
     options = {flag for parser in parsers for action in parser._actions
                for flag in action.option_strings} - {"-h", "--help"}
     assert documented == options
+
+
+def test_no_method_has_a_many_twin():
+    # value, conjugate and gradient each take a point or a stack of points
+    # in one method; a stack-only X_many beside X lets the two forms drift
+    # (a grid's value_many once skipped the range check of its value)
+    classes = [node for path in MODULES for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ClassDef)]
+    methods = {f.name for cls in classes for f in cls.body
+               if isinstance(f, ast.FunctionDef)}
+    twins = [f"{cls.name}.{f.name}" for cls in classes for f in cls.body
+             if isinstance(f, ast.FunctionDef) and f.name.endswith("_many")
+             and f.name[: -len("_many")] in methods]
+    assert not twins, f"stack-only twins of point methods: {twins}"

@@ -254,6 +254,19 @@ def two_minus_game():
     return ModelSpec(a3, [plus], minus, Quadratic(3.0), Quadratic(1.0, dim=2))
 
 
+def k3_abs_minus_game():
+    """k = 3, memory 1: a quadratic plus side and an l1 coupling of two
+    minus potentials; P_sharp = -1.5745016206..."""
+    a3 = AprioriAlphabet(3)
+    plus = [CylinderPotential(a3, [-1.1555681425507156, 1.6325315662580409,
+                                   -1.09866504557171])]
+    minus = [CylinderPotential(a3, [-2.111577361616615, 0.4084870153597851,
+                                    -2.7455241874197607]),
+             CylinderPotential(a3, [-0.5744130591568221, 3.360750227243731,
+                                    1.7113550722756816])]
+    return ModelSpec(a3, plus, minus, Quadratic(1.5878943366131835), AbsSum(2))
+
+
 class TestSharpBundle:
     """The min-max side: a level bundle over y- on Danskin cuts."""
 
@@ -284,6 +297,28 @@ class TestSharpBundle:
         assert sharp["full_inner_sups"] >= 1
         assert sharp["lower"] <= 0.8543663184318369 <= sharp["upper"] + 1e-12
         assert sol.p_sharp == sharp["upper"]
+
+    def test_floor_within_rounding_reaches_a_full_search(self):
+        # the best point's model value sat one ulp above the LP floor and
+        # 4.8e-12 above lower + SHARP_GAP: the bundle then added duplicate
+        # cuts up to the cap and reported its first full sup, 0.5129676...
+        sol = solve_game(k3_abs_minus_game())
+        sharp = sol.diagnostics["sharp"]
+        assert sol.p_sharp == pytest.approx(-1.57450162, abs=1e-9)
+        assert sharp["stop"] != "iteration_cap"
+        assert sharp["lower"] <= sol.p_sharp == sharp["upper"]
+
+    def test_cap_ends_with_a_full_search_at_the_best_point(self, monkeypatch):
+        # the first full sup reads 0.5129676...; the one run at the cap,
+        # at the point of least model value, bounds P_sharp far closer
+        import thermoflat.linearizer as lin
+
+        monkeypatch.setattr(lin, "SHARP_MAX_ITER", 3)
+        sol = solve_game(k3_abs_minus_game())
+        sharp = sol.diagnostics["sharp"]
+        assert sharp["stop"] == "iteration_cap"
+        assert sharp["full_inner_sups"] == 2
+        assert -1.57450162 - 1e-9 <= sol.p_sharp < -1.5
 
     @pytest.mark.parametrize("build", [memory2_game, two_minus_game])
     def test_weak_duality_stop(self, build):
@@ -826,6 +861,26 @@ class TestSearchBox:
             full = solve_flat(m, RunConfig(grid=5))
             assert sol.p_flat == pytest.approx(full.p_flat, abs=1e-12)
             assert len(sol.m_flat) == len(full.m_flat)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_growth_failure_names_its_cause(self, side):
+        # the potential's range [-5, 5] passes the grid's [-3, 3], so g*
+        # grows too slowly for slope 5; the model is still built
+        spin = CylinderPotential(A2, [5.0, -5.0])
+        x = np.linspace(-3.0, 3.0, 7)
+        grid = GridSampled([x], x**2 / 2)
+        if side == "plus":
+            model = ModelSpec(A2, [spin], g_plus=grid)
+        else:
+            model = ModelSpec(A2, [SPIN], [spin], Quadratic(1.0),
+                              LinearShift([0.5], grid))
+        with pytest.raises(ArithmeticError) as info:
+            model.growth_radii
+        text = str(info.value)
+        kind = "GridSampled" if side == "plus" else "LinearShift of GridSampled"
+        assert text.startswith(f"{side} coupling {kind} at slope 5.0, ")
+        assert "lacks minimal linear growth" in text
+        assert text.endswith("axis 0: potential range [-5, 5], grid [-3, 3]")
 
 
 def grid_minus_models():

@@ -315,3 +315,64 @@ class TestThreeSymbolMemory2:
         v, _ = bkl_pressure(m)
         assert v <= 0.75 * best_orbit_square(m)
         assert v == pytest.approx(direct_pressure(m)[0], abs=1e-6)
+
+
+def sweep_model(seed):
+    """A random model of the schema sweep: 2-3 symbols, memory 1-3, one or
+    two potentials per side (none on the minus side at times), with the
+    draws in the sweep's order, so that a seed names the same model."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    m = int(rng.integers(1, 4))
+    scale = float(rng.choice([0.5, 1.0, 3.0]))
+    a = AprioriAlphabet(k)
+    n_plus, n_minus = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+
+    def coupling(d):
+        kind = rng.choice(["quad", "abs", "shift", "grid"] if d == 1
+                          else ["quad", "abs", "shift"])
+        if kind == "quad":
+            return Quadratic(float(rng.uniform(0.3, 4.0)), dim=d)
+        if kind == "abs":
+            return AbsSum(d)
+        if kind == "shift":
+            return LinearShift(rng.uniform(-1, 1, d),
+                               Quadratic(float(rng.uniform(0.3, 4.0)), dim=d))
+        x = np.linspace(-3, 3, 7)
+        return GridSampled([x], float(rng.uniform(0.2, 2.0)) * x**2 / 2)
+
+    def potentials(n):
+        return [CylinderPotential(
+            a, scale * rng.standard_normal((k,) * int(rng.integers(1, m + 1))))
+            for _ in range(n)]
+
+    g_plus = coupling(n_plus)
+    plus = potentials(n_plus)
+    g_minus, minus = None, []
+    if n_minus:
+        g_minus = coupling(n_minus)
+        minus = potentials(n_minus)
+    return ModelSpec(a, plus, minus, g_plus, g_minus)
+
+
+class TestTiltStarts:
+    def test_four_coupling_axes_keep_two_cells_each(self):
+        # 2 + 2 linear_shift potentials: 9 ** (1/4) < 2 cells per axis left
+        # one start, the box centre, and both oracles read 0.411 below P_flat
+        m = sweep_model(62)
+        starts = oracle._tilt_starts(m, oracle.MARKOV_STARTS)
+        assert starts.shape == (17, 4)
+        p_flat = solve_flat(m).p_flat
+        assert direct_pressure(m)[0] == pytest.approx(p_flat, abs=1e-9)
+        assert bkl_pressure(m)[0] == pytest.approx(p_flat, abs=1e-9)
+
+    def test_start_counts_by_axes(self):
+        # 9 cells on one axis, 3 on two, 2 on three plus the box centre
+        pots = [CylinderPotential(A3, row)
+                for row in np.random.default_rng(5).standard_normal((3, 3))]
+        for n_plus, n_minus, count in ((1, 0, 9), (2, 0, 9), (2, 1, 9)):
+            m = ModelSpec(A3, pots[:n_plus], pots[n_plus:n_plus + n_minus],
+                          Quadratic(1.0, dim=n_plus),
+                          Quadratic(1.0, dim=n_minus) if n_minus else None)
+            starts = oracle._tilt_starts(m, oracle.MARKOV_STARTS)
+            assert len(np.unique(starts, axis=0)) == count

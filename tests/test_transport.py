@@ -391,7 +391,7 @@ class TestBirkhoffSampling:
         np.testing.assert_array_equal(a, b)
 
     def test_gradients_equal_the_per_row_loop(self):
-        # gradient_many's closed forms against g.gradient row by row
+        # g.gradient on the stack of averages against g.gradient row by row
         a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
         rng = np.random.default_rng(21)
         plus = [CylinderPotential(a3, rng.normal(size=(3, 3))),
@@ -425,7 +425,7 @@ class TestBirkhoffSampling:
             avgs = np.stack([kernels.birkhoff_averages(paths, p.table.ravel(),
                                                        p.memory, 3) for p in pots],
                             axis=1)
-            want = g.gradient_many(avgs)
+            want = g.gradient(avgs)
             assert out[side].shape == want.shape == (num, len(pots))
             np.testing.assert_array_equal(out[side].view(np.uint64),
                                           want.view(np.uint64))
