@@ -112,7 +112,7 @@ class ModelSpec:
     whose P_L linear_pressure_tilted prices, a stack counting its rows.
     The growth certificates and the search boxes, each growth box cut to
     the hull of subdiff g over the range of its potentials (_search_box),
-    are made once, on first use.
+    are made once, on first use.  A side with potentials needs a coupling.
     """
 
     def __init__(
@@ -132,10 +132,13 @@ class ModelSpec:
         self.label = label
         if g_plus is None and g_minus is None:
             raise ValueError("at least one convex coupling must be present")
-        if g_plus is not None and len(self.plus_potentials) != g_plus.dim:
-            raise ValueError("g_plus dimension must match the number of potentials")
-        if g_minus is not None and len(self.minus_potentials) != g_minus.dim:
-            raise ValueError("g_minus dimension must match the number of potentials")
+        for side, g, pots in (("plus", g_plus, self.plus_potentials),
+                              ("minus", g_minus, self.minus_potentials)):
+            if g is None and pots:
+                raise ValueError(f"{side} potentials need a g_{side} coupling")
+            if g is not None and len(pots) != g.dim:
+                raise ValueError(
+                    f"g_{side} dimension must match the number of potentials")
         potentials = self.plus_potentials + self.minus_potentials
         for phi in potentials:
             if phi.alphabet != alphabet:

@@ -136,6 +136,16 @@ def stationary_distribution(Q):
     return pi / pi.sum()
 
 
+def _cumulative(probs):
+    """Cumulative sums along the last axis, set to 1.0 from each row's last
+    positive entry on.  A row whose sum rounds below 1 would otherwise send
+    a draw u at or above that sum past its last positive entry."""
+    cum = np.cumsum(probs, axis=-1)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cum[np.arange(probs.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
+    return cum
+
+
 class MarkovMeasure:
     """Shift-invariant measure of finite Markov order on an a priori alphabet.
 
@@ -258,17 +268,17 @@ class MarkovMeasure:
         Order 0 draws every symbol from the one distribution: a chunk is the
         count of cumulative weights <= u below the last one, the rule of
         searchsorted(side="right") capped at k - 1.  Order >= 1 runs the
-        state chain and expands its states into symbols.
+        state chain and expands its states into symbols.  The cumulative
+        weights are 1.0 from the last positive one on (_cumulative), so no
+        draw takes a step of probability 0.
         """
         k = self.alphabet.k
         r = max(self.order, 1)
         if n < r:
             raise ValueError("path length shorter than the measure order")
-        start_cum = np.cumsum(self.stationary)
-        start_cum[-1] = 1.0
+        start_cum = _cumulative(self.stationary)
         if self.order > 0:
-            trans_cum = np.cumsum(self.transitions, axis=1)
-            trans_cum[:, -1] = 1.0
+            trans_cum = _cumulative(self.transitions)
         draws = 1 + (n - r)
         chunk = 1024
         dtype = np.min_scalar_type(k - 1)

@@ -6,7 +6,7 @@ Schema "thermoflat/1":
   "alphabet": {"k": 2, "m": [0.5, 0.5]},
   "plus":  {"potentials": [{"memory": 1, "table": [1.0, -1.0], "name": "spin"}],
             "g": {"kind": "quadratic", "beta": 2.0, "dim": 1}},
-  "minus": { ... } | absent,
+  "minus": { ... } | absent,       (potentials need a "g" on their side)
   "measures":  {"name": {"order": 1, "stationary": [...], "transitions": [[...]]}
                 | {"mixture": [{"weight": 0.5, "order": 0, "stationary": [...]}]}},
   "transport": {"rows": {"points": [[...]], "weights": [...]}, "cols": { ... }},
@@ -176,16 +176,12 @@ def serialize_model(model):
         },
         "label": model.label,
     }
-    if model.g_plus is not None or model.plus_potentials:
-        doc["plus"] = {
-            "potentials": [serialize_potential(p) for p in model.plus_potentials],
-            "g": serialize_convex(model.g_plus) if model.g_plus else None,
-        }
-    if model.g_minus is not None or model.minus_potentials:
-        doc["minus"] = {
-            "potentials": [serialize_potential(p) for p in model.minus_potentials],
-            "g": serialize_convex(model.g_minus) if model.g_minus else None,
-        }
+    # a side with potentials always has a coupling (ModelSpec)
+    for side, g, pots in (("plus", model.g_plus, model.plus_potentials),
+                          ("minus", model.g_minus, model.minus_potentials)):
+        if g is not None:
+            doc[side] = {"potentials": [serialize_potential(p) for p in pots],
+                         "g": serialize_convex(g)}
     return doc
 
 

@@ -3,7 +3,8 @@
 Two independent routes to the same number:
   * direct variational search over an explicit measure family, maximizing
     h - g-(tau-) + g+(tau+): a memory-1 model attains its sup at a product
-    measure, searched on a refined simplex grid; every other model is
+    measure, searched on a refined simplex grid, each round of which is
+    priced in one stacked evaluation; every other model is
     searched over order-1 Markov chains by L-BFGS-B on their row logits,
     from the chains of tilted Gibbs measures;
   * the constrained-entropy route: h(z) as a Legendre transform of the
@@ -40,21 +41,6 @@ PRODUCT_STEPS = 41
 PRODUCT_ROUNDS = 3
 
 
-def _simplex_grid(k, resolution):
-    """All compositions of resolution into k nonneg parts, as probabilities,
-    plus the barycenter."""
-    pts = []
-    for comp in itertools.combinations_with_replacement(range(k), resolution):
-        counts = np.bincount(comp, minlength=k).astype(float)
-        pts.append(counts / resolution)
-    pts.append(np.full(k, 1.0 / k))
-    return pts
-
-
-def _entropy_guard(p):
-    return np.clip(p, 1e-300, None)
-
-
 def direct_pressure(model):
     """Sup of the direct pressure over the measure family of the model.
 
@@ -72,38 +58,43 @@ def direct_pressure(model):
 
 def _direct_product(model):
     """Product measures on a simplex grid of PRODUCT_STEPS steps, refined
-    PRODUCT_ROUNDS times around the best point."""
-    k = model.alphabet.k
+    PRODUCT_ROUNDS times around the best point.  Each round is one stacked
+    evaluation, pricing every point as direct_pressure_of prices its
+    MarkovMeasure.product, and keeps the first maximum; the incumbent leads
+    each refinement, so on a tie it stays, as in a scan for a better point.
+    """
+    k, n = model.alphabet.k, model.n_plus
 
-    def value_of(p):
-        mu = MarkovMeasure.product(model.alphabet, p)
-        return model.direct_pressure_of(mu)
+    def best_of(points):
+        p = np.clip(points, 1e-300, None)
+        p /= p.sum(axis=1, keepdims=True)
+        value = -(p * np.log(p / model.alphabet.weights)).sum(axis=1)
+        words = p  # the i.i.d. word law at the model's memory
+        for _ in range(model.memory - 1):
+            words = (words[:, :, None] * p[:, None, :]).reshape(len(p), -1)
+        tau = (words[:, None, :] * model.tables).sum(axis=-1)
+        if model.g_minus is not None:
+            value -= model.g_minus.value(tau[:, n:])
+        if model.g_plus is not None:
+            value += model.g_plus.value(tau[:, :n])
+        return points[np.argmax(value)]
 
-    best_p, best_v = None, -math.inf
-    for p in _simplex_grid(k, PRODUCT_STEPS):
-        if p.min() < 0:
-            continue
-        v = value_of(_entropy_guard(p))
-        if v > best_v:
-            best_v, best_p = v, p
+    comps = itertools.combinations_with_replacement(range(k), PRODUCT_STEPS)
+    counts = (np.array(list(comps))[:, :, None] == np.arange(k)).sum(axis=1)
+    best = best_of(np.vstack([counts / PRODUCT_STEPS, np.full(k, 1.0 / k)]))
     spacing = 1.0 / PRODUCT_STEPS
     for _ in range(PRODUCT_ROUNDS):
         # refine on a box of 3 coarse cells at 10x density
-        base = best_p[:-1]
-        lo = base - 1.5 * spacing
-        hi = base + 1.5 * spacing
-        axes = [np.linspace(a, b, 31) for a, b in zip(lo, hi)]
-        for combo in itertools.product(*axes):
-            t = np.array(combo)
-            last = 1.0 - t.sum()
-            if t.min() < 0 or last < 0:
-                continue
-            p = np.append(t, last)
-            v = value_of(_entropy_guard(p))
-            if v > best_v:
-                best_v, best_p = v, p
+        half = 1.5 * spacing
+        axes = [np.linspace(a - half, a + half, 31) for a in best[:-1]]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        t = np.stack([m.ravel() for m in mesh], axis=1)
+        last = 1.0 - t.sum(axis=1)
+        keep = (t.min(axis=1) >= 0) & (last >= 0)
+        best = best_of(np.vstack([best, np.column_stack([t, last])[keep]]))
         spacing /= 10.0
-    return best_v, MarkovMeasure.product(model.alphabet, _entropy_guard(best_p))
+    mu = MarkovMeasure.product(model.alphabet, np.clip(best, 1e-300, None))
+    return model.direct_pressure_of(mu), mu
 
 
 def _solve(a, b):

@@ -120,6 +120,19 @@ class TestExitCodes:
         assert run_cli(["pressure", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("command", ["pressure", "solve"])
+    def test_potentials_without_coupling(self, tmp_path, capsys, side, command):
+        # rejected when the file loads, before any command runs
+        doc = json.loads(json.dumps(TWO_SIDED))
+        doc[side]["g"] = None
+        path = write_model(tmp_path, doc)
+        message = f"{side} potentials need a g_{side} coupling"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            modelio.load_model(path)
+        assert run_cli([command, path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_file(self, capsys):
         assert run_cli(["pressure", "/nonexistent/model.json"]) == 2
 

@@ -1305,6 +1305,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ModelSpec(A2, [SPIN])
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_side_with_potentials_needs_a_coupling(self, side):
+        g_plus, g_minus = (None, Quadratic(2.0)) if side == "plus" else (
+            Quadratic(2.0), None)
+        with pytest.raises(ValueError) as info:
+            ModelSpec(A2, [SPIN], [SPIN], g_plus, g_minus)
+        assert str(info.value) == f"{side} potentials need a g_{side} coupling"
+
     def test_dimension_agreement(self):
         with pytest.raises(ValueError):
             ModelSpec(A2, [SPIN], g_plus=Quadratic(1.0, dim=2))

@@ -213,6 +213,45 @@ class TestSampling:
             (0, (1024, n), np.uint8), (1024, (476, n), np.uint8)]
         np.testing.assert_array_equal(np.vstack([b for _, b in chunks]), large)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_no_draw_takes_a_zero_probability_step(self, order, monkeypatch):
+        # the product [0.34, 0.56, 0.1, 0.0] (as normalized), the row
+        # [0.6, 0.3, 0.1, 0.0] and the block [0.7, 0.2, 0.1] sum to
+        # 1 - 2**-53 in floating point, a value Generator.random can return;
+        # a draw of it must stop at the last positive entry.  Every path
+        # starts at state 0, then draws that value at every step.
+        top = np.nextafter(1.0, 0.0)
+        if order == 0:
+            mu = MarkovMeasure.product(AprioriAlphabet(4), [0.34, 0.56, 0.1, 0.0])
+        elif order == 1:
+            q = np.full((4, 4), 0.25)
+            q[0] = [0.6, 0.3, 0.1, 0.0]
+            mu = MarkovMeasure.from_transitions(AprioriAlphabet(4), q)
+        else:
+            # state 3a + b may reach 3b + c; 02 may not reach 22, 12 may
+            q = np.zeros((9, 9))
+            for s in range(9):
+                block = {2: [0.5, 0.5, 0.0], 5: [0.2, 0.3, 0.5],
+                         8: [0.2, 0.3, 0.5]}.get(s, [0.7, 0.2, 0.1])
+                tail = 3 * (s % 3)
+                q[s, tail : tail + 3] = block
+            mu = MarkovMeasure.from_transitions(AprioriAlphabet(3), q, order=2)
+
+        class Draws:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                u = np.full(shape, top)
+                u[:, 0] = 0.0
+                return u
+
+        monkeypatch.setattr(np.random, "Generator", Draws)
+        paths = mu.sample_paths(8, 2, seed=0)
+        words = np.lib.stride_tricks.sliding_window_view(paths, order + 1, axis=1)
+        probs = mu.word_probs(order + 1)
+        assert (probs[tuple(np.moveaxis(words, -1, 0))] > 0).all()
+
     def test_markov_empirical_transitions(self):
         q = np.array([[0.9, 0.1], [0.3, 0.7]])
         mu = MarkovMeasure.from_transitions(A2, q)
