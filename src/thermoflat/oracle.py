@@ -9,10 +9,13 @@ Two independent routes to the same number:
     from the chains of tilted Gibbs measures;
   * the constrained-entropy route: h(z) as a Legendre transform of the
     linear pressure, and the max of g+(z+) - g-(z-) + h(z) by an ascent
-    over the tilt y.  At z = tau(y), the Gibbs averages of the tilt,
-    h(z) = P_L(y) - y . z exactly (Legendre duality), so no dual solve is
-    needed, the Hessian of P_L gives the exact gradient, and the value
-    returned is that of an achievable average and cannot be overstated.
+    over the tilt y, every start in lockstep with one stacked Perron call
+    per round, by Gauss-Newton steps; a start that stalls, as at the kink
+    of a coupling, finishes with L-BFGS-B.  At z = tau(y), the Gibbs
+    averages of the tilt, h(z) = P_L(y) - y . z exactly (Legendre
+    duality), so no dual solve is needed, the Hessian of P_L gives the
+    exact gradient, and the value returned is that of an achievable
+    average and cannot be overstated.
 Both take linear pressures, Gibbs averages and their covariance from
 ruelle._tilted_pressure.
 Neither touches the max-min solver, so they can arbitrate it.
@@ -27,18 +30,28 @@ from scipy.optimize import minimize
 from .measures import MarkovMeasure
 from .ruelle import _log_sum_exp, _tilted_pressure, stacked_tables
 
-# Both oracles run L-BFGS-B from about MARKOV_STARTS tilts, then once more
-# from the slope tilt of the best point: the order-1 direct oracle over row
-# logits, the constrained-entropy route over the tilt in the box
-# |y_i| <= BKL_RADIUS, which also bounds its dual solves (bkl_entropy).
+# Both oracles climb from about MARKOV_STARTS tilts, then once more from the
+# slope tilt of the best point.  The order-1 direct oracle runs L-BFGS-B over
+# row logits.  The constrained-entropy route climbs over the tilt in the box
+# |y_i| <= BKL_RADIUS, every start in lockstep: a row stops once its step is
+# at most BKL_XTOL or a step it takes raises F by at most BKL_FTOL
+# (relative), and stops short after BKL_STEPS steps or BKL_HALVINGS halvings
+# of one step.  A row that stops short goes on to L-BFGS-B with BKL_OPTIONS,
+# as do the dual solves of bkl_entropy in the same box.
 MARKOV_STARTS = 9
 MARKOV_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 BKL_RADIUS = 60.0
 BKL_OPTIONS = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500}
+BKL_STEPS = 100
+BKL_HALVINGS = 30
+BKL_XTOL = 1e-10
+BKL_FTOL = 1e-15
 # The product search of a memory-1 model: a simplex grid of PRODUCT_STEPS
-# steps, then PRODUCT_ROUNDS refinements, each 10 times finer.
+# steps, then PRODUCT_ROUNDS refinements, each 10 times finer, each round
+# priced in blocks of at most PRODUCT_BLOCK rows.
 PRODUCT_STEPS = 41
 PRODUCT_ROUNDS = 3
+PRODUCT_BLOCK = 4096
 
 
 def direct_pressure(model):
@@ -58,14 +71,16 @@ def direct_pressure(model):
 
 def _direct_product(model):
     """Product measures on a simplex grid of PRODUCT_STEPS steps, refined
-    PRODUCT_ROUNDS times around the best point.  Each round is one stacked
-    evaluation, pricing every point as direct_pressure_of prices its
-    MarkovMeasure.product, and keeps the first maximum; the incumbent leads
-    each refinement, so on a tie it stays, as in a scan for a better point.
+    PRODUCT_ROUNDS times around the best point.  Each round is priced in
+    stacked evaluations of at most PRODUCT_BLOCK rows, pricing every point
+    as direct_pressure_of prices its MarkovMeasure.product, and keeps the
+    first maximum; the incumbent leads each refinement, so on a tie it
+    stays, as in a scan for a better point.  A row's value does not depend
+    on the rows priced with it, so the blocks only bound the memory.
     """
     k, n = model.alphabet.k, model.n_plus
 
-    def best_of(points):
+    def value_of(points):
         p = np.clip(points, 1e-300, None)
         p /= p.sum(axis=1, keepdims=True)
         value = -(p * np.log(p / model.alphabet.weights)).sum(axis=1)
@@ -77,21 +92,47 @@ def _direct_product(model):
             value -= model.g_minus.value(tau[:, n:])
         if model.g_plus is not None:
             value += model.g_plus.value(tau[:, :n])
-        return points[np.argmax(value)]
+        return value
 
-    comps = itertools.combinations_with_replacement(range(k), PRODUCT_STEPS)
-    counts = (np.array(list(comps))[:, :, None] == np.arange(k)).sum(axis=1)
-    best = best_of(np.vstack([counts / PRODUCT_STEPS, np.full(k, 1.0 / k)]))
+    def best_of(blocks):
+        """The first point of largest value over the blocks in turn; a NaN
+        ranks above every number, as under argmax."""
+        best = top = None
+        for points in blocks:
+            value = value_of(points)
+            i = int(np.argmax(value))
+            rank = (bool(np.isnan(value[i])), value[i])
+            if top is None or rank > top:
+                best, top = points[i], rank
+        return best
+
+    def grid():
+        comps = itertools.combinations_with_replacement(range(k), PRODUCT_STEPS)
+        while block := list(itertools.islice(comps, PRODUCT_BLOCK)):
+            counts = (np.array(block)[:, :, None] == np.arange(k)).sum(axis=1)
+            yield counts / PRODUCT_STEPS
+        yield np.full((1, k), 1.0 / k)
+
+    def box(centre, half):
+        """centre, then the simplex points of a box of 31 nodes per axis
+        around it, in index order"""
+        yield centre[None]
+        axes = np.array([np.linspace(a - half, a + half, 31) for a in centre[:-1]])
+        shape, size = (31,) * (k - 1), 31 ** (k - 1)
+        for start in range(0, size, PRODUCT_BLOCK):
+            index = np.unravel_index(
+                np.arange(start, min(start + PRODUCT_BLOCK, size)), shape)
+            t = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+            last = 1.0 - t.sum(axis=1)
+            keep = (t.min(axis=1) >= 0) & (last >= 0)
+            if keep.any():
+                yield np.column_stack([t, last])[keep]
+
+    best = best_of(grid())
     spacing = 1.0 / PRODUCT_STEPS
     for _ in range(PRODUCT_ROUNDS):
         # refine on a box of 3 coarse cells at 10x density
-        half = 1.5 * spacing
-        axes = [np.linspace(a - half, a + half, 31) for a in best[:-1]]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        t = np.stack([m.ravel() for m in mesh], axis=1)
-        last = 1.0 - t.sum(axis=1)
-        keep = (t.min(axis=1) >= 0) & (last >= 0)
-        best = best_of(np.vstack([best, np.column_stack([t, last])[keep]]))
+        best = best_of(box(best, 1.5 * spacing))
         spacing /= 10.0
     mu = MarkovMeasure.product(model.alphabet, np.clip(best, 1e-300, None))
     return model.direct_pressure_of(mu), mu
@@ -310,6 +351,33 @@ def bkl_entropy(alphabet, potentials, z):
     return float(res.fun), bool(np.any(np.abs(res.x) > BKL_RADIUS - 1e-6))
 
 
+def _midpoints(g, tau):
+    """The midpoint of g's subdifferential at each row of tau: its gradient
+    where g has one everywhere."""
+    if g.has_gradient:
+        return g.gradient(tau)
+    return np.array([g.subdiff(t).midpoint for t in tau])
+
+
+def _bkl_rows(model, tables, plus_idx, minus_idx, y):
+    """(F, dF/dy, tau, s, H) at each row of the stack y of tilts of the
+    merged tables, each output with a leading axis over the rows; H is the
+    Hessian of P_L.  See _bkl_objective."""
+    p_l, tau, hess = _tilted_pressure(model.log_weights, y @ tables, tables,
+                                      model.memory, hessian=True)
+    value = p_l - (y * tau).sum(axis=1)
+    slope = np.zeros_like(tau)
+    if model.g_plus is not None:
+        value += model.g_plus.value(tau[:, plus_idx])
+        np.add.at(slope, (slice(None), plus_idx),
+                  _midpoints(model.g_plus, tau[:, plus_idx]))
+    if model.g_minus is not None:
+        value -= model.g_minus.value(tau[:, minus_idx])
+        np.subtract.at(slope, (slice(None), minus_idx),
+                       _midpoints(model.g_minus, tau[:, minus_idx]))
+    return value, (hess @ (slope - y)[..., None])[..., 0], tau, slope, hess
+
+
 def _bkl_objective(model, tables, plus_idx, minus_idx, y):
     """(F, dF/dy, tau, s) at the tilt y of the merged tables.
 
@@ -321,36 +389,163 @@ def _bkl_objective(model, tables, plus_idx, minus_idx, y):
     plus and minus indices (dg+ - dg- on a shared potential).  With H the
     Hessian of P_L, dF/dy = H (s - y).
     """
-    p_l, tau, hess = _tilted_pressure(model.log_weights, y @ tables, tables,
-                                      model.memory, hessian=True)
-    value = p_l - y @ tau
-    slope = np.zeros(len(tau))
-    if model.g_plus is not None:
-        value += model.g_plus.value(tau[plus_idx])
-        np.add.at(slope, plus_idx, model.g_plus.subdiff(tau[plus_idx]).midpoint)
-    if model.g_minus is not None:
-        value -= model.g_minus.value(tau[minus_idx])
-        np.subtract.at(slope, minus_idx,
-                       model.g_minus.subdiff(tau[minus_idx]).midpoint)
-    return float(value), hess @ (slope - y), tau, slope
+    value, grad, tau, slope, _ = _bkl_rows(model, tables, plus_idx,
+                                           minus_idx, y[None])
+    return float(value[0]), grad[0], tau[0], slope[0]
+
+
+def _coupling_curvature(model, size, plus_idx, minus_idx):
+    """S' on the merged coordinates: the Hessian of g+ on the plus indices
+    minus that of g- on the minus indices, summed on a shared potential;
+    None when it is 0.  A coupling's Hessian is the inverse of
+    its conjugate Hessian, constant for every kind here, where that is
+    nonsingular (Quadratic, a LinearShift of one), and 0 otherwise: a kink
+    or a grid is piecewise linear."""
+    curvature = np.zeros((size, size))
+    for g, idx, sign in ((model.g_plus, plus_idx, 1.0),
+                         (model.g_minus, minus_idx, -1.0)):
+        if g is None or not g.has_conjugate_gradient:
+            continue
+        try:
+            inverse = np.linalg.inv(g.conjugate_hessian(np.zeros(g.dim)))
+        except np.linalg.LinAlgError:
+            continue
+        np.add.at(curvature, np.ix_(idx, idx), sign * inverse)
+    return curvature if curvature.any() else None
+
+
+def _modified_inverse(m):
+    """The pseudo-inverse of each symmetric matrix of the stack m with each
+    eigenvalue replaced by its modulus, dropping those below 1e-10 of the
+    largest: the directions along which the potentials are cohomologous to
+    a constant are a kernel of H, F is constant along them, and a floored
+    inverse would blow up the rounding of the gradient there.  Eigenvalues
+    below the smallest normal float, whose inverse would overflow, are
+    dropped too, and a matrix with an entry that is not finite gives 0."""
+    m = np.where(np.isfinite(m).all(axis=(-2, -1), keepdims=True), m, 0.0)
+    lam, vec = np.linalg.eigh(m)
+    lam = np.abs(lam)
+    floor = np.maximum(1e-10 * lam.max(axis=-1, keepdims=True), np.finfo(float).tiny)
+    keep = lam > floor
+    scale = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return (vec * scale[..., None, :]) @ vec.swapaxes(-1, -2)
+
+
+def _clip(y):
+    """y cut to the box |y_i| <= BKL_RADIUS."""
+    return np.clip(y, -BKL_RADIUS, BKL_RADIUS)
 
 
 def bkl_pressure(model):
     """Maximum of g+(z+) - g-(z-) + h(z) over achievable averages z.
 
-    Returns (value, z).  Multistart L-BFGS-B ascent of F (_bkl_objective)
-    over the tilt y of the merged potentials in the box |y_i| <= BKL_RADIUS:
-    each point costs one Perron pair with its Hessian and no dual solve.
-    The starts are the tilts of _tilt_starts on the merged coordinates; a
-    start whose Perron solve raises is skipped.  F is not concave, and its
-    critical points with H nonsingular are the tilts y = s(tau(y)), so one
-    more climb starts from the slope tilt of the best point.  The value
-    returned is F at the best tilt evaluated, at z = tau of that tilt: an
-    achievable average, so it cannot overstate beyond Perron rounding.
+    Returns (value, z).  An ascent of F (_bkl_objective) over the tilt y of
+    the merged potentials in the box |y_i| <= BKL_RADIUS, from the tilts of
+    _tilt_starts on the merged coordinates, all in lockstep: each round
+    prices every row still climbing in one stacked Perron call with its
+    Hessian, and no dual solve.  A start whose Perron solve raises is
+    dropped.  F is not concave, and its critical points with H nonsingular
+    are the tilts y = s(tau(y)), so one more climb starts from the slope
+    tilt of the best point.  The value returned is F at the best tilt
+    evaluated, at z = tau of that tilt: an achievable average, so it cannot
+    overstate beyond Perron rounding.
+
+    Each step is Gauss-Newton: with S' the coupling curvature
+    (_coupling_curvature) and dropping the third derivatives of P_L,
+    -F'' ~ H - H S' H, and the step is M g, M the _modified_inverse of that
+    model; at S' = 0 it is s - y on the range of H.  Where M g is no ascent,
+    the step is the fixed-point step s - y, always an ascent since
+    g . (s - y) = (s - y) H (s - y).  Each step is cut to the box and halved
+    until Armijo's test passes on F (Nocedal & Wright, Numerical
+    Optimization, 2006, sec. 3.1) or F moves by rounding only.  A row stops
+    once its step is at most BKL_XTOL or a step raises F by at most
+    BKL_FTOL (relative): where H is ill-conditioned, rounding can keep
+    every step above BKL_XTOL, and a test on |g| would stop at once where H
+    is nearly 0.  A row that stops short, after BKL_STEPS steps or
+    BKL_HALVINGS halvings or at a step that is not finite, as at the kink
+    of an abs_sum or grid coupling, goes on alone to L-BFGS-B from its end
+    point.
     """
     uniq, plus_idx, minus_idx = _unique_potentials(model)
     tables = stacked_tables(model.alphabet, uniq, model.memory)
+    curvature = _coupling_curvature(model, len(uniq), plus_idx, minus_idx)
     best = [-math.inf, None, None]  # F, tau, slope at the best tilt
+    failures = []
+
+    def price(y, starts):
+        """_bkl_rows at the rows of y and the indices of the rows priced,
+        all but those whose Perron solve raises; (empty, None) if none."""
+        kept = np.arange(len(y))
+        while len(kept):
+            try:
+                out = _bkl_rows(model, tables, plus_idx, minus_idx, y[kept])
+            except ArithmeticError as exc:
+                failures.append(f"tilt {starts[kept[exc.row]].tolist()}: {exc}")
+                kept = np.delete(kept, exc.row)
+                continue
+            i = int(np.argmax(np.where(np.isnan(out[0]), -np.inf, out[0])))
+            if out[0][i] > best[0]:  # copies: climb updates out in place
+                best[:] = float(out[0][i]), out[2][i].copy(), out[3][i].copy()
+            return kept, out
+        return kept, None
+
+    def direction(x, grad, slope, hess):
+        gauss = hess if curvature is None else hess - hess @ curvature @ hess
+        step = _clip(x + (_modified_inverse(gauss) @ grad[..., None])[..., 0]) - x
+        fixed = _clip(x + (slope - x)) - x
+        ascent = (grad * step).sum(axis=1) > 0
+        return np.where(ascent[:, None], step, fixed)
+
+    def climb(starts):
+        """The lockstep ascent from each row of starts; returns the end
+        points of the rows that stop short."""
+        x = _clip(starts)
+        kept, out = price(x, starts)
+        if out is None:
+            return x[:0]
+        starts, x = starts[kept], x[kept]
+        value, grad, _, slope, hess = out
+        count = len(x)
+        step, gain = np.zeros_like(x), np.zeros(count)
+        steps, halvings = np.zeros((2, count), dtype=int)
+        short = np.zeros(count, dtype=bool)
+        climbing = moved = np.arange(count)
+        while True:
+            if len(moved):
+                d = direction(x[moved], grad[moved], slope[moved], hess[moved])
+                size = np.abs(d).max(axis=1)
+                done = size <= BKL_XTOL
+                stuck = ~np.isfinite(size) | (steps[moved] >= BKL_STEPS)
+                short[moved[stuck & ~done]] = True
+                step[moved], gain[moved] = d, (grad[moved] * d).sum(axis=1)
+                halvings[moved] = 0
+                climbing = np.setdiff1d(climbing, moved[done | stuck])
+            if not len(climbing):
+                return x[short]
+            trial = _clip(x[climbing] + step[climbing])
+            kept, out = price(trial, starts[climbing])
+            if out is None:
+                return x[short]
+            climbing, trial = climbing[kept], trial[kept]
+            old = value[climbing]
+            rise = out[0] - old
+            tol = np.maximum(1.0, np.abs(old))
+            accepted = (rise >= 1e-4 * gain[climbing]) | (np.abs(rise) <= 1e-12 * tol)
+            moved = climbing[accepted]
+            x[moved] = trial[accepted]
+            for arr, new in zip((value, grad, slope, hess),
+                                (out[0], out[1], out[3], out[4])):
+                arr[moved] = new[accepted]
+            steps[moved] += 1
+            settled = moved[rise[accepted] <= BKL_FTOL * tol[accepted]]
+            rejected = climbing[~accepted]
+            step[rejected] /= 2
+            gain[rejected] /= 2
+            halvings[rejected] += 1
+            failed = rejected[halvings[rejected] >= BKL_HALVINGS]
+            short[failed] = True
+            climbing = np.setdiff1d(climbing, np.concatenate([settled, failed]))
+            moved = np.setdiff1d(moved, settled)
 
     def neg(y):
         value, grad, tau, slope = _bkl_objective(model, tables, plus_idx,
@@ -359,24 +554,24 @@ def bkl_pressure(model):
             best[:] = value, tau, slope
         return -value, -grad
 
-    def climb(y):
-        minimize(neg, y, jac=True, method="L-BFGS-B",
-                 bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(y), options=BKL_OPTIONS)
+    def finish(points):
+        """L-BFGS-B from each point where a lockstep row stopped short."""
+        for y in points:
+            try:
+                minimize(neg, y, jac=True, method="L-BFGS-B",
+                         bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(y),
+                         options=BKL_OPTIONS)
+            except ArithmeticError as exc:
+                failures.append(f"tilt {y.tolist()}: {exc}")
 
-    failures = []
-    for start in _tilt_starts(model, MARKOV_STARTS):
-        y = np.zeros(len(uniq))
-        np.add.at(y, plus_idx + minus_idx, start)
-        try:
-            climb(y)
-        except ArithmeticError as exc:
-            failures.append(f"tilt {y.tolist()}: {exc}")
+    starts = _tilt_starts(model, MARKOV_STARTS)
+    y0 = np.zeros((len(starts), len(uniq)))
+    np.add.at(y0, (slice(None), plus_idx + minus_idx), starts)
+    finish(climb(y0))
     if best[1] is None:
         raise ArithmeticError(
             "bkl_pressure: every start tilt failed; " + "; ".join(failures)
         )
-    try:
-        climb(best[2])
-    except ArithmeticError:
-        pass
+    finish(climb(best[2][None]))
     return best[0], best[1]
+
