@@ -19,7 +19,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+import scipy
 
 from .config import (
     CONVEXITY_TOL,
@@ -320,7 +320,7 @@ class GridSampled(ConvexSpec):
         apex = np.append(
             self._nodes.mean(axis=0), high + 1.0 + abs(high) + np.ptp(self._flat)
         )
-        eq = ConvexHull(np.vstack([lifted, apex])).equations
+        eq = scipy.spatial.ConvexHull(np.vstack([lifted, apex])).equations
         # unit outward normals; the vertical side facets have a zero third
         # component up to rounding
         eq = eq[eq[:, 2] < -1e-9]
@@ -383,7 +383,7 @@ class GridSampled(ConvexSpec):
         )
         centre = (lo + hi) / 2.0
         interior = np.append(centre, (self.conjugate(centre) + top) / 2.0)
-        points = HalfspaceIntersection(halfspaces, interior).intersections
+        points = scipy.spatial.HalfspaceIntersection(halfspaces, interior).intersections
         return np.unique(points[points[:, -1] < (high + top) / 2.0, :-1], axis=0)
 
 

@@ -57,9 +57,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize, nnls
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+import scipy
 
 from .config import (ADMISSION_TOL, CLUSTER_RADIUS, MULTISTART_CAP, SC_TOL,
                      VALUE_WINDOW, RunConfig)
@@ -553,7 +551,7 @@ def _epigraph_inf(model, y_plus, lo, hi):
     # s - x_i.y + v_i >= 0
     jacobian = np.column_stack([-x, np.ones(len(v))])
     y = np.clip(np.zeros(n), lo, hi)
-    res = minimize(
+    res = scipy.optimize.minimize(
         epigraph,
         np.append(y, (x @ y - v).max()),
         jac=True,
@@ -568,7 +566,7 @@ def _epigraph_inf(model, y_plus, lo, hi):
     a, *others = np.flatnonzero(res.multipliers > 0)
     rows, rhs = x[others] - x[a], v[others] - v[a]
     point = y - np.linalg.pinv(rows) @ (rows @ y - rhs)
-    basis = null_space(rows)
+    basis = scipy.linalg.null_space(rows)
     if basis.shape[1]:
 
         def along(t):
@@ -836,7 +834,7 @@ def _master_model(lo, hi, pieces):
     """The master LP of one solve_sharp before its first cut: a HiGHS model
     with columns (y, t[, s]), y in the box [lo, hi], the objective t [+ s]
     and, for a grid g-*, the rows x_i.y - s <= v_i of its affine pieces."""
-    lp = _Highs()
+    lp = scipy.optimize._highspy._core._Highs()
     lp.setOptionValue("output_flag", False)
     for key, value in LP_OPTIONS.items():
         lp.setOptionValue(key, value)
@@ -876,7 +874,7 @@ def _master_lp(lp, slopes, offsets, pieces, lo, hi):
     _add_epigraph_rows(lp, slopes[held:], offsets[held:], len(lo))
     lp.run()
     status = lp.getModelStatus()
-    if status != HighsModelStatus.kOptimal:
+    if status != scipy.optimize._highspy._core.HighsModelStatus.kOptimal:
         raise ArithmeticError(
             f"solve_sharp: master LP over {len(offsets)} cuts: "
             f"{lp.modelStatusToString(status)}"
@@ -907,7 +905,7 @@ def _project(point, a, b, lo, hi):
     if scale <= 0.0:
         return point
     e = np.vstack([-a.T, h[None, :] / scale])
-    u, _ = nnls(e, np.append(np.zeros(n), 1.0))
+    u, _ = scipy.optimize.nnls(e, np.append(np.zeros(n), 1.0))
     r = e @ u
     r[-1] -= 1.0
     if r[-1] > -1e-12:

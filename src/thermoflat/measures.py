@@ -265,12 +265,12 @@ class MarkovMeasure:
         SeedSequence(entropy=seed, spawn_key=(ci,)), so the first paths do
         not depend on num_samples: a larger budget only appends paths.
 
-        Order 0 draws every symbol from the one distribution: a chunk is the
-        count of cumulative weights <= u below the last one, the rule of
-        searchsorted(side="right") capped at k - 1.  Order >= 1 runs the
-        state chain and expands its states into symbols.  The cumulative
-        weights are 1.0 from the last positive one on (_cumulative), so no
-        draw takes a step of probability 0.
+        Order 0 draws each symbol from the one distribution, the u of a chunk
+        in row blocks of about kernels.BLOCK_VALUES: a symbol is the count of
+        cumulative weights <= u below the last one, searchsorted(side="right")
+        capped at k - 1.  Order >= 1 runs the state chain and expands its
+        states into symbols.  The cumulative weights are 1.0 from the last
+        positive one on (_cumulative), so no draw takes a step of probability 0.
         """
         k = self.alphabet.k
         r = max(self.order, 1)
@@ -287,12 +287,14 @@ class MarkovMeasure:
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
             )
-            uniforms = rng.random((size, draws))
             block = np.zeros((size, n), dtype=dtype)
             if self.order == 0:
-                for c in start_cum[:-1]:
-                    block += uniforms >= c
+                for rows in np.array_split(block, -(-size * n // kernels.BLOCK_VALUES)):
+                    uniforms = rng.random(rows.shape)
+                    for c in start_cum[:-1]:
+                        rows += uniforms >= c
             else:
+                uniforms = rng.random((size, draws))
                 states = kernels.sample_state_paths(start_cum, trans_cum, uniforms)
                 # expand: initial state contributes its r symbols, then one per step
                 first = states[:, 0]

@@ -25,7 +25,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+import scipy
 
 from .measures import MarkovMeasure
 from .ruelle import _log_sum_exp, _tilted_pressure, stacked_tables
@@ -268,8 +268,9 @@ def _direct_markov(model):
         _, pair = _tilted_pressure(model.log_weights, y @ tables, pairs, n)
         # floored so that a pair law that underflows still gives finite logits
         log_q = np.log(np.maximum(pair.reshape(k, k), np.finfo(float).tiny))
-        res = minimize(neg, (log_q - log_q.max(axis=1, keepdims=True)).ravel(),
-                       jac=True, method="L-BFGS-B", options=MARKOV_OPTIONS)
+        res = scipy.optimize.minimize(
+            neg, (log_q - log_q.max(axis=1, keepdims=True)).ravel(), jac=True,
+            method="L-BFGS-B", options=MARKOV_OPTIONS)
         return -float(res.fun), res.x.reshape(k, k)
 
     best, failures = (-math.inf, None), []
@@ -343,9 +344,9 @@ def bkl_entropy(alphabet, potentials, z):
         return value - float(y @ z), tau - z
 
     try:
-        res = minimize(objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
-                       bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(z),
-                       options=BKL_OPTIONS)
+        res = scipy.optimize.minimize(
+            objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
+            bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(z), options=BKL_OPTIONS)
     except ArithmeticError as exc:
         raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
     return float(res.fun), bool(np.any(np.abs(res.x) > BKL_RADIUS - 1e-6))
@@ -558,9 +559,9 @@ def bkl_pressure(model):
         """L-BFGS-B from each point where a lockstep row stopped short."""
         for y in points:
             try:
-                minimize(neg, y, jac=True, method="L-BFGS-B",
-                         bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(y),
-                         options=BKL_OPTIONS)
+                scipy.optimize.minimize(
+                    neg, y, jac=True, method="L-BFGS-B",
+                    bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(y), options=BKL_OPTIONS)
             except ArithmeticError as exc:
                 failures.append(f"tilt {y.tolist()}: {exc}")
 

@@ -34,7 +34,7 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .measures import CylinderPotential, MarkovMeasure
 

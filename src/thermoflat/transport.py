@@ -6,8 +6,7 @@ whose primal is one HiGHS linear program of any size.
 import dataclasses
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+import scipy
 
 from . import kernels
 from .linearizer import p_nl
@@ -220,13 +219,13 @@ def kantorovich_primal(cost, row_measure, col_measure):
     # plan entry n_ij (flat index i*nc + j) enters two constraints, row sum
     # i and column sum nr + j: one CSC column with two ones
     i, j = np.divmod(np.arange(nr * nc), nc)
-    a_eq = sparse.csc_array(
+    a_eq = scipy.sparse.csc_array(
         (np.ones(2 * nr * nc), np.stack([i, nr + j], axis=1).ravel(),
          np.arange(0, 2 * nr * nc + 1, 2)),
         shape=(nr + nc, nr * nc),
     )
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([r, c]),
-                  bounds=(0, None), method="highs")
+    res = scipy.optimize.linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([r, c]),
+                                 bounds=(0, None), method="highs")
     if not res.success:
         raise ArithmeticError(f"kantorovich_primal: HiGHS failed: {res.message}")
     # HiGHS returns -0.0 and rounding-level negatives for nonbasic cells

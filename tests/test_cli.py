@@ -515,20 +515,71 @@ class TestSubcommands:
         assert out["direct"] == pytest.approx(out["p_flat"], abs=1e-5)
 
 
+def child_env():
+    """The environment of a child interpreter that imports the same package
+    as this process."""
+    source = str(Path(thermoflat.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, env.get("PYTHONPATH")])
+    )
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_model(tmp_path, CW2)
-        # the child imports the same package as this process
-        source = str(Path(thermoflat.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [source, env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "thermoflat.cli", "pressure", path],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "pressure"
+
+
+class TestColdStart:
+    # scipy loads a subpackage on first attribute access, so a fresh
+    # `import thermoflat, thermoflat.cli` loads none of these, and a command
+    # that calls no optimizer or LP does not load scipy.optimize (about 0.35 s
+    # of a cold start)
+    SUBPACKAGES = ("scipy.optimize", "scipy.linalg", "scipy.spatial",
+                   "scipy.sparse")
+
+    def loaded(self, argv=None):
+        """The SUBPACKAGES a fresh interpreter holds after the import, and
+        after cli.main(argv) when argv is given."""
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import thermoflat, thermoflat.cli\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert thermoflat.cli.main(argv) == 0\n"
+            f"print(json.dumps([m for m in {self.SUBPACKAGES!r} if m in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_loads_no_solver_subpackage(self):
+        assert self.loaded() == []
+
+    @pytest.mark.parametrize("command", [
+        ["pressure"], ["solve"], ["delta", "--measure", "biased"], ["oracle"]],
+        ids=lambda command: command[0])
+    def test_light_commands_leave_optimize_unloaded(self, tmp_path, command):
+        # a Quadratic memory-1 model: closed-form pressures, a lockstep
+        # Newton search and the memory-1 product oracle
+        doc = json.loads(json.dumps(CW2))
+        doc["measures"] = {"biased": {"order": 0, "stationary": [0.8, 0.2]}}
+        path = write_model(tmp_path, doc)
+        argv = [command[0], path, *command[1:]]
+        assert "scipy.optimize" not in self.loaded(argv)
+
+    def test_two_sided_game_loads_optimize(self, tmp_path):
+        # its master LP is a HiGHS model, so the check above can fail
+        path = write_model(tmp_path, TWO_SIDED)
+        assert "scipy.optimize" in self.loaded(["game", path])

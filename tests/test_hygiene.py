@@ -3,8 +3,9 @@ private module-level function or class that nothing references, no
 module-level function with a parameter its body never reads, no RunConfig
 field and no module-level constant that nothing reads, no import of the
 max-min solver by the oracles that judge it, no CLI flag that README
-documents but the parser lacks, or the other way round, and no stack-only
-method X_many beside a method X.
+documents but the parser lacks, or the other way round, no stack-only
+method X_many beside a method X, and no module-level import of a scipy
+subpackage (a plain `import scipy` is allowed).
 
 There is no linter among the test dependencies, so this is the check that
 keeps deleted code from coming back half-way (an import left behind, a
@@ -102,6 +103,23 @@ def test_no_unused_parameter_of_module_level_function():
             unused += [f"{path.name}:{node.lineno} {node.name}({a.arg})"
                        for a in params if a.arg not in read]
     assert not unused, f"parameters never read: {unused}"
+
+
+def test_no_module_level_import_of_a_scipy_subpackage():
+    # scipy loads a subpackage on first attribute access: `import scipy` is
+    # cheap, `scipy.optimize` alone adds about 0.35 s to a cold start, and
+    # most commands never call it
+    eager = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.Import):
+                eager += [f"{path.name}:{node.lineno} import {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("scipy.")]
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "scipy"):
+                eager.append(f"{path.name}:{node.lineno} from {node.module}")
+    assert not eager, f"module-level scipy subpackage imports: {eager}"
 
 
 def test_oracle_does_not_import_the_solver():

@@ -424,14 +424,13 @@ class TestSharpBundle:
     def test_master_lp_error_names_the_solver_the_lp_and_the_cuts(self, monkeypatch):
         # a HiGHS status other than optimal is an ArithmeticError; the first
         # master LP of the spin game sees 4 cuts
-        import thermoflat.linearizer as lin
-        from scipy.optimize._highspy._core import HighsModelStatus
+        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-        class Stalled(lin._Highs):
+        class Stalled(_Highs):
             def getModelStatus(self):
                 return HighsModelStatus.kIterationLimit
 
-        monkeypatch.setattr(lin, "_Highs", Stalled)
+        monkeypatch.setattr("scipy.optimize._highspy._core._Highs", Stalled)
         m = ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), Quadratic(1.0))
         with pytest.raises(
             ArithmeticError,

@@ -541,7 +541,7 @@ class TestLockstepBKL:
             rows.append(len(tilt))
             return tilted(log_weights, tilt, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "minimize", refuse)
+        monkeypatch.setattr("scipy.optimize.minimize", refuse)
         monkeypatch.setattr(oracle, "_tilted_pressure", counted)
         bkl_pressure(m)
         final = rows.index(1)

@@ -323,7 +323,7 @@ class TestKantorovich:
 
     def test_failed_lp_is_solver_error(self, monkeypatch):
         monkeypatch.setattr(
-            transport, "linprog",
+            "scipy.optimize.linprog",
             lambda *a, **kw: OptimizeResult(success=False, status=4,
                                             message="numerical difficulties"),
         )
