@@ -16,10 +16,8 @@ from .convex import (
     Quadratic,
     SubdiffSet,
     biconjugate,
-    conjugate,
     discrete_lft,
     growth_radius,
-    subdiff,
 )
 from .linearizer import (
     GameSolution,
@@ -67,7 +65,6 @@ __all__ = [
     "SubdiffSet",
     "approximating_potential",
     "biconjugate",
-    "conjugate",
     "discrete_lft",
     "entropy_of_gibbs",
     "entropy_rate",
@@ -81,5 +78,4 @@ __all__ = [
     "solve_flat",
     "solve_game",
     "solve_sharp",
-    "subdiff",
 ]

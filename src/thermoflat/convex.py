@@ -452,13 +452,6 @@ class LinearShift(ConvexSpec):
         return lo + self.slope, hi + self.slope
 
 
-def conjugate(g, y):
-    """g*(y) = sup_x {y.x - g(x)}; +infinity outside the conjugate domain."""
-    if isinstance(y, DualPoint):
-        y = y.array
-    return g.conjugate(y)
-
-
 def discrete_lft(g, dual_grids):
     """Discrete Legendre-Fenchel transform onto a dual grid.
 
@@ -482,11 +475,6 @@ def biconjugate(g, primal_grids, dual_grids):
     """g** on the primal grid: the lower convex envelope of the samples."""
     star = discrete_lft(g, dual_grids)
     return discrete_lft(star, primal_grids)
-
-
-def subdiff(g, x):
-    """Subdifferential of g at x as a componentwise interval hull."""
-    return g.subdiff(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def _shell_sup(g, lam, lo, hi, dim, n_radii=33, n_angles=32):

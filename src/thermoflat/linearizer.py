@@ -62,7 +62,7 @@ import scipy
 from .config import (ADMISSION_TOL, CLUSTER_RADIUS, MULTISTART_CAP, SC_TOL,
                      VALUE_WINDOW, RunConfig)
 from .convex import INFINITY, DualPoint, growth_radius
-from .measures import CylinderPotential, entropy_rate, expectation
+from .measures import CylinderPotential, entropy_rate
 from .ruelle import _tilted_pressure, rpf_solve, stacked_tables
 
 # Projected-gradient targets of the inner inf and the outer sup.  The inner
@@ -156,11 +156,19 @@ class ModelSpec:
     def n_minus(self):
         return len(self.minus_potentials)
 
+    def averages(self, mu):
+        """The averages under mu of the plus, then the minus potentials: each
+        row of `tables` times mu's law of the words of length `memory`,
+        summed."""
+        if mu.alphabet != self.alphabet:
+            raise ValueError("measure and model alphabets differ")
+        return (self.tables * mu.word_probs(self.memory).ravel()).sum(axis=-1)
+
     def tau_plus(self, mu):
-        return np.array([expectation(mu, p) for p in self.plus_potentials])
+        return self.averages(mu)[: self.n_plus]
 
     def tau_minus(self, mu):
-        return np.array([expectation(mu, p) for p in self.minus_potentials])
+        return self.averages(mu)[self.n_plus :]
 
     @functools.cached_property
     def growth_plus(self):
@@ -245,10 +253,11 @@ class ModelSpec:
     def direct_pressure_of(self, mu):
         """P(mu) = entropy - g_minus(tau_minus) + g_plus(tau_plus)."""
         value = entropy_rate(mu)
+        tau, n = self.averages(mu), self.n_plus
         if self.g_minus is not None:
-            value -= self.g_minus.value(self.tau_minus(mu))
+            value -= self.g_minus.value(tau[n:])
         if self.g_plus is not None:
-            value += self.g_plus.value(self.tau_plus(mu))
+            value += self.g_plus.value(tau[:n])
         return value
 
 
@@ -651,15 +660,12 @@ def _box_lists(box):
 
 
 def _start_grid(lo, hi, grid_points, cap):
-    """A uniform grid of grid_points per axis over the box [lo, hi], as
-    rows, thinned evenly to at most cap."""
-    axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    starts = np.stack([m.ravel() for m in mesh], axis=1)
-    if len(starts) > cap:
-        idx = np.linspace(0, len(starts) - 1, cap).astype(int)
-        starts = starts[idx]
-    return starts
+    """A uniform grid over the box [lo, hi], as rows, of the same number n
+    of points on each of its d axes: the largest n <= grid_points with
+    n**d <= cap, but at least 2, so the grid always holds the box's corners."""
+    n = max(2, min(grid_points, int(cap ** (1.0 / len(lo)) + 1e-9)))
+    mesh = np.meshgrid(*[np.linspace(a, b, n) for a, b in zip(lo, hi)], indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _local_maxima(f, lo, hi, vertices, starts, radius, window):
@@ -713,12 +719,13 @@ def solve_flat(model, config=None):
     The outer sup is _local_maxima of P_flat over the model's search box
     over y+ (ModelSpec.box_plus): at the cell vertices of a piecewise-linear
     g+* (see the module docstring), otherwise by the lockstep Newton search
-    from the start grid (cfg.grid per axis, at most MULTISTART_CAP), which
-    counts the tilts it prices.  Each point's inner search starts from the
-    inner minimizer of its start's last point.  The growth certificates go
-    into diagnostics, their radii into growth_radii, and next to them the
-    boxes searched (box_plus, box_minus: [lo, hi]), which the hulls of the
-    subdifferentials over the range boxes narrow (ModelSpec._search_box).
+    from the start grid (_start_grid: at most cfg.grid per axis and
+    MULTISTART_CAP in all), which counts the tilts it prices.  Each point's
+    inner search starts from the inner minimizer of its start's last point.
+    The growth certificates go into diagnostics, their radii into
+    growth_radii, and next to them the boxes searched (box_plus, box_minus:
+    [lo, hi]), which the hulls of the subdifferentials over the range boxes
+    narrow (ModelSpec._search_box).
     """
     cfg = config or RunConfig()
     sol = GameSolution(growth_radii=model.growth_radii)
@@ -779,12 +786,13 @@ def _attach_equilibria(model, sol, pairs):
         theta = approximating_potential(model, xp, xm)
         rpf = rpf_solve(theta)
         mu = rpf.gibbs
+        tau, n = model.averages(mu), model.n_plus
         res_plus = 0.0
         if model.g_plus is not None:
-            res_plus = model.g_plus.subdiff(model.tau_plus(mu)).distance(xp)
+            res_plus = model.g_plus.subdiff(tau[:n]).distance(xp)
         res_minus = 0.0
         if model.g_minus is not None:
-            res_minus = model.g_minus.subdiff(model.tau_minus(mu)).distance(xm)
+            res_minus = model.g_minus.subdiff(tau[n:]).distance(xm)
         p_value = model.direct_pressure_of(mu)
         record = EquilibriumRecord(
             x_plus=tuple(xp.tolist()),

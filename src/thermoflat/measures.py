@@ -5,8 +5,6 @@ always <= 0 (natural log).  This differs from the classical Shannon rate by
 the log of the alphabet-weight offsets; see entropy_rate.
 """
 
-import itertools
-
 import numpy as np
 
 from . import kernels
@@ -34,9 +32,6 @@ class AprioriAlphabet:
         if abs(self.weights.sum() - 1.0) > PROB_TOL:
             raise ValueError("a priori weights must sum to 1")
 
-    def words(self, length):
-        return itertools.product(range(self.k), repeat=length)
-
     def __eq__(self, other):
         return (
             isinstance(other, AprioriAlphabet)
@@ -62,11 +57,6 @@ class CylinderPotential:
             raise ValueError("table shape must be (k,) * memory")
         if not np.all(np.isfinite(self.table)):
             raise ValueError("potential table must be finite")
-
-    def __call__(self, word):
-        if len(word) < self.memory:
-            raise ValueError("word shorter than the potential memory")
-        return float(self.table[tuple(word[: self.memory])])
 
     def padded(self, memory):
         """Same potential as a table over longer words (trailing broadcast)."""
@@ -318,8 +308,6 @@ def expectation(mu, phi):
     """E_mu[phi] over words of the potential memory."""
     if mu.alphabet != phi.alphabet:
         raise ValueError("measure and potential alphabets differ")
-    if isinstance(mu, MixtureMeasure):
-        return mu.expectation(phi)
     probs = mu.word_probs(phi.memory)
     return float((probs * phi.table).sum())
 
@@ -366,10 +354,10 @@ class MixtureMeasure:
         self.components = comps
         self.alphabet = comps[0].alphabet
 
-    def expectation(self, phi):
-        return sum(
-            w * expectation(c, phi) for w, c in zip(self.weights, self.components)
-        )
+    def word_probs(self, length):
+        """The weighted sum of the components' word laws."""
+        return sum(w * c.word_probs(length)
+                   for w, c in zip(self.weights, self.components))
 
     def entropy_rate(self):
         # entropy is affine: the mixture rate is the weighted component sum

@@ -251,11 +251,7 @@ def _direct_markov(model):
     coupling slopes at its own averages, so one more climb starts from the
     Gibbs chain of the slopes at the best chain's averages.
     """
-    k = model.alphabet.k
-    n = max(2, model.memory)
-    tables = stacked_tables(
-        model.alphabet, model.plus_potentials + model.minus_potentials, n
-    )
+    k, n, tables = model.alphabet.k, model.memory, model.tables
     pairs = np.repeat(np.eye(k * k), k ** (n - 2), axis=1)
 
     def neg(logits):

@@ -10,7 +10,7 @@ import scipy
 
 from . import kernels
 from .linearizer import p_nl
-from .measures import MarkovMeasure, MixtureMeasure, entropy_rate, expectation
+from .measures import MarkovMeasure, MixtureMeasure, entropy_rate
 
 _WORD_CAP = 2_000_000
 
@@ -35,25 +35,12 @@ def _components(mu):
     raise TypeError("unsupported measure type")
 
 
-def delta_functional(model_or_potentials, mu, func, side="plus"):
-    """Delta^F(mu) = sum_i lambda_i F(tau(nu_i)) over ergodic components.
-
-    model_or_potentials is either a ModelSpec (side picks the potential
-    family) or an explicit list of potentials.
-    """
-    if hasattr(model_or_potentials, "plus_potentials"):
-        pots = (
-            model_or_potentials.plus_potentials
-            if side == "plus"
-            else model_or_potentials.minus_potentials
-        )
-    else:
-        pots = list(model_or_potentials)
-    total = 0.0
-    for w, nu in _components(mu):
-        tau = np.array([expectation(nu, p) for p in pots])
-        total += w * func(tau)
-    return total
+def delta_functional(model, mu, func, side="plus"):
+    """Delta^F(mu) = sum_i lambda_i F(tau(nu_i)) over ergodic components,
+    tau the averages of the model's potentials on `side` ("plus" or
+    "minus")."""
+    tau = model.tau_plus if side == "plus" else model.tau_minus
+    return sum(w * func(tau(nu)) for w, nu in _components(mu))
 
 
 def _distinct_rows(a):
@@ -129,8 +116,7 @@ def affine_pressure_sharp(model, mu):
     if model.g_plus is not None:
         total += delta_functional(model, mu, model.g_plus.value, side="plus")
     if model.g_minus is not None:
-        tau = np.array([expectation(mu, p) for p in model.minus_potentials])
-        total -= model.g_minus.value(tau)
+        total -= model.g_minus.value(model.tau_minus(mu))
     return total
 
 

@@ -4,8 +4,9 @@ module-level function with a parameter its body never reads, no RunConfig
 field and no module-level constant that nothing reads, no import of the
 max-min solver by the oracles that judge it, no CLI flag that README
 documents but the parser lacks, or the other way round, no stack-only
-method X_many beside a method X, and no module-level import of a scipy
-subpackage (a plain `import scipy` is allowed).
+method X_many beside a method X, no module-level import of a scipy
+subpackage (a plain `import scipy` is allowed), and no function in
+`thermoflat.__all__` that neither the package nor its tests use.
 
 There is no linter among the test dependencies, so this is the check that
 keeps deleted code from coming back half-way (an import left behind, a
@@ -14,6 +15,7 @@ helper whose last caller is gone, or an argument nothing reads any more).
 
 import argparse
 import ast
+import inspect
 import pathlib
 import re
 
@@ -196,3 +198,38 @@ def test_no_method_has_a_many_twin():
              if isinstance(f, ast.FunctionDef) and f.name.endswith("_many")
              and f.name[: -len("_many")] in methods]
     assert not twins, f"stack-only twins of point methods: {twins}"
+
+
+def test_every_exported_function_is_used():
+    # a function in thermoflat.__all__ that no module of the package and no
+    # test imports, or reads as an attribute of a thermoflat module, is
+    # surface nothing exercises; classes are exempt, as they also name the
+    # types the package returns (GameSolution, RPFData)
+    import thermoflat
+
+    used, stems = set(), {p.stem for p in MODULES}
+    paths = [p for p in MODULES if p.name != "__init__.py"]
+    for path in paths + sorted((ROOT / "tests").glob("*.py")):
+        tree = _tree(path)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name.split(".")[0]
+                               for alias in node.names
+                               if alias.name.split(".")[0] == "thermoflat")
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("thermoflat")):
+                used.update(alias.name for alias in node.names)
+                modules.update(alias.asname or alias.name for alias in node.names
+                               if alias.name in stems)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                head = node.value
+                while isinstance(head, ast.Attribute):
+                    head = head.value
+                if isinstance(head, ast.Name) and head.id in modules:
+                    used.add(node.attr)
+    unused = [name for name in thermoflat.__all__
+              if inspect.isfunction(getattr(thermoflat, name))
+              and name not in used]
+    assert not unused, f"exported functions nothing uses: {unused}"

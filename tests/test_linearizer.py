@@ -1,3 +1,5 @@
+import ast
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +7,13 @@ import pytest
 from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import logsumexp
 
-from thermoflat.config import CLUSTER_RADIUS, SC_TOL, VALUE_WINDOW, RunConfig
+from thermoflat.config import (CLUSTER_RADIUS, MULTISTART_CAP, SC_TOL, VALUE_WINDOW,
+                               RunConfig)
 from thermoflat.convex import INFINITY, AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import (
     ModelSpec,
     _local_maxima,
+    _start_grid,
     approximating_potential,
     p_flat_of,
     p_nl,
@@ -18,7 +22,8 @@ from thermoflat.linearizer import (
     solve_sharp,
 )
 from thermoflat import ruelle
-from thermoflat.measures import AprioriAlphabet, CylinderPotential
+from thermoflat.measures import (AprioriAlphabet, CylinderPotential, MarkovMeasure,
+                                 MixtureMeasure, expectation)
 from thermoflat.ruelle import linear_pressure, rpf_solve
 
 A2 = AprioriAlphabet(2)
@@ -73,6 +78,32 @@ class TestApproximatingPotential:
             np.testing.assert_allclose(m.tau_minus(gibbs), tau_minus, atol=1e-10)
 
 
+class TestAverages:
+    def test_match_each_potentials_expectation(self):
+        # the stacked tables against one word law of the model's memory
+        # read each potential's expectation at its own memory, for a Gibbs
+        # chain, a product measure and a mixture of the two
+        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
+        rng = np.random.default_rng(8)
+        plus = [CylinderPotential(a3, rng.standard_normal(3)),
+                CylinderPotential(a3, rng.standard_normal((3, 3)))]
+        minus = [CylinderPotential(a3, rng.standard_normal((3, 3, 3)))]
+        m = ModelSpec(a3, plus, minus, Quadratic(2.0, dim=2), Quadratic(1.0))
+        chain = rpf_solve(approximating_potential(m, [0.7, -1.3], [0.4])).gibbs
+        product = MarkovMeasure.product(a3, [0.1, 0.6, 0.3])
+        want = {mu: np.array([expectation(mu, p) for p in plus + minus])
+                for mu in (chain, product)}
+        mixture = MixtureMeasure([(0.3, chain), (0.7, product)])
+        want[mixture] = 0.3 * want[chain] + 0.7 * want[product]
+        for mu, expected in want.items():
+            tau = m.averages(mu)
+            np.testing.assert_allclose(tau, expected, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(m.tau_plus(mu), tau[:2])
+            np.testing.assert_array_equal(m.tau_minus(mu), tau[2:])
+        with pytest.raises(ValueError, match="alphabets differ"):
+            m.averages(MarkovMeasure.product(AprioriAlphabet(3), [0.1, 0.6, 0.3]))
+
+
 class TestPNL:
     def test_closed_form_curie_weiss(self):
         m = cw_model(2.0)
@@ -114,6 +145,24 @@ class TestCurieWeissPhases:
             assert e.residual_plus < 1e-6
             assert e.residual_minus == 0.0
             assert e.p_value == pytest.approx(sol.p_flat, abs=1e-8)
+
+    def test_no_self_consistent_optimizer_is_an_error(self, monkeypatch):
+        # with SC_TOL at 0 no residual passes: both maximizers are rejected,
+        # and the error lists them with their residuals
+        import thermoflat.linearizer as lin
+
+        monkeypatch.setattr(lin, "SC_TOL", 0.0)
+        with pytest.raises(ArithmeticError,
+                           match="no self-consistent optimizer found") as info:
+            solve_flat(cw_model(2.0))
+        rejected = ast.literal_eval(str(info.value).split("diagnostics: ")[1])
+        ystar = cw_root(2.0)
+        assert sorted(r["x_plus"][0] for r in rejected) == pytest.approx(
+            [-ystar, ystar], abs=1e-6)
+        for r in rejected:
+            assert r["x_minus"] == ()
+            assert 0.0 <= r["residual_plus"] < SC_TOL
+            assert r["residual_minus"] == 0.0
 
     def test_equilibria_are_tilted_products(self):
         sol = solve_flat(cw_model(2.0))
@@ -354,6 +403,31 @@ class TestSharpBundle:
         sol = solver(ModelSpec(A2, [SPIN], [SPIN], g_plus, g_minus), config)
         assert sol.p_sharp == pytest.approx(reference, abs=1e-9)
         assert sol.diagnostics["sharp"]["stop"] in ("bracket", "weak_duality")
+
+    def test_grid_minus_game_projects_onto_the_pieces(self, monkeypatch):
+        # solve_game on the shifted half-square grid model: each level step
+        # projects onto the cuts plus the grid's affine pieces, and the
+        # bundle stops when the master LP resolves no narrower bracket
+        import thermoflat.linearizer as lin
+
+        projected = []
+        project = lin._project
+
+        def counting(point, a, b, lo, hi):
+            projected.append(len(a))
+            return project(point, a, b, lo, hi)
+
+        monkeypatch.setattr(lin, "_project", counting)
+        g_minus = LinearShift(np.array([0.2]), HALF_SQUARE_GRID)
+        sol = solve_game(ModelSpec(A2, [SPIN], [SPIN], Quadratic(3.0), g_minus))
+        sharp = sol.diagnostics["sharp"]
+        assert sol.p_sharp == pytest.approx(0.8093663184314066, abs=1e-9)
+        assert sharp["stop"] == "lp_resolution"
+        assert sharp["lower"] <= sol.p_sharp == sharp["upper"]
+        # one row per cut and piece of the grid's conjugate
+        assert len(projected) == 6
+        assert all(rows % len(g_minus.conjugate_pieces()[1]) == 0
+                   for rows in projected)
 
     def test_lp_resolution_stop(self):
         # two plus and three minus potentials: the master LP at its HiGHS
@@ -798,6 +872,24 @@ class TestGridSearch:
             best = max(best, -res.fun)
         assert sol.p_flat == pytest.approx(best, abs=1e-8)
         assert sol.p_flat >= best - 1e-12
+
+
+class TestStartGrid:
+    def test_every_corner_of_a_three_axis_box_is_a_start(self):
+        # the 17**3 grid thinned evenly to 289 starts lay within 0.0625 of
+        # the plane y2 = y0 of the unit box and held three of its eight
+        # corners, as did the 9**3 grid thinned to 81
+        lo, hi = np.array([-1.0, -2.0, 0.0]), np.array([1.0, 0.5, 3.0])
+        for grid, cap in ((17, MULTISTART_CAP), (9, 81)):
+            starts = _start_grid(lo, hi, grid, cap)
+            assert len(starts) <= cap
+            for corner in itertools.product(*zip(lo, hi)):
+                assert (starts == corner).all(axis=1).any(), (grid, corner)
+
+    def test_two_axes_keep_the_full_grid(self):
+        starts = _start_grid(np.zeros(2), np.ones(2), 17, MULTISTART_CAP)
+        assert len(starts) == 17 * 17
+        assert len(_start_grid(np.zeros(2), np.ones(2), 9, 81)) == 81
 
 
 class TestSearchBox:
