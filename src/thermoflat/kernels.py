@@ -9,6 +9,15 @@ whatever the path length.  A block is turned time-major, (n, rows), and its
 window values are summed by one reduction over time, which adds row by row
 from the first, in the same order as a running ``acc += value`` over window
 positions, so the averages do not depend on the block size.
+
+A memory-1 table with integer entries, at most MAX_COUNTED_SYMBOLS of them
+nonzero and n * max|table| <= 2**53, is summed by symbol counts instead:
+sum_a table[a] * count_a over the nonzero entries.  Every partial sum of
+both the running sum and the count sum is then an integer of magnitude at
+most n * max|table| <= 2**53, which a float64 holds exactly, and a correctly
+rounded add returns a representable sum exactly.  So both sums are the same
+float, a zero one +0.0 in both, and the averages are bitwise the running
+sum's.
 """
 
 import numpy as np
@@ -20,6 +29,10 @@ BLOCK_VALUES = 32768
 # step across the block's rows, and on narrower blocks the loop overhead
 # dominates (long paths exceed BLOCK_VALUES in fewer rows than this)
 MIN_BLOCK_ROWS = 16
+# nonzero entries of a memory-1 table at most for the count sum: each takes
+# one compare-and-count pass over the symbols, and from about five on they
+# cost more than the gather and sum over time
+MAX_COUNTED_SYMBOLS = 4
 
 
 def sample_state_paths(start_cum, trans_cum, uniforms):
@@ -30,19 +43,20 @@ def sample_state_paths(start_cum, trans_cum, uniforms):
     uniforms:  (num, steps) uniform draws; column 0 selects the initial
                state, the rest drive transitions.
 
-    Returns (num, steps) int64 state indices.
+    Returns (num, steps) int64 state indices.  A step counts the inner
+    columns 0..S-2 of its state's row at or below u: on monotone rows that
+    is the count over all S columns capped at S - 1.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     num, steps = uniforms.shape
+    times = np.ascontiguousarray(uniforms.T)
+    inner = np.ascontiguousarray(trans_cum[:, :-1])
     paths = np.empty((num, steps), dtype=np.int64)
-    state = np.searchsorted(start_cum, uniforms[:, 0], side="right")
+    state = np.searchsorted(start_cum, times[0], side="right")
     np.clip(state, 0, len(start_cum) - 1, out=state)
     paths[:, 0] = state
     for t in range(1, steps):
-        rows = trans_cum[state]
-        u = uniforms[:, t]
-        state = (rows <= u[:, None]).sum(axis=1)
-        np.clip(state, 0, trans_cum.shape[1] - 1, out=state)
+        state = np.count_nonzero(inner[state] <= times[t][:, None], axis=1)
         paths[:, t] = state
     return paths
 
@@ -61,10 +75,17 @@ def birkhoff_averages(symbols, table, memory, k):
     values and sums them over time by one add.reduce, which on a
     C-contiguous array adds row after row.  Every average is thus bitwise
     the sum 0.0 + v_0 + ... + v_{n-1} in that order, divided by n.
+
+    A memory-1 table of integers, with at most MAX_COUNTED_SYMBOLS nonzero
+    entries and n * max|table| <= 2**53, is summed as sum_a table[a] *
+    count_a over the same blocks instead.  Every partial sum then is an
+    integer float64 holds exactly, so the count sum is that same float.
     """
     symbols = np.asarray(symbols)
     num, n = symbols.shape
     rows = max(MIN_BLOCK_ROWS, BLOCK_VALUES // n)
+    if memory == 1 and _countable(table, n):
+        return _count_averages(symbols, table, rows)
     acc = np.empty(num, dtype=np.float64)
     for lo in range(0, num, rows):
         block = symbols[lo : lo + rows]
@@ -81,3 +102,32 @@ def birkhoff_averages(symbols, table, memory, k):
         acc[lo : lo + width] = np.add.reduce(table[idx], axis=0,
                                              initial=0.0)[:width]
     return acc / n
+
+
+def _countable(table, n):
+    """Whether a memory-1 table takes the count sum: at most
+    MAX_COUNTED_SYMBOLS nonzero entries, all entries integers and
+    n * max|table| <= 2**53, so that every partial sum of n of them, in any
+    order, is an integer that float64 holds exactly."""
+    return bool(np.count_nonzero(table) <= MAX_COUNTED_SYMBOLS
+                and np.all(table == np.rint(table))
+                and np.abs(table).max() <= 2**53 // n)
+
+
+def _count_averages(symbols, table, rows):
+    """birkhoff_averages of a countable memory-1 table: sum_a table[a] *
+    count_a over its nonzero entries, per block of rows, divided by n."""
+    num, n = symbols.shape
+    count_dtype = np.min_scalar_type(n)
+    # Python ints, so that a comparison runs in the symbols' own dtype
+    counted = np.flatnonzero(table).tolist()
+    sums = np.zeros(num)
+    for lo in range(0, num, rows):
+        block, axis = symbols[lo : lo + rows], 1
+        if n < len(block):
+            # counting along short rows is loop overhead: count time-major
+            block, axis = np.ascontiguousarray(block.T), 0
+        for a in counted:
+            sums[lo : lo + rows] += table[a] * np.add.reduce(
+                block == a, axis=axis, dtype=count_dtype)
+    return sums / n

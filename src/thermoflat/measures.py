@@ -249,7 +249,8 @@ class MarkovMeasure:
     def path_chunks(self, n, num_samples, seed):
         """Sample symbol paths of length n in chunks (seeded PCG64).
 
-        Yields (first_row, block) per chunk of up to 1024 paths: block is
+        Returns an iterator of (first_row, block), one per chunk of up to
+        1024 paths, checking its arguments at the call: block is
         (size, n), symbols in the smallest unsigned dtype that holds k - 1,
         and row i is path first_row + i.  Chunk ci draws from
         SeedSequence(entropy=seed, spawn_key=(ci,)), so the first paths do
@@ -262,10 +263,17 @@ class MarkovMeasure:
         states into symbols.  The cumulative weights are 1.0 from the last
         positive one on (_cumulative), so no draw takes a step of probability 0.
         """
-        k = self.alphabet.k
         r = max(self.order, 1)
         if n < r:
             raise ValueError("path length shorter than the measure order")
+        if num_samples < 0:
+            raise ValueError(f"num_samples must be >= 0, got {num_samples}")
+        return self._chunks(n, num_samples, seed)
+
+    def _chunks(self, n, num_samples, seed):
+        """The generator of path_chunks, on checked arguments."""
+        k = self.alphabet.k
+        r = max(self.order, 1)
         start_cum = _cumulative(self.stationary)
         if self.order > 0:
             trans_cum = _cumulative(self.transitions)
@@ -298,8 +306,9 @@ class MarkovMeasure:
     def sample_paths(self, n, num_samples, seed):
         """Sample symbol paths of length n as one (num_samples, n) int64
         array: the blocks of path_chunks, copied in order."""
+        chunks = self.path_chunks(n, num_samples, seed)
         out = np.empty((num_samples, n), dtype=np.int64)
-        for lo, block in self.path_chunks(n, num_samples, seed):
+        for lo, block in chunks:
             out[lo : lo + len(block)] = block
         return out
 

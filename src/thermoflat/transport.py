@@ -257,12 +257,13 @@ def birkhoff_sampling(model, mu, n, num_samples, seed=0):
     if mu.alphabet != model.alphabet:
         raise ValueError("measure and potential alphabets differ")
     k = mu.alphabet.k
+    chunks = mu.path_chunks(n, num_samples, seed)
     sides = [(side, pots, g, np.empty((num_samples, len(pots))))
              for side, pots, g in (("plus", model.plus_potentials, model.g_plus),
                                    ("minus", model.minus_potentials, model.g_minus))
              if g is not None]
     # each chunk of paths is averaged as soon as it is drawn
-    for lo, block in mu.path_chunks(n, num_samples, seed):
+    for lo, block in chunks:
         for _, pots, _, avgs in sides:
             for i, p in enumerate(pots):
                 avgs[lo : lo + len(block), i] = kernels.birkhoff_averages(

@@ -213,6 +213,15 @@ class TestSampling:
             (0, (1024, n), np.uint8), (1024, (476, n), np.uint8)]
         np.testing.assert_array_equal(np.vstack([b for _, b in chunks]), large)
 
+    def test_negative_sample_count_rejected_up_front(self):
+        # at the call, before any chunk is drawn or output allocated
+        mu = MarkovMeasure.from_transitions(A2, np.array([[0.9, 0.1], [0.3, 0.7]]))
+        with pytest.raises(ValueError, match=r"num_samples must be >= 0, got -3"):
+            mu.path_chunks(10, -3, seed=0)
+        with pytest.raises(ValueError, match=r"num_samples must be >= 0, got -1"):
+            mu.sample_paths(10, -1, seed=0)
+        assert mu.sample_paths(10, 0, seed=0).shape == (0, 10)
+
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_no_draw_takes_a_zero_probability_step(self, order, monkeypatch):
         # the product [0.34, 0.56, 0.1, 0.0] (as normalized), the row

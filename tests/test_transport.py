@@ -383,6 +383,12 @@ class TestBirkhoffSampling:
         with pytest.raises(ValueError, match="alphabets differ"):
             birkhoff_sampling(m, mu, 10, 5)
 
+    def test_negative_sample_count_rejected(self):
+        m = cw_model(2.0)
+        mu = MarkovMeasure.product(A2, [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"num_samples must be >= 0, got -5"):
+            birkhoff_sampling(m, mu, 10, -5)
+
     def test_deterministic_in_seed(self):
         m = cw_model(2.0)
         mu = MarkovMeasure.product(A2, [0.5, 0.5])
