@@ -189,18 +189,7 @@ def cmd_delta(model, doc, args):
     if name not in measures:
         raise ValueError(f"measure {name!r} not found in model file")
     mu = modelio.parse_measure(model.alphabet, measures[name])
-    report = {
-        "measure": name,
-        "entropy": entropy_rate(mu),
-        "f_flat": transport.affine_pressure_flat(model, mu),
-        "f_sharp": transport.affine_pressure_sharp(model, mu),
-    }
-    if model.g_plus is not None:
-        report["delta_plus"] = transport.delta_functional(
-            model, mu, model.g_plus.value, side="plus")
-    if model.g_minus is not None:
-        report["delta_minus"] = transport.delta_functional(
-            model, mu, model.g_minus.value, side="minus")
+    report = {"measure": name, **transport.delta_report(model, mu)}
     if args.birkhoff_n > 0 and model.g_plus is not None:
         report["delta_plus_birkhoff_n"] = transport.delta_via_birkhoff(
             model.plus_potentials, mu, model.g_plus.value, args.birkhoff_n)

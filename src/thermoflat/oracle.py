@@ -1,24 +1,29 @@
 """Brute-force oracles for the nonlinear pressure.
 
-Two independent routes to the same number:
-  * direct variational search over an explicit measure family, maximizing
-    h - g-(tau-) + g+(tau+): a memory-1 model attains its sup at a product
-    measure, searched on a refined simplex grid, each round of which is
-    priced in one stacked evaluation; every other model is
-    searched over order-1 Markov chains by L-BFGS-B on their row logits,
-    from the chains of tilted Gibbs measures;
+Two routes to the paper's variational principle, the sup over invariant
+measures of h - g-(tau-) + g+(tau+):
+  * the direct search over an explicit measure family.  A memory-1 model
+    attains its sup at a product measure, searched on a refined simplex
+    grid, each round of which is priced in one stacked evaluation.  A
+    memory-m >= 2 model attains it at a chain of order m - 1, and every
+    fully supported such chain is the Gibbs measure of its own memory-m
+    log-transition table (Parry & Pollicott, Asterisque 187-188, 1990), so
+    the search climbs over tilts of all k^m word indicators, whose Gibbs
+    averages are the chain's word law; the value returned is priced again
+    from the best chain's entropy and averages;
   * the constrained-entropy route: h(z) as a Legendre transform of the
-    linear pressure, and the max of g+(z+) - g-(z-) + h(z) by an ascent
-    over the tilt y, every start in lockstep with one stacked Perron call
-    per round, by Gauss-Newton steps; a start that stalls, as at the kink
-    of a coupling, finishes with L-BFGS-B.  At z = tau(y), the Gibbs
-    averages of the tilt, h(z) = P_L(y) - y . z exactly (Legendre
-    duality), so no dual solve is needed, the Hessian of P_L gives the
-    exact gradient, and the value returned is that of an achievable
-    average and cannot be overstated.
-Both take linear pressures, Gibbs averages and their covariance from
-ruelle._tilted_pressure.
-Neither touches the max-min solver, so they can arbitrate it.
+    linear pressure, and the max of g+(z+) - g-(z-) + h(z) over achievable
+    averages z of the model's distinct potentials.
+Both climbs are one ascent (_ascent) over the tilts of coordinate tables
+whose Gibbs averages map linearly onto the model's: every start in
+lockstep with one stacked Perron call per round, by Gauss-Newton steps; a
+start that stalls, as at the kink of a coupling, finishes with L-BFGS-B.
+At the Gibbs averages tau of a tilt psi, h = P_L(psi) - psi . tau exactly
+(Legendre duality), so no dual solve is needed, the Hessian of P_L gives
+the exact gradient, and every value is that of a real Gibbs measure and
+cannot be overstated.  Both take linear pressures, Gibbs averages and
+their covariance from ruelle._tilted_pressure.  Neither touches the
+max-min solver, so they can arbitrate it.
 """
 
 import itertools
@@ -27,19 +32,17 @@ import math
 import numpy as np
 import scipy
 
-from .measures import MarkovMeasure
-from .ruelle import _log_sum_exp, _tilted_pressure, stacked_tables
+from .measures import CylinderPotential, MarkovMeasure
+from .ruelle import _tilted_pressure, rpf_solve, stacked_tables
 
-# Both oracles climb from about MARKOV_STARTS tilts, then once more from the
-# slope tilt of the best point.  The order-1 direct oracle runs L-BFGS-B over
-# row logits.  The constrained-entropy route climbs over the tilt in the box
-# |y_i| <= BKL_RADIUS, every start in lockstep: a row stops once its step is
-# at most BKL_XTOL or a step it takes raises F by at most BKL_FTOL
+# Both ascents climb from about MARKOV_STARTS tilts (_tilt_starts), then once
+# more from the slope tilt of the best point, over the tilt in the box
+# |psi_i| <= BKL_RADIUS, every start in lockstep: a row stops once its step
+# is at most BKL_XTOL or a step it takes raises F by at most BKL_FTOL
 # (relative), and stops short after BKL_STEPS steps or BKL_HALVINGS halvings
 # of one step.  A row that stops short goes on to L-BFGS-B with BKL_OPTIONS,
 # as do the dual solves of bkl_entropy in the same box.
 MARKOV_STARTS = 9
-MARKOV_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 BKL_RADIUS = 60.0
 BKL_OPTIONS = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500}
 BKL_STEPS = 100
@@ -58,15 +61,21 @@ def direct_pressure(model):
     """Sup of the direct pressure over the measure family of the model.
 
     A memory-1 model attains its sup at a product measure, so it searches
-    product measures on the simplex grid (_direct_product).  Every other
-    model searches all one-step Markov chains with positive entries by
-    L-BFGS-B over their row logits, from tilted Gibbs chains
-    (_direct_markov).  Returns (value, best measure), the value being the
-    direct pressure of that measure.
+    product measures on the simplex grid (_direct_product).  A memory-m
+    >= 2 model searches the chains of order m - 1 with full support: the
+    ascent (_ascent) over tilts psi of the k^m word indicators, where tau
+    is the Gibbs word law and A = model.tables takes it to the model's
+    averages, from the tilts of _tilt_starts on the model's tables.  Returns
+    (value, best measure), the measure being the Gibbs chain of the best
+    tilt (rpf_solve) and the value its direct pressure.
     """
     if model.memory <= 1:
         return _direct_product(model)
-    return _direct_markov(model)
+    k, m = model.alphabet.k, model.memory
+    psi = _ascent(model, np.eye(k**m), model.tables,
+                  "direct_pressure: every start chain failed")[1]
+    mu = rpf_solve(CylinderPotential(model.alphabet, psi.reshape((k,) * m))).gibbs
+    return model.direct_pressure_of(mu), mu
 
 
 def _direct_product(model):
@@ -138,75 +147,6 @@ def _direct_product(model):
     return model.direct_pressure_of(mu), mu
 
 
-def _solve(a, b):
-    """a^-1 b; where a is singular to working precision, as when the rows
-    of a chain underflow into several closed classes, the least-norm
-    solution."""
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None or not np.all(np.isfinite(x)):
-        x = np.linalg.lstsq(a, b)[0]
-    return x
-
-
-def _chain_pressure(model, tables, n, logits):
-    """Direct pressure of the order-1 chain with row logits `logits`, its
-    gradient in the logits, and the coupling slopes at the chain's averages
-    as a tilt of the tables, (dg+(tau+), -dg-(tau-)).
-
-    tables: the plus then the minus potentials as flat tables over words
-    of length n >= 2.  With Q the row softmax of the logits, pi its
-    stationary law and P(w) = pi(w_0) Q(w_0, w_1) ... the word law, the
-    value is h - g-(tau-) + g+(tau+), tau = tables @ P.  The slope of a
-    coupling is the midpoint of its subdifferential hull: its gradient
-    where it is smooth.  The gradient runs backward through the word law,
-    then through pi by dpi = pi dQ Z with Z = (I - Q + 1 pi)^-1, then
-    through the softmax.
-    """
-    k = model.alphabet.k
-    log_q = logits - _log_sum_exp(logits, rows=True)[:, None]
-    q = np.exp(log_q)
-    # the generator Q - I, each diagonal entry minus the row's off-diagonal
-    # mass: 1 - Q_ii would round a nearly absorbing state's exit rate to 0
-    gen = q - np.diag(np.diag(q))
-    gen -= np.diag(gen.sum(axis=1))
-    a = gen.T.copy()
-    a[-1] = 1.0
-    pi = _solve(a, np.eye(k)[-1])
-    # forward[j]: law of the words of length j + 1; last symbol = index % k
-    forward = [pi]
-    for j in range(1, n):
-        prev = forward[-1]
-        forward.append((prev[:, None] * q[np.arange(len(prev)) % k]).ravel())
-    tau = tables @ forward[-1]
-    rel = log_q - model.log_weights
-    row_entropy = -(q * rel).sum(axis=1)
-    value = float(pi @ row_entropy)
-    slope = np.zeros(len(tau))
-    n_plus = model.n_plus
-    if model.g_plus is not None:
-        value += model.g_plus.value(tau[:n_plus])
-        slope[:n_plus] = model.g_plus.subdiff(tau[:n_plus]).midpoint
-    if model.g_minus is not None:
-        value -= model.g_minus.value(tau[n_plus:])
-        slope[n_plus:] = -model.g_minus.subdiff(tau[n_plus:]).midpoint
-    # backward: d value / d P(w) through tau, summed over the last symbols
-    back = slope @ tables
-    grad_q = -pi[:, None] * (rel + 1.0)
-    for j in range(n - 1, 0, -1):
-        block = back.reshape(-1, k)
-        prev = forward[j - 1]
-        grad_q += (prev[:, None] * block).reshape(-1, k, k).sum(axis=0)
-        back = (q[np.arange(len(prev)) % k] * block).sum(axis=1)
-    grad_pi = row_entropy + back
-    fundamental = pi[None, :] - gen
-    grad_q += pi[:, None] * _solve(fundamental, grad_pi)[None, :]
-    grad = q * (grad_q - (grad_q * q).sum(axis=1, keepdims=True))
-    return value, grad, slope
-
-
 def _tilt_starts(model, cap):
     """Tilts y on the stacked plus-then-minus tables, i.e. (y+, -y-), on a
     grid of about `cap` points.
@@ -216,8 +156,8 @@ def _tilt_starts(model, cap):
     n of equal cells, the largest n with n**d <= cap but at least 2, and
     the grid takes their centres.  An even n leaves out the box centre, so
     it is added: 9 starts for d <= 3 at cap 9, and 17 for d = 4.  The
-    centres stay off the ends, whose Gibbs chains are nearly deterministic
-    and flat in the logits.
+    centres stay off the ends, whose Gibbs chains are nearly deterministic,
+    where H is nearly 0 and the ascent nearly flat.
     """
     spans = [None] * model.n_plus
     if model.g_plus is not None:
@@ -239,113 +179,7 @@ def _tilt_starts(model, cap):
     return np.vstack([starts, centre])
 
 
-def _direct_markov(model):
-    """Multistart L-BFGS-B over the row logits of an order-1 chain.
-
-    Each start is the chain of pair probabilities of the Gibbs measure of a
-    tilt y+ . phi+ - y- . phi- (_tilt_starts); a start whose Perron solve
-    fails is skipped.  Every chain with finite logits has full support, so
-    no chain is rejected on the way.  The value and its gradient are exact
-    (_chain_pressure).  The search is not concave and can stop at a local
-    maximum next to the optimum.  The optimum is the Gibbs chain of the
-    coupling slopes at its own averages, so one more climb starts from the
-    Gibbs chain of the slopes at the best chain's averages.
-    """
-    k, n, tables = model.alphabet.k, model.memory, model.tables
-    pairs = np.repeat(np.eye(k * k), k ** (n - 2), axis=1)
-
-    def neg(logits):
-        value, grad, _ = _chain_pressure(model, tables, n, logits.reshape(k, k))
-        return -value, -grad.ravel()
-
-    def climb(y):
-        """(value, row logits) of the L-BFGS-B climb from the Gibbs chain of
-        the tilt y on the tables."""
-        _, pair = _tilted_pressure(model.log_weights, y @ tables, pairs, n)
-        # floored so that a pair law that underflows still gives finite logits
-        log_q = np.log(np.maximum(pair.reshape(k, k), np.finfo(float).tiny))
-        res = scipy.optimize.minimize(
-            neg, (log_q - log_q.max(axis=1, keepdims=True)).ravel(), jac=True,
-            method="L-BFGS-B", options=MARKOV_OPTIONS)
-        return -float(res.fun), res.x.reshape(k, k)
-
-    best, failures = (-math.inf, None), []
-    for y in _tilt_starts(model, MARKOV_STARTS):
-        try:
-            best = max(best, climb(y), key=lambda r: r[0])
-        except ArithmeticError as exc:
-            failures.append(f"tilt {y.tolist()}: {exc}")
-    if best[1] is None:
-        raise ArithmeticError(
-            "direct_pressure: every start chain failed; " + "; ".join(failures)
-        )
-    try:
-        best = max(best, climb(_chain_pressure(model, tables, n, best[1])[2]),
-                   key=lambda r: r[0])
-    except ArithmeticError:
-        pass
-    q = np.exp(best[1] - _log_sum_exp(best[1], rows=True)[:, None])
-    mu = MarkovMeasure.from_transitions(model.alphabet, q)
-    return model.direct_pressure_of(mu), mu
-
-
-# -- constrained-entropy route -------------------------------------------------
-
-
-def _unique_potentials(model):
-    """Deduplicate the plus/minus potential lists by table equality.
-
-    Returns (potentials, plus_index, minus_index) mapping each side into the
-    merged list, so models reusing one potential on both sides get a single
-    well-posed constraint coordinate.
-    """
-    uniq = []
-    plus_idx = []
-    minus_idx = []
-
-    def locate(p):
-        for i, q in enumerate(uniq):
-            if p.memory == q.memory and np.array_equal(p.table, q.table):
-                return i
-        uniq.append(p)
-        return len(uniq) - 1
-
-    for p in model.plus_potentials:
-        plus_idx.append(locate(p))
-    for p in model.minus_potentials:
-        minus_idx.append(locate(p))
-    return uniq, plus_idx, minus_idx
-
-
-def bkl_entropy(alphabet, potentials, z):
-    """h(z) = inf_y { P_L(sum_i y_i phi_i) - y . z }.
-
-    The maximal entropy among shift-invariant measures with constrained
-    averages tau(mu) = z, by convex duality against the linear pressure:
-    one L-BFGS-B run from y = 0 over the box |y_i| <= BKL_RADIUS, on the value
-    and its gradient tau(y) - z.  Returns (value, boundary_flag);
-    boundary_flag True means the bounded search hit its box, i.e. z sits on
-    or outside the achievable set and the value is an upper bound only.
-    """
-    potentials = list(potentials)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (len(potentials),):
-        raise ValueError("constraint dimension mismatch")
-    memory = max(p.memory for p in potentials)
-    log_w = np.log(alphabet.weights)
-    tables = stacked_tables(alphabet, potentials, memory)
-
-    def objective(y):
-        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
-        return value - float(y @ z), tau - z
-
-    try:
-        res = scipy.optimize.minimize(
-            objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
-            bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(z), options=BKL_OPTIONS)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
-    return float(res.fun), bool(np.any(np.abs(res.x) > BKL_RADIUS - 1e-6))
+# -- the lockstep ascent ------------------------------------------------------
 
 
 def _midpoints(g, tau):
@@ -356,58 +190,57 @@ def _midpoints(g, tau):
     return np.array([g.subdiff(t).midpoint for t in tau])
 
 
-def _bkl_rows(model, tables, plus_idx, minus_idx, y):
+def _rows(model, coords, mix, y):
     """(F, dF/dy, tau, s, H) at each row of the stack y of tilts of the
-    merged tables, each output with a leading axis over the rows; H is the
-    Hessian of P_L.  See _bkl_objective."""
-    p_l, tau, hess = _tilted_pressure(model.log_weights, y @ tables, tables,
+    coordinate tables `coords`, each output with a leading axis over the
+    rows; H is the Hessian of P_L.
+
+    F = P_L(y) - y . tau + g+(A+ tau) - g-(A- tau), with tau = tau(y) the
+    Gibbs averages of coords and A+, A- the plus and minus rows of `mix`:
+    by Legendre duality P_L(y) - y . tau is the entropy of the Gibbs
+    measure, so F is its direct pressure.  s = A+^T dg+ - A-^T dg- is the
+    coupling slope at tau, the midpoints of the subdifferentials, and
+    dF/dy = H (s - y).
+    """
+    p_l, tau, hess = _tilted_pressure(model.log_weights, y @ coords, coords,
                                       model.memory, hessian=True)
     value = p_l - (y * tau).sum(axis=1)
     slope = np.zeros_like(tau)
+    n = model.n_plus
     if model.g_plus is not None:
-        value += model.g_plus.value(tau[:, plus_idx])
-        np.add.at(slope, (slice(None), plus_idx),
-                  _midpoints(model.g_plus, tau[:, plus_idx]))
+        z = tau @ mix[:n].T
+        value += model.g_plus.value(z)
+        slope += _midpoints(model.g_plus, z) @ mix[:n]
     if model.g_minus is not None:
-        value -= model.g_minus.value(tau[:, minus_idx])
-        np.subtract.at(slope, (slice(None), minus_idx),
-                       _midpoints(model.g_minus, tau[:, minus_idx]))
+        z = tau @ mix[n:].T
+        value -= model.g_minus.value(z)
+        slope -= _midpoints(model.g_minus, z) @ mix[n:]
     return value, (hess @ (slope - y)[..., None])[..., 0], tau, slope, hess
 
 
-def _bkl_objective(model, tables, plus_idx, minus_idx, y):
-    """(F, dF/dy, tau, s) at the tilt y of the merged tables.
-
-    F = P_L(y) - y . tau + g+(tau+) - g-(tau-), with tau = tau(y) the Gibbs
-    averages of the tilt: by Legendre duality P_L(y) - y . tau is h(tau)
-    exactly, so F is the constrained-entropy score of the achievable
-    average tau.  s is the coupling slope at tau on the merged coordinates,
-    the midpoints of the subdifferentials of g+ and of -g- summed over the
-    plus and minus indices (dg+ - dg- on a shared potential).  With H the
-    Hessian of P_L, dF/dy = H (s - y).
-    """
-    value, grad, tau, slope, _ = _bkl_rows(model, tables, plus_idx,
-                                           minus_idx, y[None])
+def _objective(model, coords, mix, y):
+    """(F, dF/dy, tau, s) at the one tilt y (_rows)."""
+    value, grad, tau, slope, _ = _rows(model, coords, mix, y[None])
     return float(value[0]), grad[0], tau[0], slope[0]
 
 
-def _coupling_curvature(model, size, plus_idx, minus_idx):
-    """S' on the merged coordinates: the Hessian of g+ on the plus indices
-    minus that of g- on the minus indices, summed on a shared potential;
-    None when it is 0.  A coupling's Hessian is the inverse of
-    its conjugate Hessian, constant for every kind here, where that is
-    nonsingular (Quadratic, a LinearShift of one), and 0 otherwise: a kink
-    or a grid is piecewise linear."""
-    curvature = np.zeros((size, size))
-    for g, idx, sign in ((model.g_plus, plus_idx, 1.0),
-                         (model.g_minus, minus_idx, -1.0)):
+def _coupling_curvature(model, mix):
+    """S' = A+^T S+ A+ - A-^T S- A- on the coordinates, S+ and S- the
+    Hessians of g+ and g-; None when it is 0.  A coupling's Hessian is the
+    inverse of its conjugate Hessian, constant for every kind here, where
+    that is nonsingular (Quadratic, a LinearShift of one), and 0 otherwise:
+    a kink or a grid is piecewise linear."""
+    n = model.n_plus
+    curvature = np.zeros((mix.shape[1],) * 2)
+    for g, a, sign in ((model.g_plus, mix[:n], 1.0),
+                       (model.g_minus, mix[n:], -1.0)):
         if g is None or not g.has_conjugate_gradient:
             continue
         try:
             inverse = np.linalg.inv(g.conjugate_hessian(np.zeros(g.dim)))
         except np.linalg.LinAlgError:
             continue
-        np.add.at(curvature, np.ix_(idx, idx), sign * inverse)
+        curvature += sign * (a.T @ inverse @ a)
     return curvature if curvature.any() else None
 
 
@@ -433,19 +266,19 @@ def _clip(y):
     return np.clip(y, -BKL_RADIUS, BKL_RADIUS)
 
 
-def bkl_pressure(model):
-    """Maximum of g+(z+) - g-(z-) + h(z) over achievable averages z.
+def _ascent(model, coords, mix, failure):
+    """Maximum of F (_rows) over the tilts y of the coordinate tables
+    `coords`, with `mix` the matrix A from their Gibbs averages to the
+    model's plus-then-minus averages.
 
-    Returns (value, z).  An ascent of F (_bkl_objective) over the tilt y of
-    the merged potentials in the box |y_i| <= BKL_RADIUS, from the tilts of
-    _tilt_starts on the merged coordinates, all in lockstep: each round
-    prices every row still climbing in one stacked Perron call with its
-    Hessian, and no dual solve.  A start whose Perron solve raises is
-    dropped.  F is not concave, and its critical points with H nonsingular
-    are the tilts y = s(tau(y)), so one more climb starts from the slope
-    tilt of the best point.  The value returned is F at the best tilt
-    evaluated, at z = tau of that tilt: an achievable average, so it cannot
-    overstate beyond Perron rounding.
+    Returns (F, y, tau, s) at the best tilt evaluated.  The ascent runs in
+    the box |y_i| <= BKL_RADIUS, from the tilts of _tilt_starts mapped by
+    A (y = start A), all in lockstep: each round prices every row still
+    climbing in one stacked Perron call with its Hessian.  A start whose
+    Perron solve raises is dropped; when every one is, the ArithmeticError
+    says `failure` and lists their errors.  F is not concave, and its
+    critical points with H nonsingular are the tilts y = s(tau(y)), so one
+    more climb starts from the slope tilt of the best point.
 
     Each step is Gauss-Newton: with S' the coupling curvature
     (_coupling_curvature) and dropping the third derivatives of P_L,
@@ -463,26 +296,26 @@ def bkl_pressure(model):
     of an abs_sum or grid coupling, goes on alone to L-BFGS-B from its end
     point.
     """
-    uniq, plus_idx, minus_idx = _unique_potentials(model)
-    tables = stacked_tables(model.alphabet, uniq, model.memory)
-    curvature = _coupling_curvature(model, len(uniq), plus_idx, minus_idx)
-    best = [-math.inf, None, None]  # F, tau, slope at the best tilt
+    curvature = _coupling_curvature(model, mix)
+    best = [-math.inf, None, None, None]  # F, y, tau, slope at the best tilt
     failures = []
 
     def price(y, starts):
-        """_bkl_rows at the rows of y and the indices of the rows priced,
-        all but those whose Perron solve raises; (empty, None) if none."""
+        """_rows at the rows of y and the indices of the rows priced, all
+        but those whose Perron solve raises; (empty, None) if none."""
         kept = np.arange(len(y))
         while len(kept):
             try:
-                out = _bkl_rows(model, tables, plus_idx, minus_idx, y[kept])
+                out = _rows(model, coords, mix, y[kept])
             except ArithmeticError as exc:
-                failures.append(f"tilt {starts[kept[exc.row]].tolist()}: {exc}")
-                kept = np.delete(kept, exc.row)
+                row = getattr(exc, "row", 0)
+                failures.append(f"tilt {starts[kept[row]].tolist()}: {exc}")
+                kept = np.delete(kept, row)
                 continue
             i = int(np.argmax(np.where(np.isnan(out[0]), -np.inf, out[0])))
             if out[0][i] > best[0]:  # copies: climb updates out in place
-                best[:] = float(out[0][i]), out[2][i].copy(), out[3][i].copy()
+                best[:] = (float(out[0][i]), y[kept[i]].copy(),
+                           out[2][i].copy(), out[3][i].copy())
             return kept, out
         return kept, None
 
@@ -545,10 +378,9 @@ def bkl_pressure(model):
             moved = np.setdiff1d(moved, settled)
 
     def neg(y):
-        value, grad, tau, slope = _bkl_objective(model, tables, plus_idx,
-                                                 minus_idx, y)
+        value, grad, tau, slope = _objective(model, coords, mix, y)
         if value > best[0]:
-            best[:] = value, tau, slope
+            best[:] = value, y.copy(), tau, slope
         return -value, -grad
 
     def finish(points):
@@ -561,14 +393,80 @@ def bkl_pressure(model):
             except ArithmeticError as exc:
                 failures.append(f"tilt {y.tolist()}: {exc}")
 
-    starts = _tilt_starts(model, MARKOV_STARTS)
-    y0 = np.zeros((len(starts), len(uniq)))
-    np.add.at(y0, (slice(None), plus_idx + minus_idx), starts)
-    finish(climb(y0))
+    finish(climb(_tilt_starts(model, MARKOV_STARTS) @ mix))
     if best[1] is None:
-        raise ArithmeticError(
-            "bkl_pressure: every start tilt failed; " + "; ".join(failures)
-        )
-    finish(climb(best[2][None]))
-    return best[0], best[1]
+        raise ArithmeticError(f"{failure}; " + "; ".join(failures))
+    finish(climb(best[3][None]))
+    return tuple(best)
 
+
+# -- constrained-entropy route -------------------------------------------------
+
+
+def _unique_potentials(model):
+    """The model's potentials deduplicated by table equality, so that a
+    model reusing one potential on both sides gets a single well-posed
+    constraint coordinate.
+
+    Returns (tables, mix): the flat tables of the distinct potentials at
+    the model's memory, one row each, and the 0/1 matrix taking their
+    averages to the plus-then-minus averages of the model's potentials.
+    """
+    uniq, index = [], []
+    for p in model.plus_potentials + model.minus_potentials:
+        for i, q in enumerate(uniq):
+            if p.memory == q.memory and np.array_equal(p.table, q.table):
+                index.append(i)
+                break
+        else:
+            index.append(len(uniq))
+            uniq.append(p)
+    mix = np.zeros((len(index), len(uniq)))
+    mix[np.arange(len(index)), index] = 1.0
+    return stacked_tables(model.alphabet, uniq, model.memory), mix
+
+
+def bkl_entropy(alphabet, potentials, z):
+    """h(z) = inf_y { P_L(sum_i y_i phi_i) - y . z }.
+
+    The maximal entropy among shift-invariant measures with constrained
+    averages tau(mu) = z, by convex duality against the linear pressure:
+    one L-BFGS-B run from y = 0 over the box |y_i| <= BKL_RADIUS, on the value
+    and its gradient tau(y) - z.  Returns (value, boundary_flag);
+    boundary_flag True means the bounded search hit its box, i.e. z sits on
+    or outside the achievable set and the value is an upper bound only.
+    """
+    potentials = list(potentials)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (len(potentials),):
+        raise ValueError("constraint dimension mismatch")
+    memory = max(p.memory for p in potentials)
+    log_w = np.log(alphabet.weights)
+    tables = stacked_tables(alphabet, potentials, memory)
+
+    def objective(y):
+        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
+        return value - float(y @ z), tau - z
+
+    try:
+        res = scipy.optimize.minimize(
+            objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
+            bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(z), options=BKL_OPTIONS)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
+    return float(res.fun), bool(np.any(np.abs(res.x) > BKL_RADIUS - 1e-6))
+
+
+def bkl_pressure(model):
+    """Maximum of g+(z+) - g-(z-) + h(z) over achievable averages z.
+
+    Returns (value, z).  The ascent (_ascent) over the tilt y of the merged
+    potentials (_unique_potentials), whose Gibbs averages are z, A being
+    the 0/1 selection of each side's potentials among them.  The value
+    returned is F at the best tilt evaluated, at z = tau of that tilt: an
+    achievable average, so it cannot overstate beyond Perron rounding.
+    """
+    tables, mix = _unique_potentials(model)
+    value, _, tau, _ = _ascent(model, tables, mix,
+                               "bkl_pressure: every start tilt failed")
+    return value, tau

@@ -322,6 +322,23 @@ def stacked_tables(alphabet, potentials, memory):
     ).reshape(-1, alphabet.k**memory)
 
 
+def _fundamental_solve(lhs, c):
+    """(I - Q + 1 pi)^-1 c for a stack of chains.  A matrix that is singular
+    to working precision, a chain that splits into closed classes whose
+    correlations never decay, raises ArithmeticError with its index in the
+    stack as its `row` attribute."""
+    try:
+        return np.linalg.solve(lhs, c)
+    except np.linalg.LinAlgError:
+        stack = lhs.reshape((-1,) + lhs.shape[-2:])
+        rights = c.reshape((len(stack),) + c.shape[-2:])
+        error = ArithmeticError("Green-Kubo sum: the Gibbs chain splits into "
+                                "closed classes to working precision")
+        error.row = next(i for i, (a, b) in enumerate(zip(stack, rights))
+                         if np.isnan(_solve_or_nan(a, b)).all())
+        raise error from None
+
+
 def _tilted_pressure(log_weights, tilt, averaged, memory, hessian=False):
     """(P_L, tau), or with hessian=True (P_L, tau, H): the linear pressure of
     a flat memory-word table `tilt`, the Gibbs averages of the rows of
@@ -341,9 +358,10 @@ def _tilted_pressure(log_weights, tilt, averaged, memory, hessian=False):
     A diag(P) A^T + X + X^T of the centred rows A, X = (A P) u(trail).
     u = (I - Q + 1 pi)^-1 c sums the correlations of the chain
     Q[lead, trail] = P / pi(lead) on the (memory-1)-words, pi its law,
-    c(s) = E[A | lead = s], one stacked solve for the whole stack; a state
-    whose pi underflows to 0 has an empty row of Q and c = 0, so it drops
-    out.
+    c(s) = E[A | lead = s], one stacked solve for the whole stack
+    (_fundamental_solve, which names a chain that splits into closed
+    classes); a state whose pi underflows to 0 has an empty row of Q and
+    c = 0, so it drops out.
     """
     stacked = tilt.ndim > 1
     if memory == 1:
@@ -376,7 +394,7 @@ def _tilted_pressure(log_weights, tilt, averaged, memory, hessian=False):
         lhs[..., lead, trail] -= (grouped / mass[..., None]).reshape(p.shape)
         c = weighted.reshape(weighted.shape[:-1] + (-1, k)).sum(axis=-1)
         c = c.swapaxes(-1, -2) / mass[..., None]
-        cross = weighted @ np.linalg.solve(lhs, c).take(trail, axis=-2)
+        cross = weighted @ _fundamental_solve(lhs, c).take(trail, axis=-2)
         cov += cross + cross.swapaxes(-1, -2)
     return value, tau, cov
 

@@ -35,12 +35,57 @@ def _components(mu):
     raise TypeError("unsupported measure type")
 
 
+def _component_averages(model, mu):
+    """(weight, averages) of each ergodic component of mu, the averages of
+    the plus, then the minus potentials (ModelSpec.averages)."""
+    return [(w, model.averages(nu)) for w, nu in _components(mu)]
+
+
+def _side(model, side):
+    """The slice of the averages on `side` ("plus" or "minus")."""
+    n = model.n_plus
+    return slice(None, n) if side == "plus" else slice(n, None)
+
+
+def _delta(parts, func, cut):
+    """sum_i lambda_i F(tau_cut(nu_i)) over (lambda_i, tau(nu_i)) in parts."""
+    return sum(w * func(tau[cut]) for w, tau in parts)
+
+
 def delta_functional(model, mu, func, side="plus"):
     """Delta^F(mu) = sum_i lambda_i F(tau(nu_i)) over ergodic components,
     tau the averages of the model's potentials on `side` ("plus" or
     "minus")."""
-    tau = model.tau_plus if side == "plus" else model.tau_minus
-    return sum(w * func(tau(nu)) for w, nu in _components(mu))
+    return _delta(_component_averages(model, mu), func, _side(model, side))
+
+
+def delta_report(model, mu):
+    """The entropy of mu, F_flat and F_sharp, and the Delta-functional of
+    each coupling present, "delta_plus" of g+ and "delta_minus" of g-, from
+    one ModelSpec.averages call per ergodic component and, for the minus
+    side of F_sharp on a mixture, one at mu itself.
+
+    F_flat(mu) = Delta^{g+ o tau+} - Delta^{g- o tau-} + h(mu) equals
+    sum_i lambda_i P(nu_i): affine in the ergodic decomposition.  F_sharp
+    evaluates the minus side at the mixed mean, not component-wise, so only
+    its plus side is affine.
+    """
+    parts = _component_averages(model, mu)
+    report = {"entropy": entropy_rate(mu)}
+    flat = sharp = report["entropy"]
+    if model.g_plus is not None:
+        delta = report["delta_plus"] = _delta(parts, model.g_plus.value,
+                                              _side(model, "plus"))
+        flat += delta
+        sharp += delta
+    if model.g_minus is not None:
+        cut = _side(model, "minus")
+        delta = report["delta_minus"] = _delta(parts, model.g_minus.value, cut)
+        flat -= delta
+        mean = parts[0][1] if isinstance(mu, MarkovMeasure) else model.averages(mu)
+        sharp -= model.g_minus.value(mean[cut])
+    report["f_flat"], report["f_sharp"] = flat, sharp
+    return report
 
 
 def _distinct_rows(a):
@@ -96,28 +141,13 @@ def delta_via_birkhoff(potentials, mu, func, n):
 
 
 def affine_pressure_flat(model, mu):
-    """F_flat(mu) = Delta^{g+ o tau+} - Delta^{g- o tau-} + h(mu).
-
-    Equals sum_i lambda_i P(nu_i): affine in the ergodic decomposition.
-    """
-    total = entropy_rate(mu)
-    if model.g_plus is not None:
-        total += delta_functional(model, mu, model.g_plus.value, side="plus")
-    if model.g_minus is not None:
-        total -= delta_functional(model, mu, model.g_minus.value, side="minus")
-    return total
+    """F_flat(mu), as delta_report gives it."""
+    return delta_report(model, mu)["f_flat"]
 
 
 def affine_pressure_sharp(model, mu):
-    """F_sharp(mu): the minus side is evaluated at the mixed mean, not
-    component-wise, so only the plus side is affine.
-    """
-    total = entropy_rate(mu)
-    if model.g_plus is not None:
-        total += delta_functional(model, mu, model.g_plus.value, side="plus")
-    if model.g_minus is not None:
-        total -= model.g_minus.value(model.tau_minus(mu))
-    return total
+    """F_sharp(mu), as delta_report gives it."""
+    return delta_report(model, mu)["f_sharp"]
 
 
 # -- finite transportation problem -------------------------------------------

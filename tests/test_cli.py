@@ -456,6 +456,39 @@ class TestSubcommands:
         assert out["delta_plus"] == pytest.approx(0.6**2)
         assert out["f_flat"] == pytest.approx(out["f_sharp"])
 
+    @pytest.mark.parametrize("flags", [[], ["--birkhoff-n", "4"]],
+                             ids=["plain", "birkhoff"])
+    def test_delta_averages_each_component_once(self, tmp_path, capsys,
+                                                monkeypatch, flags):
+        # a two-sided memory-2 model and a mixture of two chains: one word
+        # law per component, and one of the mixture for the minus side of
+        # f_sharp; a single chain is its own only component
+        doc = json.loads(json.dumps(TWO_SIDED))
+        doc["minus"]["potentials"] = [
+            {"memory": 2, "table": [[0.5, -1.0], [0.3, 0.2]], "name": "pair"}]
+        chain = {"order": 1, "stationary": [0.6, 0.4],
+                 "transitions": [[0.8, 0.2], [0.3, 0.7]]}
+        doc["measures"] = {
+            "mix": {"mixture": [{"weight": 0.3, **chain},
+                                {"weight": 0.7, "order": 0, "stationary": [0.1, 0.9]}]},
+            "chain": chain,
+        }
+        path = write_model(tmp_path, doc)
+        calls = []
+        averages = ModelSpec.averages
+
+        def counted(self, mu):
+            calls.append(mu)
+            return averages(self, mu)
+
+        monkeypatch.setattr(ModelSpec, "averages", counted)
+        for name, count in (("mix", 3), ("chain", 1)):
+            calls.clear()
+            assert run_cli(["delta", path, "--measure", name, *flags]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert len(calls) == count
+            assert {"delta_plus", "delta_minus", "f_flat", "f_sharp"} <= set(out)
+
     def test_delta_rejects_negative_birkhoff_n(self, tmp_path, capsys):
         # a negative word length used to exit 0 without the approximant
         doc = json.loads(json.dumps(CW2))
@@ -578,6 +611,16 @@ class TestColdStart:
         path = write_model(tmp_path, doc)
         argv = [command[0], path, *command[1:]]
         assert "scipy.optimize" not in self.loaded(argv)
+
+    def test_memory2_oracle_leaves_optimize_unloaded(self, tmp_path):
+        # the nearest-neighbour Ising model: both oracles climb over tilts
+        # in lockstep, and no row falls back to L-BFGS-B
+        doc = json.loads(json.dumps(CW2))
+        doc["plus"]["potentials"] = [
+            {"memory": 2, "table": [[1.0, -1.0], [-1.0, 1.0]], "name": "nn-ising"}]
+        doc["plus"]["g"]["beta"] = 1.2
+        path = write_model(tmp_path, doc)
+        assert "scipy.optimize" not in self.loaded(["oracle", path])
 
     def test_two_sided_game_loads_optimize(self, tmp_path):
         # its master LP is a HiGHS model, so the check above can fail

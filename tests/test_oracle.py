@@ -10,13 +10,8 @@ from thermoflat import oracle
 from thermoflat.convex import AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec, solve_flat, solve_game
 from thermoflat.measures import AprioriAlphabet, CylinderPotential, MarkovMeasure
-from thermoflat.oracle import (
-    _chain_pressure,
-    bkl_entropy,
-    bkl_pressure,
-    direct_pressure,
-)
-from thermoflat.ruelle import stacked_tables
+from thermoflat.oracle import bkl_entropy, bkl_pressure, direct_pressure
+from thermoflat.ruelle import rpf_solve
 
 A2 = AprioriAlphabet(2)
 A3 = AprioriAlphabet(3)
@@ -157,37 +152,39 @@ class TestDirectPressure:
         v1, _ = direct_pressure(m)
         assert v1 >= v0 - 1e-9
 
-    def test_chain_gradient_matches_finite_differences(self):
-        # memory-3 plus and memory-2 minus potentials on a weighted alphabet
-        rng = np.random.default_rng(8)
-        a3 = AprioriAlphabet(3, [0.2, 0.3, 0.5])
-        plus = CylinderPotential(a3, rng.normal(size=(3, 3, 3)))
-        minus = CylinderPotential(a3, rng.normal(size=(3, 3)))
-        m = ModelSpec(a3, [plus], [minus],
-                      LinearShift(np.array([0.2]), Quadratic(1.5)),
-                      Quadratic(0.7))
-        tables = np.stack([plus.table.ravel(),
-                           minus.padded(3).table.ravel()])
-        logits = rng.normal(size=(3, 3))
-        value, grad, slope = _chain_pressure(m, tables, 3, logits)
-        q = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        mu = MarkovMeasure.from_transitions(a3, q)
-        assert value == pytest.approx(m.direct_pressure_of(mu), abs=1e-14)
-        # the tilt of the tables: (g+'(tau+), -g-'(tau-))
+    def test_word_tilt_gradient_matches_finite_differences(self):
+        # memory-3 plus and memory-2 minus potentials on a weighted alphabet:
+        # the ascent over tilts psi of the 27 word indicators, whose Gibbs
+        # averages are the word law, has dF/dpsi = H (s - psi)
+        m = weighted_memory3()
+        words = np.eye(27)
+        psi = np.random.default_rng(8).normal(size=27)
+        value, grad, tau, slope = oracle._objective(m, words, m.tables, psi)
+        mu = rpf_solve(CylinderPotential(m.alphabet, psi.reshape(3, 3, 3))).gibbs
+        np.testing.assert_allclose(tau, mu.word_probs(3).ravel(), atol=1e-14)
+        assert value == pytest.approx(m.direct_pressure_of(mu), abs=1e-12)
+        # the tilt of the words: A+^T g+'(tau+) - A-^T g-'(tau-)
+        tau_plus, tau_minus = m.tables @ tau
         np.testing.assert_allclose(
-            slope, [1.5 * m.tau_plus(mu)[0] + 0.2, -0.7 * m.tau_minus(mu)[0]],
+            slope, (1.5 * tau_plus + 0.2) * m.tables[0] - 0.7 * tau_minus * m.tables[1],
             atol=1e-13)
-        step = 1e-6
-        for i in range(3):
-            for j in range(3):
-                e = np.zeros((3, 3))
-                e[i, j] = step
-                fd = (_chain_pressure(m, tables, 3, logits + e)[0]
-                      - _chain_pressure(m, tables, 3, logits - e)[0]) / (2 * step)
-                assert grad[i, j] == pytest.approx(fd, abs=1e-8)
+        step = 1e-5
+        fd = [(oracle._objective(m, words, m.tables, psi + e)[0]
+               - oracle._objective(m, words, m.tables, psi - e)[0]) / (2 * step)
+              for e in step * np.eye(27)]
+        np.testing.assert_allclose(grad, fd, atol=1e-7)
+        assert np.abs(grad).max() > 1e-3
+
+    def test_memory3_value_is_its_chains_direct_pressure(self):
+        # the value is priced again from the measure returned, a chain of
+        # order m - 1
+        m = weighted_memory3()
+        v, mu = direct_pressure(m)
+        assert mu.order == m.memory - 1 == 2
+        assert v == m.direct_pressure_of(mu)
 
     def test_every_start_failing_is_solver_error(self, monkeypatch):
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise ArithmeticError("perron: no bracket")
 
         monkeypatch.setattr(oracle, "_tilted_pressure", fail)
@@ -251,6 +248,16 @@ class TestBKLPressure:
         assert v == pytest.approx(sol.p_flat, abs=1e-6)
 
 
+def weighted_memory3():
+    """Memory-3 plus and memory-2 minus potentials on a weighted three-letter
+    alphabet."""
+    rng = np.random.default_rng(8)
+    plus = CylinderPotential(A3W, rng.normal(size=(3, 3, 3)))
+    minus = CylinderPotential(A3W, rng.normal(size=(3, 3)))
+    return ModelSpec(A3W, [plus], [minus],
+                     LinearShift(np.array([0.2]), Quadratic(1.5)), Quadratic(0.7))
+
+
 def three_potentials():
     """Memory-2 and memory-1 plus potentials and a memory-3 minus potential
     on a weighted three-letter alphabet."""
@@ -290,13 +297,12 @@ class TestBKLObjective:
     def test_gradient_matches_finite_differences(self, m):
         # dF/dy = H (s - y); on a shared potential the merged slope is
         # dg+ - dg-
-        uniq, plus_idx, minus_idx = oracle._unique_potentials(m)
-        tables = stacked_tables(m.alphabet, uniq, m.memory)
+        tables, mix = oracle._unique_potentials(m)
 
         def objective(y):
-            return oracle._bkl_objective(m, tables, plus_idx, minus_idx, y)
+            return oracle._objective(m, tables, mix, y)
 
-        y = np.random.default_rng(1).uniform(-1.0, 1.0, len(uniq))
+        y = np.random.default_rng(1).uniform(-1.0, 1.0, len(tables))
         _, grad, _, _ = objective(y)
         step = 1e-5
         fd = [(objective(y + e)[0] - objective(y - e)[0]) / (2 * step)
@@ -407,6 +413,26 @@ class TestThreeSymbolMemory2:
         assert all(calls)
         assert 0 < len(calls) <= 400
 
+    @pytest.mark.parametrize("m", [three_symbol_memory2(3), weighted_memory3()],
+                             ids=["k3_memory2", "weighted_memory3"])
+    def test_direct_climbs_in_stacks_without_scipy(self, m, monkeypatch):
+        # at memory >= 2 the direct oracle prices every point by one stacked
+        # Perron call with its Hessian, and no row falls back to L-BFGS-B
+        def refuse(*args, **kwargs):
+            raise AssertionError("L-BFGS-B fallback in the direct oracle")
+
+        calls = []
+        tilted = oracle._tilted_pressure
+
+        def counted(log_weights, tilt, *args, **kwargs):
+            calls.append((tilt.ndim, kwargs.get("hessian", False)))
+            return tilted(log_weights, tilt, *args, **kwargs)
+
+        monkeypatch.setattr("scipy.optimize.minimize", refuse)
+        monkeypatch.setattr(oracle, "_tilted_pressure", counted)
+        direct_pressure(m)
+        assert calls and all(c == (2, True) for c in calls)
+
     @pytest.mark.parametrize("m", [cw_model(2.0), three_symbol_memory2(3)],
                              ids=["curie_weiss", "k3_memory2"])
     def test_bkl_value_is_legendre_exact(self, m):
@@ -491,13 +517,11 @@ def lbfgs_bkl_pressure(model):
     kept as its reference: one scipy run per start tilt of _tilt_starts,
     then one from the slope tilt of the best point, recording F at every
     point it prices."""
-    uniq, plus_idx, minus_idx = oracle._unique_potentials(model)
-    tables = stacked_tables(model.alphabet, uniq, model.memory)
+    tables, mix = oracle._unique_potentials(model)
     best = [-math.inf, None, None]
 
     def neg(y):
-        value, grad, tau, slope = oracle._bkl_objective(
-            model, tables, plus_idx, minus_idx, y)
+        value, grad, tau, slope = oracle._objective(model, tables, mix, y)
         if value > best[0]:
             best[:] = value, tau, slope
         return -value, -grad
@@ -508,10 +532,8 @@ def lbfgs_bkl_pressure(model):
                  options=oracle.BKL_OPTIONS)
 
     for start in oracle._tilt_starts(model, oracle.MARKOV_STARTS):
-        y = np.zeros(len(uniq))
-        np.add.at(y, plus_idx + minus_idx, start)
         try:
-            climb(y)
+            climb(start @ mix)
         except ArithmeticError:
             pass
     climb(best[2])
@@ -642,15 +664,9 @@ def test_sweep_bkl_matches_the_solver(seed):
 
 @pytest.mark.parametrize("seed", fast_sweep(DIRECT_FAILURES))
 def test_sweep_direct_matches_the_solver(seed):
-    # the direct oracle searches order-1 chains, which hold the equilibria
-    # of memory <= 2; from memory 3 on it bounds P_flat from below only
-    # (ROADMAP item 3(c): seeds 27, 28 and 31 read 3.9e-4 to 0.10 low)
+    # the direct oracle searches the chains of order m - 1, which hold the
+    # equilibria of memory m, at every memory (seeds 27, 28 and 31 read
+    # 3.9e-4 to 0.10 low while it searched order-1 chains only)
     p_flat = sweep_p_flat(seed)
-    if p_flat is None:
-        return
-    m = sweep_model(seed)
-    direct = direct_pressure(m)[0]
-    if m.memory <= 2:
-        assert direct == pytest.approx(p_flat, abs=1e-6)
-    else:
-        assert direct <= p_flat + 1e-9
+    if p_flat is not None:
+        assert direct_pressure(sweep_model(seed))[0] == pytest.approx(p_flat, abs=1e-6)

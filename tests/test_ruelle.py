@@ -410,6 +410,17 @@ class TestTiltedPressure:
         ])
         np.testing.assert_allclose(hess, fd, atol=1e-9)
 
+    def test_chain_split_into_closed_classes_names_its_row(self):
+        # at the second tilt the words 01 and 10 carry e^-700 of the mass:
+        # to working precision the chain stays in its first state forever,
+        # so the Green-Kubo sum has no finite value
+        log_w = np.log(A2.weights)
+        tilts = np.array([[0.0, 0.5, -0.5, 0.0], [0.0, -700.0, -700.0, 0.0]])
+        with pytest.raises(ArithmeticError, match="closed classes") as info:
+            _tilted_pressure(log_w, tilts, np.eye(4), 2, True)
+        assert info.value.row == 1
+        assert np.isfinite(_tilted_pressure(log_w, tilts[:1], np.eye(4), 2, True)[2]).all()
+
 
 class TestRPF:
     def test_memory1_gibbs_is_tilted_product(self):
