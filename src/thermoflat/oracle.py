@@ -15,40 +15,45 @@ measures of h - g-(tau-) + g+(tau+):
     linear pressure, and the max of g+(z+) - g-(z-) + h(z) over achievable
     averages z of the model's distinct potentials.
 Both climbs are one ascent (_ascent) over the tilts of coordinate tables
-whose Gibbs averages map linearly onto the model's: every start in
-lockstep with one stacked Perron call per round, by Gauss-Newton steps; a
-start that stalls, as at the kink of a coupling, finishes with L-BFGS-B.
-At the Gibbs averages tau of a tilt psi, h = P_L(psi) - psi . tau exactly
-(Legendre duality), so no dual solve is needed, the Hessian of P_L gives
-the exact gradient, and every value is that of a real Gibbs measure and
-cannot be overstated.  Both take linear pressures, Gibbs averages and
-their covariance from ruelle._tilted_pressure.  Neither touches the
-max-min solver, so they can arbitrate it.
+whose Gibbs averages map linearly onto the model's, reduced once per call
+modulo coboundaries and constants (_reduce): every start in lockstep with
+one stacked Perron call per round, by the projected Newton loop that the
+max-min solver runs too (thermoflat.newton), on a Gauss-Newton model that
+the majorant curvature of a minus coupling's kinks (_kink_curvature)
+keeps from crossing them back and forth.  At the Gibbs averages tau of a
+tilt psi, h = P_L(psi) - psi . tau exactly (Legendre duality), so no dual
+solve is needed, the Hessian of P_L gives the exact gradient, and every
+value is that of a real Gibbs measure and cannot be overstated.  Both take
+linear pressures, Gibbs averages and their covariance from
+ruelle._tilted_pressure.  They share the solver's search loop but not its
+objective, and import nothing of the max-min solver, so they can
+arbitrate it.
 """
 
 import itertools
 import math
 
 import numpy as np
-import scipy
 
+from .convex import AbsSum, GridSampled, LinearShift
 from .measures import CylinderPotential, MarkovMeasure
-from .ruelle import _tilted_pressure, rpf_solve, stacked_tables
+from .newton import _newton
+from .ruelle import _tilted_pressure, _word_maps, rpf_solve, stacked_tables
 
 # Both ascents climb from about MARKOV_STARTS tilts (_tilt_starts), then once
 # more from the slope tilt of the best point, over the tilt in the box
 # |psi_i| <= BKL_RADIUS, every start in lockstep: a row stops once its step
 # is at most BKL_XTOL or a step it takes raises F by at most BKL_FTOL
-# (relative), and stops short after BKL_STEPS steps or BKL_HALVINGS halvings
-# of one step.  A row that stops short goes on to L-BFGS-B with BKL_OPTIONS,
-# as do the dual solves of bkl_entropy in the same box.
+# (relative).  The majorant curvature of a minus coupling's kink counts
+# within KINK_RADIUS of it, with its gap floored at KINK_FLOOR; without the
+# radius, a two-axis grid optimum 0.02 from a kink was approached by 2 % a
+# step.
 MARKOV_STARTS = 9
 BKL_RADIUS = 60.0
-BKL_OPTIONS = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500}
-BKL_STEPS = 100
-BKL_HALVINGS = 30
 BKL_XTOL = 1e-10
 BKL_FTOL = 1e-15
+KINK_RADIUS = 1e-3
+KINK_FLOOR = 1e-8
 # The product search of a memory-1 model: a simplex grid of PRODUCT_STEPS
 # steps, then PRODUCT_ROUNDS refinements, each 10 times finer, each round
 # priced in blocks of at most PRODUCT_BLOCK rows.
@@ -182,6 +187,32 @@ def _tilt_starts(model, cap):
 # -- the lockstep ascent ------------------------------------------------------
 
 
+def _reduce(k, memory, coords):
+    """The coordinate tables `coords` (flat memory-word tables, one row
+    each) modulo coboundaries and constants.
+
+    Two tables have equal averages under every invariant measure exactly
+    when they differ by a coboundary plus a constant, f = c + h(trail) -
+    h(lead) (Parry & Pollicott, Asterisque 187-188, 1990); those f span
+    k**(memory-1) dimensions, the constant alone at memory 1.  Returns
+    (principal, basis, offset): with the rows of coords projected off them
+    and U S V^T the SVD of what is left, cut to its rank r (at least 1),
+    the principal tables S V^T (r rows), U (one column per principal
+    table) and the word-mean c of the residual.  Under every invariant
+    measure the averages of coords are U tau_r + c, tau_r those of the
+    principal tables, and the tilt y of coords has the Gibbs measure of the
+    tilt y U of the principal tables.
+    """
+    trail, lead, _ = _word_maps(k, memory)
+    cells = np.arange(k ** (memory - 1))[:, None]
+    kernel = np.vstack([np.ones(k**memory), (trail == cells) * 1.0 - (lead == cells)])
+    kernel = np.linalg.svd(kernel, full_matrices=False)[2][:len(cells)]
+    residual = coords @ kernel.T @ kernel
+    u, s, vt = np.linalg.svd(coords - residual, full_matrices=False)
+    rank = max(1, int((s > s[0] * max(coords.shape) * np.finfo(float).eps).sum()))
+    return s[:rank, None] * vt[:rank], u[:, :rank], residual.mean(axis=1)
+
+
 def _midpoints(g, tau):
     """The midpoint of g's subdifferential at each row of tau: its gradient
     where g has one everywhere."""
@@ -190,46 +221,39 @@ def _midpoints(g, tau):
     return np.array([g.subdiff(t).midpoint for t in tau])
 
 
-def _rows(model, coords, mix, y):
+def _rows(model, coords, mix, y, shift=0.0):
     """(F, dF/dy, tau, s, H) at each row of the stack y of tilts of the
     coordinate tables `coords`, each output with a leading axis over the
     rows; H is the Hessian of P_L.
 
-    F = P_L(y) - y . tau + g+(A+ tau) - g-(A- tau), with tau = tau(y) the
-    Gibbs averages of coords and A+, A- the plus and minus rows of `mix`:
-    by Legendre duality P_L(y) - y . tau is the entropy of the Gibbs
-    measure, so F is its direct pressure.  s = A+^T dg+ - A-^T dg- is the
-    coupling slope at tau, the midpoints of the subdifferentials, and
-    dF/dy = H (s - y).
+    F = P_L(y) - y . tau + g+(A+ tau + b+) - g-(A- tau + b-), with tau =
+    tau(y) the Gibbs averages of coords, A+, A- the plus and minus rows of
+    `mix` and b+, b- those of `shift`: by Legendre duality P_L(y) - y . tau
+    is the entropy of the Gibbs measure, so F is its direct pressure.  s =
+    A+^T dg+ - A-^T dg- is the coupling slope at tau, the midpoints of the
+    subdifferentials, and dF/dy = H (s - y).
     """
     p_l, tau, hess = _tilted_pressure(model.log_weights, y @ coords, coords,
                                       model.memory, hessian=True)
     value = p_l - (y * tau).sum(axis=1)
     slope = np.zeros_like(tau)
+    z = tau @ mix.T + shift
     n = model.n_plus
     if model.g_plus is not None:
-        z = tau @ mix[:n].T
-        value += model.g_plus.value(z)
-        slope += _midpoints(model.g_plus, z) @ mix[:n]
+        value += model.g_plus.value(z[:, :n])
+        slope += _midpoints(model.g_plus, z[:, :n]) @ mix[:n]
     if model.g_minus is not None:
-        z = tau @ mix[n:].T
-        value -= model.g_minus.value(z)
-        slope -= _midpoints(model.g_minus, z) @ mix[n:]
+        value -= model.g_minus.value(z[:, n:])
+        slope -= _midpoints(model.g_minus, z[:, n:]) @ mix[n:]
     return value, (hess @ (slope - y)[..., None])[..., 0], tau, slope, hess
-
-
-def _objective(model, coords, mix, y):
-    """(F, dF/dy, tau, s) at the one tilt y (_rows)."""
-    value, grad, tau, slope, _ = _rows(model, coords, mix, y[None])
-    return float(value[0]), grad[0], tau[0], slope[0]
 
 
 def _coupling_curvature(model, mix):
     """S' = A+^T S+ A+ - A-^T S- A- on the coordinates, S+ and S- the
-    Hessians of g+ and g-; None when it is 0.  A coupling's Hessian is the
-    inverse of its conjugate Hessian, constant for every kind here, where
-    that is nonsingular (Quadratic, a LinearShift of one), and 0 otherwise:
-    a kink or a grid is piecewise linear."""
+    Hessians of g+ and g-.  A coupling's Hessian is the inverse of its
+    conjugate Hessian, constant for every kind here, where that is
+    nonsingular (Quadratic, a LinearShift of one), and 0 otherwise: a kink
+    or a grid is piecewise linear (see _kink_curvature)."""
     n = model.n_plus
     curvature = np.zeros((mix.shape[1],) * 2)
     for g, a, sign in ((model.g_plus, mix[:n], 1.0),
@@ -241,163 +265,107 @@ def _coupling_curvature(model, mix):
         except np.linalg.LinAlgError:
             continue
         curvature += sign * (a.T @ inverse @ a)
-    return curvature if curvature.any() else None
+    return curvature
 
 
-def _modified_inverse(m):
-    """The pseudo-inverse of each symmetric matrix of the stack m with each
-    eigenvalue replaced by its modulus, dropping those below 1e-10 of the
-    largest: the directions along which the potentials are cohomologous to
-    a constant are a kernel of H, F is constant along them, and a floored
-    inverse would blow up the rounding of the gradient there.  Eigenvalues
-    below the smallest normal float, whose inverse would overflow, are
-    dropped too, and a matrix with an entry that is not finite gives 0."""
-    m = np.where(np.isfinite(m).all(axis=(-2, -1), keepdims=True), m, 0.0)
-    lam, vec = np.linalg.eigh(m)
-    lam = np.abs(lam)
-    floor = np.maximum(1e-10 * lam.max(axis=-1, keepdims=True), np.finfo(float).tiny)
-    keep = lam > floor
-    scale = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    return (vec * scale[..., None, :]) @ vec.swapaxes(-1, -2)
-
-
-def _clip(y):
-    """y cut to the box |y_i| <= BKL_RADIUS."""
-    return np.clip(y, -BKL_RADIUS, BKL_RADIUS)
+def _kink_curvature(g, z):
+    """The curvature of a quadratic majorant of the piecewise-linear part of
+    g that touches g at each row of z, (rows, d, d) (Hunter & Lange, Amer.
+    Statist. 58, 2004); 0 for a smooth g.  Only the kinks within
+    KINK_RADIUS count, each gap floored at KINK_FLOOR:
+      * AbsSum: 1 / |z_j| on the diagonal, the curvature of the majorant
+        z^2 / (2 |z_j|) + |z_j| / 2 of |z|;
+      * GridSampled, the max of facet planes with slopes m_i: the sum over
+        the facets i with gap delta_i = g(z) - plane_i(z) and m_i != s, s
+        the slope midpoint, of (m_i - s)(m_i - s)^T / (2 delta_i).
+    A LinearShift keeps its base's kinks.
+    """
+    while isinstance(g, LinearShift):
+        g = g.base
+    out = np.zeros((len(z), g.dim, g.dim))
+    if isinstance(g, AbsSum):
+        near = np.abs(z) <= KINK_RADIUS
+        out[:, np.arange(g.dim), np.arange(g.dim)] = np.where(
+            near, 1.0 / np.maximum(np.abs(z), KINK_FLOOR), 0.0)
+    elif isinstance(g, GridSampled):
+        for row, point in zip(out, z):
+            planes = g._planes(point)
+            gap = planes.max() - planes
+            diff = g._slopes - g.subdiff(point).midpoint
+            near = (gap <= KINK_RADIUS) & diff.any(axis=1)
+            weight = 1.0 / (2.0 * np.maximum(gap[near], KINK_FLOOR))
+            row += (diff[near].T * weight) @ diff[near]
+    return out
 
 
 def _ascent(model, coords, mix, failure):
-    """Maximum of F (_rows) over the tilts y of the coordinate tables
+    """Maximum of F (_rows) over the tilts of the coordinate tables
     `coords`, with `mix` the matrix A from their Gibbs averages to the
     model's plus-then-minus averages.
 
-    Returns (F, y, tau, s) at the best tilt evaluated.  The ascent runs in
-    the box |y_i| <= BKL_RADIUS, from the tilts of _tilt_starts mapped by
-    A (y = start A), all in lockstep: each round prices every row still
-    climbing in one stacked Perron call with its Hessian.  A start whose
-    Perron solve raises is dropped; when every one is, the ArithmeticError
-    says `failure` and lists their errors.  F is not concave, and its
-    critical points with H nonsingular are the tilts y = s(tau(y)), so one
-    more climb starts from the slope tilt of the best point.
+    Returns (F, table, tau) at the best tilt priced: F, the tilt as a flat
+    word table and the Gibbs averages of coords.  The climb runs over the
+    tilts y of the principal tables of coords (_reduce), where H, the
+    Hessian of P_L, has no kernel, in the box |y_i| <= BKL_RADIUS: one
+    _newton call (thermoflat.newton) minimizes -F from the tilts of
+    _tilt_starts mapped to them, all in lockstep, and, as F is not concave
+    and its critical points with H nonsingular are the tilts y = s(tau(y)),
+    one more from the slope tilt of the best point.  A row whose Perron
+    solve raises gets -F = +inf and gradient 0, so it stops or its step is
+    halved; when every start does, the ArithmeticError says `failure` and
+    lists their errors.
 
-    Each step is Gauss-Newton: with S' the coupling curvature
-    (_coupling_curvature) and dropping the third derivatives of P_L,
-    -F'' ~ H - H S' H, and the step is M g, M the _modified_inverse of that
-    model; at S' = 0 it is s - y on the range of H.  Where M g is no ascent,
-    the step is the fixed-point step s - y, always an ascent since
-    g . (s - y) = (s - y) H (s - y).  Each step is cut to the box and halved
-    until Armijo's test passes on F (Nocedal & Wright, Numerical
-    Optimization, 2006, sec. 3.1) or F moves by rounding only.  A row stops
-    once its step is at most BKL_XTOL or a step raises F by at most
-    BKL_FTOL (relative): where H is ill-conditioned, rounding can keep
-    every step above BKL_XTOL, and a test on |g| would stop at once where H
-    is nearly 0.  A row that stops short, after BKL_STEPS steps or
-    BKL_HALVINGS halvings or at a step that is not finite, as at the kink
-    of an abs_sum or grid coupling, goes on alone to L-BFGS-B from its end
-    point.
+    The Hessian model of -F is Gauss-Newton: with S' the coupling curvature
+    (_coupling_curvature), S- raised by the majorant curvature of g- at the
+    row's averages (_kink_curvature), and dropping the third derivatives of
+    P_L, -F'' ~ H - H S' H; at S' = 0 the Newton step is s - y.  The plus
+    side needs no kink term, as the tangent plane of g+ is a minorant of
+    it.  A row stops once its step is at most BKL_XTOL or a step raises F by
+    at most BKL_FTOL (relative), never on |dF/dy|: where the Gibbs chain is
+    frozen, H and with it dF/dy = H (s - y) are nearly 0 away from the
+    maximum.
     """
+    principal, basis, offset = _reduce(model.alphabet.k, model.memory, coords)
+    starts = _tilt_starts(model, MARKOV_STARTS) @ mix @ basis
+    mix, shift = mix @ basis, mix @ offset
     curvature = _coupling_curvature(model, mix)
+    n = model.n_plus
     best = [-math.inf, None, None, None]  # F, y, tau, slope at the best tilt
     failures = []
 
-    def price(y, starts):
-        """_rows at the rows of y and the indices of the rows priced, all
-        but those whose Perron solve raises; (empty, None) if none."""
-        kept = np.arange(len(y))
+    def fun(y, _):
+        """-F, its gradient and Hessian model, at the rows of y."""
+        count, r = y.shape
+        value, grad = np.full(count, np.inf), np.zeros((count, r))
+        hess = np.zeros((count, r, r))
+        kept = np.arange(count)
         while len(kept):
             try:
-                out = _rows(model, coords, mix, y[kept])
+                out = _rows(model, principal, mix, y[kept], shift)
+                break
             except ArithmeticError as exc:
                 row = getattr(exc, "row", 0)
-                failures.append(f"tilt {starts[kept[row]].tolist()}: {exc}")
+                failures.append(f"tilt {y[kept[row]].tolist()}: {exc}")
                 kept = np.delete(kept, row)
-                continue
-            i = int(np.argmax(np.where(np.isnan(out[0]), -np.inf, out[0])))
-            if out[0][i] > best[0]:  # copies: climb updates out in place
-                best[:] = (float(out[0][i]), y[kept[i]].copy(),
-                           out[2][i].copy(), out[3][i].copy())
-            return kept, out
-        return kept, None
+        else:
+            return value, grad, hess
+        f, g, tau, slope, h = out
+        i = int(np.argmax(np.where(np.isnan(f), -np.inf, f)))
+        if f[i] > best[0]:
+            best[:] = float(f[i]), y[kept[i]].copy(), tau[i], slope[i]
+        value[kept], grad[kept], hess[kept] = -f, -g, h - h @ curvature @ h
+        if model.g_minus is not None:
+            z = tau @ mix[n:].T + shift[n:]
+            kink = mix[n:].T @ _kink_curvature(model.g_minus, z) @ mix[n:]
+            hess[kept] += h @ kink @ h
+        return value, grad, hess
 
-    def direction(x, grad, slope, hess):
-        gauss = hess if curvature is None else hess - hess @ curvature @ hess
-        step = _clip(x + (_modified_inverse(gauss) @ grad[..., None])[..., 0]) - x
-        fixed = _clip(x + (slope - x)) - x
-        ascent = (grad * step).sum(axis=1) > 0
-        return np.where(ascent[:, None], step, fixed)
-
-    def climb(starts):
-        """The lockstep ascent from each row of starts; returns the end
-        points of the rows that stop short."""
-        x = _clip(starts)
-        kept, out = price(x, starts)
-        if out is None:
-            return x[:0]
-        starts, x = starts[kept], x[kept]
-        value, grad, _, slope, hess = out
-        count = len(x)
-        step, gain = np.zeros_like(x), np.zeros(count)
-        steps, halvings = np.zeros((2, count), dtype=int)
-        short = np.zeros(count, dtype=bool)
-        climbing = moved = np.arange(count)
-        while True:
-            if len(moved):
-                d = direction(x[moved], grad[moved], slope[moved], hess[moved])
-                size = np.abs(d).max(axis=1)
-                done = size <= BKL_XTOL
-                stuck = ~np.isfinite(size) | (steps[moved] >= BKL_STEPS)
-                short[moved[stuck & ~done]] = True
-                step[moved], gain[moved] = d, (grad[moved] * d).sum(axis=1)
-                halvings[moved] = 0
-                climbing = np.setdiff1d(climbing, moved[done | stuck])
-            if not len(climbing):
-                return x[short]
-            trial = _clip(x[climbing] + step[climbing])
-            kept, out = price(trial, starts[climbing])
-            if out is None:
-                return x[short]
-            climbing, trial = climbing[kept], trial[kept]
-            old = value[climbing]
-            rise = out[0] - old
-            tol = np.maximum(1.0, np.abs(old))
-            accepted = (rise >= 1e-4 * gain[climbing]) | (np.abs(rise) <= 1e-12 * tol)
-            moved = climbing[accepted]
-            x[moved] = trial[accepted]
-            for arr, new in zip((value, grad, slope, hess),
-                                (out[0], out[1], out[3], out[4])):
-                arr[moved] = new[accepted]
-            steps[moved] += 1
-            settled = moved[rise[accepted] <= BKL_FTOL * tol[accepted]]
-            rejected = climbing[~accepted]
-            step[rejected] /= 2
-            gain[rejected] /= 2
-            halvings[rejected] += 1
-            failed = rejected[halvings[rejected] >= BKL_HALVINGS]
-            short[failed] = True
-            climbing = np.setdiff1d(climbing, np.concatenate([settled, failed]))
-            moved = np.setdiff1d(moved, settled)
-
-    def neg(y):
-        value, grad, tau, slope = _objective(model, coords, mix, y)
-        if value > best[0]:
-            best[:] = value, y.copy(), tau, slope
-        return -value, -grad
-
-    def finish(points):
-        """L-BFGS-B from each point where a lockstep row stopped short."""
-        for y in points:
-            try:
-                scipy.optimize.minimize(
-                    neg, y, jac=True, method="L-BFGS-B",
-                    bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(y), options=BKL_OPTIONS)
-            except ArithmeticError as exc:
-                failures.append(f"tilt {y.tolist()}: {exc}")
-
-    finish(climb(_tilt_starts(model, MARKOV_STARTS) @ mix))
+    box = (-BKL_RADIUS, BKL_RADIUS)
+    _newton(fun, starts, *box, 0.0, BKL_XTOL, BKL_FTOL)
     if best[1] is None:
         raise ArithmeticError(f"{failure}; " + "; ".join(failures))
-    finish(climb(best[3][None]))
-    return tuple(best)
+    _newton(fun, best[3][None], *box, 0.0, BKL_XTOL, BKL_FTOL)
+    return best[0], best[1] @ principal, basis @ best[2] + offset
 
 
 # -- constrained-entropy route -------------------------------------------------
@@ -426,37 +394,6 @@ def _unique_potentials(model):
     return stacked_tables(model.alphabet, uniq, model.memory), mix
 
 
-def bkl_entropy(alphabet, potentials, z):
-    """h(z) = inf_y { P_L(sum_i y_i phi_i) - y . z }.
-
-    The maximal entropy among shift-invariant measures with constrained
-    averages tau(mu) = z, by convex duality against the linear pressure:
-    one L-BFGS-B run from y = 0 over the box |y_i| <= BKL_RADIUS, on the value
-    and its gradient tau(y) - z.  Returns (value, boundary_flag);
-    boundary_flag True means the bounded search hit its box, i.e. z sits on
-    or outside the achievable set and the value is an upper bound only.
-    """
-    potentials = list(potentials)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (len(potentials),):
-        raise ValueError("constraint dimension mismatch")
-    memory = max(p.memory for p in potentials)
-    log_w = np.log(alphabet.weights)
-    tables = stacked_tables(alphabet, potentials, memory)
-
-    def objective(y):
-        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
-        return value - float(y @ z), tau - z
-
-    try:
-        res = scipy.optimize.minimize(
-            objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
-            bounds=[(-BKL_RADIUS, BKL_RADIUS)] * len(z), options=BKL_OPTIONS)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"bkl_entropy at z = {z.tolist()}: {exc}") from exc
-    return float(res.fun), bool(np.any(np.abs(res.x) > BKL_RADIUS - 1e-6))
-
-
 def bkl_pressure(model):
     """Maximum of g+(z+) - g-(z-) + h(z) over achievable averages z.
 
@@ -467,6 +404,6 @@ def bkl_pressure(model):
     achievable average, so it cannot overstate beyond Perron rounding.
     """
     tables, mix = _unique_potentials(model)
-    value, _, tau, _ = _ascent(model, tables, mix,
-                               "bkl_pressure: every start tilt failed")
+    value, _, tau = _ascent(model, tables, mix,
+                            "bkl_pressure: every start tilt failed")
     return value, tau

@@ -2,7 +2,8 @@
 private module-level function or class that nothing references, no
 module-level function with a parameter its body never reads, no RunConfig
 field and no module-level constant that nothing reads, no import of the
-max-min solver by the oracles that judge it, no CLI flag that README
+max-min solver or of scipy by the oracles that judge it, one lockstep
+Newton loop and one modified inverse, in newton.py, no CLI flag that README
 documents but the parser lacks, or the other way round, no stack-only
 method X_many beside a method X, no module-level import of a scipy
 subpackage (a plain `import scipy` is allowed), and no function in
@@ -124,9 +125,8 @@ def test_no_module_level_import_of_a_scipy_subpackage():
     assert not eager, f"module-level scipy subpackage imports: {eager}"
 
 
-def test_oracle_does_not_import_the_solver():
-    # the oracles arbitrate the max-min solver, so they share none of its
-    # code; solving the bkl duals with its L-BFGS-B helper overstated bkl
+def _oracle_imports():
+    """Each import of oracle.py as a list of its dotted parts."""
     imported = []
     for node in ast.walk(_tree(PACKAGE / "oracle.py")):
         if isinstance(node, ast.ImportFrom):
@@ -134,7 +134,31 @@ def test_oracle_does_not_import_the_solver():
             imported += [module + [alias.name] for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name.split(".") for alias in node.names]
+    return imported
+
+
+def test_oracle_does_not_import_the_solver():
+    # the oracles arbitrate the max-min solver: they climb with the same
+    # Newton loop (newton.py), but their objective is their own, and every
+    # value they return is the direct pressure of a real Gibbs measure, so
+    # a fault of the loop can only read low; solving the bkl duals with the
+    # solver's L-BFGS-B helper once overstated bkl
+    imported = _oracle_imports()
     assert not [m for m in imported if "linearizer" in m], imported
+
+
+def test_one_newton_loop_and_no_scipy_in_the_oracles():
+    # the solver and both oracles climb with the one lockstep loop and its
+    # one modified inverse; a second copy drifts (the oracles' own inverse
+    # dropped the small eigenvalues that the solver's floors), and with no
+    # L-BFGS-B fallback left the oracles need no scipy
+    defined = {(path.name, node.name) for path in MODULES
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("_newton", "_modified_inverse")}
+    assert defined == {("newton.py", "_newton"), ("newton.py", "_modified_inverse")}
+    imported = _oracle_imports()
+    assert not [m for m in imported if "scipy" in m], imported
 
 
 def test_every_run_config_field_is_read():

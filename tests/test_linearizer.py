@@ -1102,36 +1102,36 @@ class TestNewtonSearch:
         )
 
     def test_modified_steps_descend_where_the_function_is_not_convex(self):
-        import thermoflat.linearizer as lin
+        from thermoflat import newton
 
         def quartic(x):
             return x[0] ** 4 - x[0] ** 2, 4 * x[0] ** 3 - 2 * x, np.array([[12 * x[0] ** 2 - 2]])
 
         # f'' < 0 at the start; the minimum is at 1/sqrt(2)
-        x, out, steps, message = lin._newton(quartic, np.array([0.1]), -5.0, 5.0, 1e-12)
+        x, out, steps, message = newton._newton(quartic, np.array([0.1]), -5.0, 5.0, 1e-12)
         assert message is None
         assert x[0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert 0 < steps < 20
         # a box face that blocks the descent is a stationary point
-        x, _, _, message = lin._newton(quartic, np.array([0.1]), -0.5, 0.5, 1e-12)
+        x, _, _, message = newton._newton(quartic, np.array([0.1]), -0.5, 0.5, 1e-12)
         assert message is None
         assert x[0] == 0.5
 
     def test_messages_name_why_it_stopped(self, monkeypatch):
-        import thermoflat.linearizer as lin
+        from thermoflat import newton
 
         def inconsistent(x):
             # a gradient that no step of a constant function can shrink
             return 0.0, np.ones(1), np.eye(1)
 
-        *_, message = lin._newton(inconsistent, np.zeros(1), -np.inf, np.inf, 1e-12)
+        *_, message = newton._newton(inconsistent, np.zeros(1), -np.inf, np.inf, 1e-12)
         assert message == "line search failed at projected gradient 1"
 
         def quartic(x):
             return x[0] ** 4, 4 * x ** 3, np.array([[12 * x[0] ** 2]])
 
-        monkeypatch.setattr(lin, "NEWTON_STEPS", 2)
-        x, _, steps, message = lin._newton(quartic, np.array([1.0]), -2.0, 2.0, 1e-12)
+        monkeypatch.setattr(newton, "NEWTON_STEPS", 2)
+        x, _, steps, message = newton._newton(quartic, np.array([1.0]), -2.0, 2.0, 1e-12)
         assert steps == 2
         assert message == f"iteration cap of 2 steps at projected gradient {4 * x[0] ** 3:.3g}"
 
@@ -1207,7 +1207,7 @@ def _row_functions():
 def _reference_newton(fun, x0, lo, hi, gtol):
     """The one-start projected Newton search that the lockstep search
     replaced, kept as the reference that each of its rows must reproduce."""
-    import thermoflat.linearizer as lin
+    from thermoflat import newton
 
     def modified_inverse(h):
         if not (np.isfinite(h).all() and h.any()):
@@ -1217,29 +1217,29 @@ def _reference_newton(fun, x0, lo, hi, gtol):
 
     x = np.clip(x0, lo, hi)
     out = fun(x)
-    for steps in range(lin.NEWTON_STEPS + 1):
-        free = lin._free(x, out[1], lo, hi)
+    for steps in range(newton.NEWTON_STEPS + 1):
+        free = newton._free(x, out[1], lo, hi)
         gradient = np.where(free, out[1], 0.0)
         norm = np.abs(gradient).max(initial=0.0)
-        if norm <= gtol or steps == lin.NEWTON_STEPS:
+        if norm <= gtol or steps == newton.NEWTON_STEPS:
             break
         step = -gradient
         step[free] = modified_inverse(out[2][np.ix_(free, free)]) @ step[free]
         step = np.clip(x + step, lo, hi) - x
         if gradient @ step >= 0:
             step = np.clip(x - gradient, lo, hi) - x
-        for _ in range(lin.NEWTON_HALVINGS):
+        for _ in range(newton.NEWTON_HALVINGS):
             trial = np.clip(x + step, lo, hi)
             new = fun(trial)
             rounding = abs(new[0] - out[0]) <= 1e-12 * max(1.0, abs(out[0]))
-            pg = np.abs(new[1][lin._free(trial, new[1], lo, hi)]).max(initial=0.0)
+            pg = np.abs(new[1][newton._free(trial, new[1], lo, hi)]).max(initial=0.0)
             if new[0] <= out[0] + 1e-4 * (gradient @ step) or rounding and pg < norm:
                 break
             step = step / 2
         else:
             return x, out, steps, f"line search failed at projected gradient {norm:.3g}"
         x, out = trial, new
-    cap = f"iteration cap of {lin.NEWTON_STEPS} steps at projected gradient {norm:.3g}"
+    cap = f"iteration cap of {newton.NEWTON_STEPS} steps at projected gradient {norm:.3g}"
     return x, out, steps, None if norm <= gtol else cap
 
 
@@ -1258,20 +1258,20 @@ class TestLockstep:
     gets what it would get alone."""
 
     def test_each_row_searches_as_it_would_alone(self, monkeypatch):
-        import thermoflat.linearizer as lin
+        from thermoflat import newton
 
-        monkeypatch.setattr(lin, "NEWTON_STEPS", 10)
+        monkeypatch.setattr(newton, "NEWTON_STEPS", 10)
         functions = _row_functions()
         x0 = np.array([[0.2, -0.4], [0.3, 0.3], [0.9, -0.8], [0.1, 0.3], [-0.5, 0.0]])
         lo, hi = -np.ones(2), np.ones(2)
-        x, out, steps, messages = lin._newton(_stacked(functions), x0, lo, hi, 1e-12)
+        x, out, steps, messages = newton._newton(_stacked(functions), x0, lo, hi, 1e-12)
         assert messages[0] is None and messages[3] is None
         assert messages[1] == "line search failed at projected gradient 1"
         assert messages[2].startswith("iteration cap of 10 steps")
         assert x[0, 0] == 1.0  # stopped on the face, the other coordinate free
         for i, f in enumerate(functions):
-            alone = lin._newton(_stacked([f]), x0[i : i + 1], lo, hi, 1e-12)
-            one = lin._newton(f, x0[i], lo, hi, 1e-12)
+            alone = newton._newton(_stacked([f]), x0[i : i + 1], lo, hi, 1e-12)
+            one = newton._newton(f, x0[i], lo, hi, 1e-12)
             reference = _reference_newton(f, x0[i], lo, hi, 1e-12)
             for xi, outi, stepsi, message in (
                 (alone[0][0], [o[0] for o in alone[1]], alone[2][0], alone[3][0]),
@@ -1389,6 +1389,63 @@ class TestLockstep:
         assert str(info.value).startswith(
             "linear_pressure_tilted at y+ = [-10000000000.0], y- = []: perron:"
         )
+
+
+class TestNewtonStops:
+    """The step and value stops, which the oracles climb with: gtol = 0, so
+    that a flat stretch of their objective does not stop a row."""
+
+    def test_step_stop_crosses_a_flat_stretch(self):
+        from thermoflat import newton
+
+        def flat(x):
+            return 1e-20 * (x[0] - 3) ** 2, 2e-20 * (x - 3), np.array([[2e-20]])
+
+        x, _, steps, message = newton._newton(flat, np.zeros(1), -5.0, 5.0, 0.0, xtol=1e-10)
+        assert message is None
+        assert x[0] == pytest.approx(3.0, abs=1e-12)
+        assert steps == 1  # the Newton step from there, 4e-16, is below xtol
+        # its gradient, 6e-20 at x0, is below any gtol that stops a row
+        x, _, steps, message = newton._newton(flat, np.zeros(1), -5.0, 5.0, 1e-12)
+        assert message is None and steps == 0 and x[0] == 0.0
+
+    def test_value_stop_reads_each_row_before_the_round_moves_it(self):
+        # in the first round every row is tried: row 0 takes a real step,
+        # row 1's trial is rejected and row 2's accepted step changes f by
+        # rounding only; f is read before the accepted rows move, so only
+        # row 2 stops there
+        from thermoflat import newton
+
+        def cosh(x):
+            return np.cosh(x[0] - 3), np.sinh(x - 3), np.array([[np.cosh(x[0] - 3)]])
+
+        def overshoot(x):
+            # the understated Hessian sends the first step far past 1/42.6
+            return -x[0] + 21.3 * x[0] ** 2, -1 + 42.6 * x, np.array([[0.5]])
+
+        def rounding(x):
+            # Newton converges only linearly on a quartic, and each step
+            # changes 1 + 1e-30 (x - 1)^4 by less than its rounding
+            t = x[0] - 1
+            return 1 + 1e-30 * t**4, 4e-30 * t**3 * np.ones(1), np.array([[12e-30 * t**2]])
+
+        rows = []
+        stacked = _stacked([cosh, overshoot, rounding])
+
+        def fun(x, tried):
+            rows.append(list(tried))
+            return stacked(x, tried)
+
+        x, _, steps, messages = newton._newton(fun, np.zeros((3, 1)), -5.0, 5.0, 0.0,
+                                               ftol=1e-15)
+        assert rows[1] == [0, 1, 2] and rows[2] == [0, 1]
+        assert messages == [None, None, None]
+        assert steps[0] > 1 and x[0, 0] == pytest.approx(3.0, abs=1e-6)
+        assert steps[2] == 1
+        # without the value stop, the rounding row runs to the step cap
+        *_, steps, messages = newton._newton(stacked, np.zeros((3, 1)), -5.0, 5.0, 0.0)
+        assert steps[2] == newton.NEWTON_STEPS
+        assert messages[2].startswith("iteration cap")
 
 
 class TestValidation:

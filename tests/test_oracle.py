@@ -10,14 +10,17 @@ from thermoflat import oracle
 from thermoflat.convex import AbsSum, GridSampled, LinearShift, Quadratic
 from thermoflat.linearizer import ModelSpec, solve_flat, solve_game
 from thermoflat.measures import AprioriAlphabet, CylinderPotential, MarkovMeasure
-from thermoflat.oracle import bkl_entropy, bkl_pressure, direct_pressure
-from thermoflat.ruelle import rpf_solve
+from thermoflat.oracle import bkl_pressure, direct_pressure
+from thermoflat.ruelle import _tilted_pressure, rpf_solve, stacked_tables
 
 A2 = AprioriAlphabet(2)
 A3 = AprioriAlphabet(3)
 A3W = AprioriAlphabet(3, [0.2, 0.3, 0.5])
 A4 = AprioriAlphabet(4)
 SPIN = CylinderPotential(A2, [1.0, -1.0], name="spin")
+# L-BFGS-B options of the reference climbs: the bkl dual (bkl_entropy) and
+# the per-start bkl climb (lbfgs_bkl_pressure)
+LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500}
 
 
 def cw_model(beta):
@@ -159,7 +162,8 @@ class TestDirectPressure:
         m = weighted_memory3()
         words = np.eye(27)
         psi = np.random.default_rng(8).normal(size=27)
-        value, grad, tau, slope = oracle._objective(m, words, m.tables, psi)
+        value, grad, tau, slope, _ = (
+            a[0] for a in oracle._rows(m, words, m.tables, psi[None]))
         mu = rpf_solve(CylinderPotential(m.alphabet, psi.reshape(3, 3, 3))).gibbs
         np.testing.assert_allclose(tau, mu.word_probs(3).ravel(), atol=1e-14)
         assert value == pytest.approx(m.direct_pressure_of(mu), abs=1e-12)
@@ -169,9 +173,8 @@ class TestDirectPressure:
             slope, (1.5 * tau_plus + 0.2) * m.tables[0] - 0.7 * tau_minus * m.tables[1],
             atol=1e-13)
         step = 1e-5
-        fd = [(oracle._objective(m, words, m.tables, psi + e)[0]
-               - oracle._objective(m, words, m.tables, psi - e)[0]) / (2 * step)
-              for e in step * np.eye(27)]
+        fd = (oracle._rows(m, words, m.tables, psi + step * np.eye(27))[0]
+              - oracle._rows(m, words, m.tables, psi - step * np.eye(27))[0]) / (2 * step)
         np.testing.assert_allclose(grad, fd, atol=1e-7)
         assert np.abs(grad).max() > 1e-3
 
@@ -190,6 +193,35 @@ class TestDirectPressure:
         monkeypatch.setattr(oracle, "_tilted_pressure", fail)
         with pytest.raises(ArithmeticError, match="every start chain failed"):
             direct_pressure(three_symbol_memory2(3))
+
+
+def bkl_entropy(alphabet, potentials, z):
+    """h(z) = inf_y { P_L(sum_i y_i phi_i) - y . z }, the reference for the
+    entropy that the bkl ascent reads off Legendre duality.
+
+    The maximal entropy among shift-invariant measures with constrained
+    averages tau(mu) = z, by convex duality against the linear pressure:
+    one L-BFGS-B run from y = 0 over the box |y_i| <= BKL_RADIUS, on the
+    value and its gradient tau(y) - z.  Returns (value, boundary_flag);
+    boundary_flag True means the bounded search hit its box, i.e. z sits on
+    or outside the achievable set and the value is an upper bound only.
+    """
+    potentials = list(potentials)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (len(potentials),):
+        raise ValueError("constraint dimension mismatch")
+    memory = max(p.memory for p in potentials)
+    log_w = np.log(alphabet.weights)
+    tables = stacked_tables(alphabet, potentials, memory)
+
+    def objective(y):
+        value, tau = _tilted_pressure(log_w, y @ tables, tables, memory)
+        return value - float(y @ z), tau - z
+
+    res = minimize(objective, np.zeros(len(z)), jac=True, method="L-BFGS-B",
+                   bounds=[(-oracle.BKL_RADIUS, oracle.BKL_RADIUS)] * len(z),
+                   options=LBFGS_OPTIONS)
+    return float(res.fun), bool(np.any(np.abs(res.x) > oracle.BKL_RADIUS - 1e-6))
 
 
 class TestBKLEntropy:
@@ -300,13 +332,13 @@ class TestBKLObjective:
         tables, mix = oracle._unique_potentials(m)
 
         def objective(y):
-            return oracle._objective(m, tables, mix, y)
+            return oracle._rows(m, tables, mix, y)
 
         y = np.random.default_rng(1).uniform(-1.0, 1.0, len(tables))
-        _, grad, _, _ = objective(y)
+        grad = objective(y[None])[1][0]
         step = 1e-5
-        fd = [(objective(y + e)[0] - objective(y - e)[0]) / (2 * step)
-              for e in step * np.eye(len(y))]
+        shifts = step * np.eye(len(y))
+        fd = (objective(y + shifts)[0] - objective(y - shifts)[0]) / (2 * step)
         np.testing.assert_allclose(grad, fd, atol=1e-7)
         assert np.abs(grad).max() > 1e-3
 
@@ -521,7 +553,7 @@ def lbfgs_bkl_pressure(model):
     best = [-math.inf, None, None]
 
     def neg(y):
-        value, grad, tau, slope = oracle._objective(model, tables, mix, y)
+        value, grad, tau, slope, _ = (a[0] for a in oracle._rows(model, tables, mix, y[None]))
         if value > best[0]:
             best[:] = value, tau, slope
         return -value, -grad
@@ -529,7 +561,7 @@ def lbfgs_bkl_pressure(model):
     def climb(y):
         minimize(neg, y, jac=True, method="L-BFGS-B",
                  bounds=[(-oracle.BKL_RADIUS, oracle.BKL_RADIUS)] * len(y),
-                 options=oracle.BKL_OPTIONS)
+                 options=LBFGS_OPTIONS)
 
     for start in oracle._tilt_starts(model, oracle.MARKOV_STARTS):
         try:
@@ -616,18 +648,19 @@ DOCUMENTED_FAILURES = {
     # item 4: a grid coupling whose grid misses its potentials' range
     "conjugate lacks minimal linear growth": (32, 35, 57),
 }
-# Seeds left out, each taking over 0.4 s: the bkl climb stops at kinks of
-# abs_sum or grid couplings and finishes with L-BFGS-B (2, 10, 16, 33, 39,
-# 54, 56); solve_flat takes 1-7 s (21, 40, 41, 45, 50)
-SLOW_SEEDS = {2, 10, 16, 21, 33, 39, 40, 41, 45, 50, 54, 56}
+# Seeds left out, solve_flat taking 1-7 s on each
+SLOW_SEEDS = {21, 40, 41, 45, 50}
 # seed: (the exception it raises, the fault)
 KNOWN_FAILURES = {
-    4: (ArithmeticError, "ROADMAP item 5: a Perron bracket fails inside the search box"),
+    4: (ArithmeticError, "ROADMAP item 8: a Perron bracket fails inside the search box"),
 }
+PRODUCT_GRID = ("the product grid misses optima near a simplex vertex "
+                "(ROADMAP item 5): direct_pressure reads {} below P_flat")
 DIRECT_FAILURES = {
     **KNOWN_FAILURES,
-    20: (AssertionError, "the product grid misses optima near a simplex vertex "
-         "(CHANGES.md FOUND): direct_pressure reads 1.79e-5 below P_flat"),
+    **{seed: (AssertionError, PRODUCT_GRID.format(gap))
+       for seed, gap in ((2, "4.46e-6"), (16, "1.56e-5"), (20, "1.79e-5"),
+                         (54, "2.73e-5"))},
 }
 
 
@@ -670,3 +703,56 @@ def test_sweep_direct_matches_the_solver(seed):
     p_flat = sweep_p_flat(seed)
     if p_flat is not None:
         assert direct_pressure(sweep_model(seed))[0] == pytest.approx(p_flat, abs=1e-6)
+
+
+# P_flat of the sweep models whose solve takes 12-25 s
+SWEEP_P_FLAT = {141: 3.7932591117532324}
+
+
+@pytest.mark.parametrize("judge, seed", [
+    (bkl_pressure, 87), (bkl_pressure, 141), (bkl_pressure, 151),
+    (direct_pressure, 76), (direct_pressure, 82), (direct_pressure, 151),
+], ids=["bkl87_grid_kink", "bkl141_degenerate", "bkl151_abs_sum_kink",
+        "direct76_memory3", "direct82_memory3", "direct151_abs_sum_kink"])
+def test_sweep_maxima_past_seed_59(judge, seed):
+    # each read 1.2e-6 to 2e-3 low with the oracles' own climb and its
+    # L-BFGS-B fallback: kinks of minus couplings (87, 151), potentials of
+    # rank 2 modulo coboundaries on 4 axes (141) and word tilts at memory 3
+    p_flat = SWEEP_P_FLAT.get(seed) or solve_flat(sweep_model(seed)).p_flat
+    assert judge(sweep_model(seed))[0] == pytest.approx(p_flat, abs=1e-6)
+
+
+def grid_minus_model(seed):
+    """k = 3, memory 1: Quadratic(2.0) on one table, a two-axis grid with
+    kinks on both axes at 0 on two more."""
+    axis = np.linspace(-2.0, 2.0, 5)
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    grid = GridSampled([axis, axis],
+                       0.5 * a**2 + 0.5 * b**2 + 0.25 * np.abs(a) + 0.25 * np.abs(b))
+    rng = np.random.default_rng(seed)
+    tables = [CylinderPotential(A3, rng.uniform(-1, 1, 3)) for _ in range(3)]
+    return ModelSpec(A3, tables[:1], tables[1:], Quadratic(2.0), grid)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_bkl_on_a_two_axis_grid_minus(seed):
+    # seed 0's maximum sits on the kink of the second axis, where the
+    # majorant curvature of the grid's facets holds the climb; seed 4's is
+    # off every kink
+    m = grid_minus_model(seed)
+    assert bkl_pressure(m)[0] == pytest.approx(solve_flat(m).p_flat, abs=1e-9)
+
+
+@pytest.mark.parametrize("table, p_flat", [
+    (np.full(3, 0.5), 0.25),
+    (np.array([[0.25, 1.25], [-0.75, 0.25]]), 0.0625),
+], ids=["constant", "coboundary_plus_constant"])
+def test_oracles_on_a_table_of_rank_0(table, p_flat):
+    # modulo coboundaries and constants the table is 0: every invariant
+    # measure averages it to its constant c, here 0.5 or 0.25 (h = [0, 1]),
+    # so P_flat = g+(c) and the climb runs over a zero principal table
+    a = AprioriAlphabet(len(table))
+    m = ModelSpec(a, [CylinderPotential(a, table)], g_plus=Quadratic(2.0))
+    assert solve_flat(m).p_flat == pytest.approx(p_flat, abs=1e-12)
+    assert bkl_pressure(m)[0] == pytest.approx(p_flat, abs=1e-12)
+    assert direct_pressure(m)[0] == pytest.approx(p_flat, abs=1e-12)
